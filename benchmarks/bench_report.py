@@ -19,18 +19,18 @@ Usage::
     python benchmarks/bench_report.py BENCH_quick.json
     python benchmarks/bench_report.py BENCH_quick.json --max-regression 4.0
     python benchmarks/bench_report.py BENCH_quick.json --update-baseline
-    python benchmarks/bench_report.py BENCH_quick.json --telemetry TELEMETRY_quick.jsonl
+    python benchmarks/bench_report.py BENCH_quick.json --telemetry "$BENCH_OUT/TELEMETRY_quick.jsonl"
 
 ``--update-baseline`` rewrites ``BENCH_baseline.json`` from the current
 run (means only, machine metadata stripped) — commit the result when a
 deliberate perf change moves the floor.
 
 ``--telemetry`` points at a telemetry JSONL artifact (the CI ``--quick``
-step emits ``TELEMETRY_quick.jsonl``); when the file exists the report
-appends engine-level columns — factorizations, cache hit rate, ROM
-fallbacks by cause, warm-store traffic — so a perf ratio and the engine
-behaviour behind it land in the same CI log.  A missing artifact is
-skipped silently: timing-only invocations keep working.
+step emits ``TELEMETRY_quick.jsonl`` into ``$BENCH_OUT``); when the file
+exists the report appends engine-level columns — factorizations, cache
+hit rate, ROM fallbacks by cause, warm-store traffic — so a perf ratio
+and the engine behaviour behind it land in the same CI log.  A missing
+artifact is skipped silently: timing-only invocations keep working.
 """
 
 from __future__ import annotations

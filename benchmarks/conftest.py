@@ -26,9 +26,6 @@ if str(_ROOT) not in sys.path:
 
 from repro.experiments.common import build_platform  # noqa: E402
 
-#: Reduced benchmark set used for the heavier sweeps (Table II, cooling power).
-BENCH_WORKLOADS = ("x264", "swaptions", "canneal", "streamcluster", "ferret")
-
 
 @pytest.fixture(scope="session")
 def platform():

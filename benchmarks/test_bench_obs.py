@@ -18,14 +18,16 @@ runs on the shared platform).
   taking its minimum, keep shared-runner stalls from landing on one side.
 
 ``test_obs_overhead_gates`` also exports the enabled run's stream to
-``TELEMETRY_quick.jsonl`` at the repository root — the CI ``--quick``
-step renders and uploads it (with its report text) next to
+``TELEMETRY_quick.jsonl`` in ``$BENCH_OUT`` — the CI ``--quick`` step sets
+it, renders and uploads the file (with its report text) next to
 ``BENCH_quick.json``, and ``bench_report.py --telemetry`` folds its
-counters into the regression report.
+counters into the regression report.  Without ``$BENCH_OUT`` the file
+goes to the test's temporary directory, never into the source tree.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from pathlib import Path
 
@@ -40,8 +42,7 @@ from repro.obs import (
     write_jsonl,
 )
 
-REPO_ROOT = Path(__file__).parent.parent
-ARTIFACT_PATH = REPO_ROOT / "TELEMETRY_quick.jsonl"
+ARTIFACT_NAME = "TELEMETRY_quick.jsonl"
 
 N_RACKS = 2
 SERVERS_PER_RACK = 2
@@ -79,7 +80,14 @@ def _null_site_cost_s() -> float:
     return elapsed / (2 * NULL_LOOP)
 
 
-def test_obs_overhead_gates(platform, capsys):
+def _artifact_path(tmp_path: Path) -> Path:
+    """``$BENCH_OUT/TELEMETRY_quick.jsonl``, or under ``tmp_path`` when unset."""
+    directory = Path(os.environ.get("BENCH_OUT") or tmp_path)
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory / ARTIFACT_NAME
+
+
+def test_obs_overhead_gates(platform, capsys, tmp_path):
     """Disabled <= 5% (analytic), enabled <= 25% (measured), artifact out."""
     disabled_timings: list[float] = []
     enabled_timings: list[float] = []
@@ -122,9 +130,10 @@ def test_obs_overhead_gates(platform, capsys):
         },
         seed=7,
     )
-    n_events = write_jsonl(hub, ARTIFACT_PATH, manifest=manifest)
+    artifact = _artifact_path(tmp_path)
+    n_events = write_jsonl(hub, artifact, manifest=manifest)
     # The artifact round-trips through the report renderer.
-    report_text = render_report(read_jsonl(ARTIFACT_PATH))
+    report_text = render_report(read_jsonl(artifact))
     assert "per-layer time" in report_text
 
     with capsys.disabled():
@@ -135,7 +144,7 @@ def test_obs_overhead_gates(platform, capsys):
             f"{ENABLED_BUDGET:.2f}x budget); null site {site_cost_s * 1e9:.0f} ns "
             f"x {events} events = {disabled_overhead_s * 1e3:.2f} ms "
             f"({disabled_overhead_s / disabled_s:.2%} vs {DISABLED_BUDGET:.0%} "
-            f"budget); artifact {ARTIFACT_PATH.name} ({n_events} events)"
+            f"budget); artifact {artifact} ({n_events} events)"
         )
 
     assert disabled_overhead_s <= DISABLED_BUDGET * disabled_s, (

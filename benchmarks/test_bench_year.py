@@ -4,8 +4,9 @@ PR 8's long-trace engine made a simulated season cheap; the year tier
 stacks three more levers on top of it:
 
 * **thread-parallel group advancement** — a 4-SKU floor advances its four
-  hardware groups concurrently (the SuperLU back-substitutions release
-  the GIL), bit-identical to the serial engine;
+  hardware groups on worker threads (the banded Cholesky factor and
+  solve calls hold the GIL, so only the groups' other NumPy work
+  overlaps), bit-identical to the serial engine;
 * **persistent warm store** — run N+1 of the same floor loads its reduced
   Krylov bases and assembled operator systems from disk, paying zero
   Arnoldi builds and no operator assembly;

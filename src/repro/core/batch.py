@@ -96,10 +96,10 @@ class SweepPoint:
 class _ThermalSpec:
     """Picklable ingredients of a :class:`ThermalSimulator`.
 
-    Factorizations (SuperLU objects) are not picklable, so parallel workers
-    rebuild the simulator from its ingredients — including any custom layer
-    stack and bottom boundary, so worker results match the serial path —
-    and grow their own caches.
+    Factorization caches hold locks and are not picklable, so parallel
+    workers rebuild the simulator from its ingredients — including any
+    custom layer stack and bottom boundary, so worker results match the
+    serial path — and grow their own caches.
     """
 
     stack: LayerStack
@@ -202,7 +202,7 @@ class BatchEvaluator:
 
     All points share the simulation's thermal network and its factorization
     cache, so a sweep that holds the water condition fixed while varying
-    benchmarks, configurations or mappings pays for at most one LU
+    benchmarks, configurations or mappings pays for at most one
     factorization per distinct cooling boundary.
     """
 
@@ -290,10 +290,11 @@ class BatchEvaluator:
           :class:`~concurrent.futures.ThreadPoolExecutor` sharing *this*
           evaluator's simulation and factorization cache (no per-worker
           rebuild, no pickling; the cache's get-or-build is lock-guarded).
-          The SuperLU back-substitutions release the GIL, so the solve
-          phase genuinely overlaps; pure-Python phases (mapping, power
-          modelling) still serialize on the GIL, which keeps this backend
-          cheapest when points share boundaries and the solve dominates.
+          The banded Cholesky factor and solve calls hold the GIL, as do
+          the pure-Python phases (mapping, power modelling), so threads
+          take turns rather than overlap; the backend pays off by sharing
+          one cache, which keeps it cheapest when points share
+          boundaries.
         """
         if backend not in ("process", "thread"):
             raise ConfigurationError(

@@ -26,11 +26,12 @@ and batches every layer of the evaluation:
    (:meth:`ThermalSimulator.steady_state_many_from_maps` /
    :meth:`~ThermalSimulator.transient_step_many_from_maps`).
 
-Because SuperLU back-substitutes multi-column right-hand sides column by
-column and the lane march is elementwise across lanes, every batched result
-is identical (to the last bit) to the per-server path — the per-server
-session stays the golden model.  On a homogeneous rack the whole rack costs
-*one* factorization where independent sessions pay ``n_servers``.
+Because ``dpbtrs`` back-substitutes multi-column right-hand sides column
+by column and the lane march is elementwise across lanes, every batched
+result is identical (to the last bit) to the per-server path — the
+per-server session stays the golden model.  On a homogeneous rack the
+whole rack costs *one* factorization where independent sessions pay
+``n_servers``.
 """
 
 from __future__ import annotations

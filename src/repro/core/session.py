@@ -232,11 +232,7 @@ class SimulationSession:
         boundary_refresh_tol: float = 0.15,
         adaptive_boundary_refresh: bool = False,
         adaptive_residual_reference_c: float = 0.5,
-        boundary_refresh_rtol: float | None = None,
     ) -> None:
-        if boundary_refresh_rtol is not None:
-            # Backwards-compatible spelling from the session's first release.
-            boundary_refresh_tol = boundary_refresh_rtol
         self.floorplan = floorplan if floorplan is not None else build_xeon_e5_v4_floorplan()
         self.design = design
         self.power_model = (
@@ -258,15 +254,6 @@ class SimulationSession:
         self._temperatures: np.ndarray | None = None
         self._boundary_state: _BoundaryState | None = None
         self._last_settle_residual_c: float | None = None
-
-    @property
-    def boundary_refresh_rtol(self) -> float:
-        """Backwards-compatible alias of :attr:`boundary_refresh_tol`."""
-        return self.boundary_refresh_tol
-
-    @boundary_refresh_rtol.setter
-    def boundary_refresh_rtol(self, value: float) -> None:
-        self.boundary_refresh_tol = check_non_negative(value, "boundary_refresh_rtol")
 
     # ------------------------------------------------------------------ #
     # Shared helpers

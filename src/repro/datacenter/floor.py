@@ -30,9 +30,9 @@ transient_step_many_from_maps` (or ``steady_state_many_from_maps``) per
    array through :meth:`RackSession.finish_advance`, so the rack-level API
    (results, residual tracking, boundary hold policy) is unchanged.
 
-Because SuperLU back-substitutes multi-column right-hand sides column by
-column and the lane march is elementwise across servers, stacking across
-racks changes *nothing numerically*: a fixed-setpoint floor run is
+Because ``dpbtrs`` back-substitutes multi-column right-hand sides column
+by column and the lane march is elementwise across servers, stacking
+across racks changes *nothing numerically*: a fixed-setpoint floor run is
 bit-identical to standalone per-rack traces, which remain the golden
 model.  Heterogeneous floors (mixed SKUs/designs) need no fallback — each
 hardware group simply stacks fewer rows.
@@ -172,9 +172,10 @@ class FloorEngine:
         the per-group solves of :meth:`advance` / :meth:`advance_span`
         over a persistent thread pool.  Every hardware group owns a
         disjoint slice of floor state (its own simulator, factorization
-        cache, stacked field array and rack sessions), and the SuperLU
-        back-substitutions that dominate a group's step release the GIL,
-        so mixed-SKU floors overlap their groups' solves on real cores.
+        cache, stacked field array and rack sessions).  The banded
+        Cholesky factorizations and back-substitutions that dominate a
+        group's step hold the GIL, so groups overlap only their NumPy work
+        that releases it; the factor and solve calls themselves take turns.
         Results are **bit-identical** to the serial loop: workers never
         share mutable state, and all commits that have an order (RomStats
         merging, worst-peak reduction) happen on the calling thread in
@@ -406,7 +407,7 @@ class FloorEngine:
 
             # Stages 3-4 run per hardware group on the stacked arrays —
             # concurrently when ``parallel_groups`` allows, since each
-            # group's state is disjoint and its solves release the GIL.
+            # group's state is disjoint.
             rack_advances: list[RackAdvance | None] = [None] * self.n_racks
 
             def run_group(group: _HardwareGroup) -> float:

@@ -454,10 +454,10 @@ class DatacenterModel:
     parallel_groups:
         Worker-thread budget handed to the
         :class:`~repro.datacenter.floor.FloorEngine`: ``>= 2`` advances
-        the floor's hardware groups concurrently (mixed-SKU floors
-        overlap their stacked solves on real cores — the SuperLU
-        back-substitutions release the GIL); ``0`` (default) and ``1``
-        keep the serial loop.  Results are bit-identical either way.
+        the floor's hardware groups on worker threads (the banded Cholesky
+        factor and solve calls hold the GIL, so only the groups' other
+        NumPy work overlaps); ``0`` (default) and ``1`` keep the serial
+        loop.  Results are bit-identical either way.
     warm_store:
         A :class:`~repro.thermal.warm_store.WarmStore` (or a directory
         path for one) attached to every hardware group's factorization

@@ -15,9 +15,10 @@ The backward-Euler step map is ``T+ = M T + K_dt^{-1} b`` with
 steady state ``A^{-1} b``.  The basis is therefore seeded per row group
 with the current fields ``T0`` and their steady targets ``A^{-1} b``,
 block-extended with a few applications of ``M`` (Arnoldi-style, using the
-*cached* LU factors — build cost is a handful of back-substitutions), and
-orthonormalised by pivoted QR capped at ``max_basis`` columns.  The exact
-trajectory satisfies ``T_j - T_inf = M^j (T0 - T_inf)``, so for
+*cached* Cholesky factors — build cost is a handful of
+back-substitutions), and orthonormalised by pivoted QR capped at
+``max_basis`` columns.  The exact trajectory satisfies
+``T_j - T_inf = M^j (T0 - T_inf)``, so for
 quasi-steady spans a couple of Krylov blocks capture it to solver
 precision.
 
@@ -50,7 +51,7 @@ proximity to the thermal constraint — exceeds tolerance, the caller falls
 back to the full factorized solver for the affected rows; the
 :class:`RomStats` counters make every such decision observable.
 
-Cached beside the LU factors: :class:`~repro.thermal.solver_cache.\
+Cached beside the Cholesky factors: :class:`~repro.thermal.solver_cache.\
 FactorizationCache` stores one :class:`ReducedOperator` per
 ``(boundary content, dt)`` key, so committed traces and replays rebuild a
 basis only when the floor state has genuinely drifted out of the span of

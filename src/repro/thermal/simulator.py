@@ -129,7 +129,7 @@ class ThermalSimulator:
     use_solver_cache:
         Share a :class:`FactorizationCache` between the steady-state and
         transient solvers (the default).  Repeated solves at an unchanged
-        cooling boundary then reuse one LU factorization; a boundary change
+        cooling boundary then reuse one factorization; a boundary change
         re-keys the cache automatically.  Call
         :meth:`invalidate_solver_cache` if the network is ever mutated in
         place.

@@ -1,4 +1,4 @@
-"""Cached sparse factorizations for repeated thermal solves.
+"""Cached banded Cholesky factorizations for repeated thermal solves.
 
 The thermal system ``A @ T = b`` splits into a power-independent operator
 (bulk conduction + bottom boundary + top convective boundary) and a
@@ -8,10 +8,22 @@ operator therefore only changes when the *cooling boundary* changes — and,
 for backward-Euler transient stepping, when the step size ``dt_s`` changes.
 
 :class:`FactorizationCache` exploits this: it assembles the operator and
-computes a sparse LU factorization (:func:`scipy.sparse.linalg.factorized`)
-once per distinct ``(cooling boundary, dt)`` and reuses it for every solve
-with a different power map, turning repeated solves into a single
-back-substitution each.
+factors it once per distinct ``(cooling boundary, dt)`` and reuses the
+factor for every solve with a different power map, turning repeated solves
+into a single back-substitution each.
+
+Kernel: banded Cholesky
+-----------------------
+The operator is symmetric positive definite, and every cell couples only
+to its six grid neighbours.  :class:`BandOrdering` renumbers the cells with
+the layer index innermost, then the narrower in-plane axis, then the wider
+one, so every coupling lies within ``min(n_rows, n_columns) * n_layers``
+of the diagonal.  Each factorization scatters the upper band of the
+assembled CSC operator into LAPACK band storage and factors it with
+``dpbtrf``; :class:`BandedCholesky` solves through ``dpbtrs``, which
+back-substitutes the columns of a multi-column right-hand side one at a
+time, so an ``(n, k)`` solve is bit-identical to ``k`` single-column
+solves.  SciPy's band wrappers hold the GIL for the whole call.
 
 Caching/invalidation contract
 -----------------------------
@@ -38,13 +50,19 @@ from typing import Callable
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from repro.exceptions import ConvergenceError
 from repro.obs.telemetry import Counters, get_telemetry
 from repro.thermal.boundary import CoolingBoundary
+from repro.thermal.grid import ThermalGrid
 from repro.thermal.network import ThermalNetwork
 from repro.utils.validation import check_positive
+
+_SINGULAR_MESSAGE = (
+    "thermal system factorization failed (singular matrix); check that at "
+    "least one boundary has a non-zero heat transfer coefficient"
+)
 
 
 @dataclass(frozen=True)
@@ -106,15 +124,96 @@ class CacheStats:
 
 
 @dataclass(frozen=True)
+class BandedCholesky:
+    """A factored operator ``A = U^T U``, callable as its solve.
+
+    ``factor`` holds ``U`` in LAPACK upper band storage for the operator
+    renumbered by ``perm`` (band position -> cell); ``inverse`` maps cells
+    back to band positions.  Calling it solves ``A x = rhs`` for one RHS
+    vector of shape ``(n_cells,)`` or a multi-column RHS of shape
+    ``(n_cells, k)``, leaving ``rhs`` unmodified.
+    """
+
+    factor: np.ndarray
+    perm: np.ndarray
+    inverse: np.ndarray
+
+    def __call__(self, rhs: np.ndarray) -> np.ndarray:
+        rhs = np.asarray(rhs, dtype=float)
+        # Gathering along the last axis of the transpose yields a fresh
+        # Fortran-ordered copy, which dpbtrs may then overwrite in place.
+        permuted = rhs.T[..., self.perm].T
+        # dpbtrs reports a non-zero info only for an illegal argument.
+        solution, _ = dpbtrs(self.factor, permuted, overwrite_b=True)
+        return solution[self.inverse]
+
+
+class BandOrdering:
+    """Cell numbering that makes one grid's thermal operator narrow-banded.
+
+    Cells are numbered with the layer index innermost, then along the
+    narrower in-plane axis, then along the wider one.  Every cell couples
+    only to its six grid neighbours, which land 1, ``n_layers`` and
+    ``min(n_rows, n_columns) * n_layers`` band positions away — the
+    half-bandwidth.
+    """
+
+    def __init__(self, grid: ThermalGrid) -> None:
+        cells = np.arange(grid.n_cells).reshape(
+            grid.n_layers, grid.n_rows, grid.n_columns
+        )
+        if grid.n_rows <= grid.n_columns:
+            order, narrow = cells.transpose(2, 1, 0), grid.n_rows
+        else:
+            order, narrow = cells.transpose(1, 2, 0), grid.n_columns
+        self.n_cells = grid.n_cells
+        self.bandwidth = min(narrow * grid.n_layers, grid.n_cells - 1)
+        self.perm = order.ravel()
+        self.inverse = np.argsort(self.perm)
+
+    def factorize(self, matrix: sparse.spmatrix) -> BandedCholesky:
+        """Banded Cholesky factor of a symmetric positive definite operator."""
+        matrix = matrix.tocsc()
+        columns = self.inverse[
+            np.repeat(np.arange(self.n_cells), np.diff(matrix.indptr))
+        ]
+        offsets = columns - self.inverse[matrix.indices]
+        if np.any(np.abs(offsets) > self.bandwidth):
+            raise ValueError("operator couples cells that are not grid neighbours")
+        upper = offsets >= 0
+        band = np.zeros((self.bandwidth + 1, self.n_cells), order="F")
+        band[self.bandwidth - offsets[upper], columns[upper]] = matrix.data[upper]
+        factor, info = dpbtrf(band, overwrite_ab=True)
+        if info != 0:
+            raise ConvergenceError(f"{_SINGULAR_MESSAGE} (dpbtrf info {info})")
+        return BandedCholesky(factor=factor, perm=self.perm, inverse=self.inverse)
+
+
+def check_steady_solvable(network: ThermalNetwork, cooling: CoolingBoundary) -> None:
+    """Reject a steady operator that no boundary ties to a temperature.
+
+    With the top-boundary conductance zero in every cell and a zero bottom
+    HTC, the steady operator is a pure conduction Laplacian: singular, yet
+    rounding can leave it pivots that pass a factorization's test and a
+    solve that returns nonsense.  So the structure is checked instead.
+    Transient operators need no check: ``C/dt > 0`` keeps them definite.
+    """
+    if network.bottom_boundary.htc_w_m2k <= 0.0 and not np.any(
+        cooling.htc_w_m2k > 0.0
+    ):
+        raise ConvergenceError(_SINGULAR_MESSAGE)
+
+
+@dataclass(frozen=True)
 class SteadyOperator:
     """Factorized steady-state operator for one cooling boundary.
 
-    ``solve`` back-substitutes a right-hand side through the cached LU
-    factors.  It accepts either one RHS vector of shape ``(n_cells,)`` or a
-    multi-column RHS of shape ``(n_cells, k)`` — SuperLU back-substitutes
-    the columns independently, so a whole rack of servers sharing this
-    boundary is solved in one call with results identical to ``k`` separate
-    single-column solves.
+    ``solve`` back-substitutes a right-hand side through the cached
+    Cholesky factor.  It accepts either one RHS vector of shape
+    ``(n_cells,)`` or a multi-column RHS of shape ``(n_cells, k)`` —
+    ``dpbtrs`` back-substitutes the columns independently, so a whole rack
+    of servers sharing this boundary is solved in one call with results
+    identical to ``k`` separate single-column solves.
     """
 
     boundary_rhs: np.ndarray
@@ -135,19 +234,6 @@ class TransientOperator:
     solve: Callable[[np.ndarray], np.ndarray]
 
 
-def _factorize(matrix: sparse.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
-    # splu (not factorized) so the returned solve handles multi-column RHS
-    # regardless of whether a UMFPACK binding is installed.
-    try:
-        return splu(matrix.tocsc()).solve
-    except RuntimeError as error:  # SuperLU: "Factor is exactly singular"
-        raise ConvergenceError(
-            "thermal system factorization failed (singular matrix); check "
-            "that at least one boundary has a non-zero heat transfer "
-            f"coefficient: {error}"
-        ) from error
-
-
 class FactorizationCache:
     """LRU cache of factorized thermal operators for one network.
 
@@ -164,6 +250,7 @@ class FactorizationCache:
         self._steady: OrderedDict[tuple, SteadyOperator] = OrderedDict()
         self._transient: OrderedDict[tuple, TransientOperator] = OrderedDict()
         self._reduced: OrderedDict[tuple, object] = OrderedDict()
+        self._ordering = BandOrdering(network.grid)
         self._warm_store = None
         self._network_key: str | None = None
         # Hit/miss tallies live in a telemetry counter bag; the public
@@ -171,8 +258,9 @@ class FactorizationCache:
         self._counters = Counters()
         # Get-or-build is guarded so thread fan-out (BatchEvaluator
         # backend="thread") can share one cache: the lock serializes the
-        # bookkeeping and the (rare) factorization; the back-substitutions
-        # themselves run outside it and release the GIL inside SuperLU.
+        # bookkeeping and the factorization; the back-substitutions run
+        # outside it (the band routines hold the GIL, so threads interleave
+        # rather than overlap inside them).
         # Reentrant because a reduced-operator build solves through the
         # steady/transient accessors of the same cache.
         self._lock = threading.RLock()
@@ -185,11 +273,11 @@ class FactorizationCache:
 
         With a store attached, operator misses first consult the disk
         entries keyed by the network's content key: a hit skips the
-        operator *assembly* (the symbolic half — the numeric factorization
-        of the byte-identical persisted system re-runs and reproduces the
-        cold factors exactly, so warm and cold runs stay bit-identical),
-        and reduced-operator misses skip the whole Arnoldi build.  Cold
-        builds persist their results back (first write wins).
+        operator *assembly* (the factorization of the byte-identical
+        persisted system re-runs and reproduces the cold factor exactly,
+        so warm and cold runs stay bit-identical), and reduced-operator
+        misses skip the whole Arnoldi build.  Cold builds persist their
+        results back (first write wins).
         """
         with self._lock:
             self._warm_store = store
@@ -217,6 +305,7 @@ class FactorizationCache:
                 self._counters.add("hits")
                 self._steady.move_to_end(key)
                 return entry
+            check_steady_solvable(self.network, cooling)
             self._counters.add("misses")
             with get_telemetry().span("cache.factorize", kind="steady"):
                 matrix = boundary_rhs = None
@@ -233,7 +322,8 @@ class FactorizationCache:
                     if store is not None:
                         store.store_system(system_key, matrix, boundary_rhs)
                 entry = SteadyOperator(
-                    boundary_rhs=boundary_rhs, solve=_factorize(matrix)
+                    boundary_rhs=boundary_rhs,
+                    solve=self._ordering.factorize(matrix),
                 )
             self._steady[key] = entry
             while len(self._steady) > self.max_entries:
@@ -272,12 +362,12 @@ class FactorizationCache:
                 entry = TransientOperator(
                     boundary_rhs=boundary_rhs,
                     capacitance_over_dt=capacitance_over_dt,
-                    solve=_factorize(system),
+                    solve=self._ordering.factorize(system),
                 )
             self._transient[key] = entry
             while len(self._transient) > self.max_entries:
                 evicted_key, _ = self._transient.popitem(last=False)
-                # Evict the reduced-operator lane with its LU entry: the
+                # Evict the reduced-operator lane with its factor: the
                 # basis is only ever stepped against this exact (boundary,
                 # dt) operator, so an orphaned basis would pin memory for a
                 # key the cache already dropped under pressure.
@@ -290,7 +380,7 @@ class FactorizationCache:
     def reduced_operator(self, cooling: CoolingBoundary, dt_s: float, config=None):
         """The cached reduced-order operator for one (cooling, dt), or None.
 
-        Reduced operators live beside the LU factors under the same
+        Reduced operators live beside the Cholesky factors under the same
         content-keyed LRU discipline, but are built by the caller (the
         floor's reduced-order lane decides the basis seeds) and stored via
         :meth:`store_reduced_operator`.  With a warm store attached and a
@@ -376,7 +466,7 @@ class FactorizationCache:
         Required only when the underlying network is replaced or mutated in
         place; cooling-boundary changes invalidate implicitly through the
         content-based key.  Every lane drops together — steady and
-        transient LU entries, the reduced-operator bases riding beside
+        transient factors, the reduced-operator bases riding beside
         them, and the memoised warm-store network key (the mutated network
         must re-hash, so stale disk entries under the old key can never be
         loaded again).

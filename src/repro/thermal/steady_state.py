@@ -14,7 +14,7 @@ from scipy.sparse.linalg import spsolve
 from repro.exceptions import ConfigurationError, ConvergenceError
 from repro.thermal.boundary import CoolingBoundary
 from repro.thermal.network import ThermalNetwork
-from repro.thermal.solver_cache import FactorizationCache
+from repro.thermal.solver_cache import FactorizationCache, check_steady_solvable
 
 
 class SteadyStateSolver:
@@ -56,15 +56,16 @@ class SteadyStateSolver:
         Raises
         ------
         ConvergenceError
-            If the linear solve produces non-finite values or the operator
-            cannot be factorized, which indicates a singular system (for
-            example a zero-HTC boundary everywhere with no bottom path).
+            If no boundary ties the field to a temperature (a zero-HTC top
+            boundary everywhere with no bottom path), the operator cannot
+            be factorized, or the linear solve produces non-finite values.
         """
         if self.cache is not None:
             operator = self.cache.steady_operator(cooling)
             rhs = operator.boundary_rhs + self.network.power_vector(power_map_w)
             temperatures = operator.solve(rhs)
         else:
+            check_steady_solvable(self.network, cooling)
             matrix, rhs = self.network.system(power_map_w, cooling)
             temperatures = spsolve(matrix, rhs)
         if not np.all(np.isfinite(temperatures)):
@@ -81,7 +82,7 @@ class SteadyStateSolver:
 
         ``power_maps_w`` has shape ``(k, n_rows, n_columns)``; the result has
         shape ``(k, n_cells)``.  Through the cache this is one factorization
-        plus one multi-column back-substitution — SuperLU back-substitutes
+        plus one multi-column back-substitution — ``dpbtrs`` back-substitutes
         each column independently, so row ``i`` is identical to
         ``solve(power_maps_w[i], cooling)``.  This is what lets a rack of
         servers sharing one boundary pay a single operator for all of them.

@@ -6,15 +6,15 @@ function of content the floor can hash: the reduced-order Krylov bases
 network, the cooling boundary, the substep size, the
 :class:`~repro.thermal.rom.RomConfig` and the (scenario-stable) seed
 fields; the assembled backward-Euler / steady systems handed to the
-numeric LU factorization depend only on the network, the boundary and the
-substep size.  :class:`WarmStore` persists both to disk keyed by exactly
-those content keys — the network's :meth:`~repro.thermal.network.\
+banded Cholesky factorization depend only on the network, the boundary
+and the substep size.  :class:`WarmStore` persists both to disk keyed by
+exactly those content keys — the network's :meth:`~repro.thermal.network.\
 ThermalNetwork.content_key`, the boundary's :meth:`~repro.thermal.\
 boundary.CoolingBoundary.cache_token` and the ROM config — so run ``N+1``
 of the same floor skips every Arnoldi basis build and every operator
-assembly (the symbolic half of a factorization; SciPy's SuperLU handle is
-not serialisable, so the numeric factorization of the byte-identical
-persisted system re-runs and reproduces the cold run's factors exactly).
+assembly.  Factors are not persisted: the factorization of the
+byte-identical persisted system re-runs and reproduces the cold run's
+factors exactly.
 
 Bit-identity contract
 ---------------------
@@ -268,7 +268,7 @@ class WarmStore:
         return operator
 
     # ------------------------------------------------------------------ #
-    # Assembled operator systems (the symbolic half of a factorization)
+    # Assembled operator systems (the input of a factorization)
     # ------------------------------------------------------------------ #
     def system_key(
         self,
@@ -286,8 +286,8 @@ class WarmStore:
     ) -> bool:
         """Persist one assembled system matrix + boundary RHS (first write
         wins).  The matrix is stored in CSC layout — the exact input the
-        numeric factorization consumes, so a warm load feeds SuperLU byte-
-        identical data and reproduces the cold run's factors."""
+        factorization consumes, so a warm load feeds the banded Cholesky
+        byte-identical data and reproduces the cold run's factors."""
         csc = matrix.tocsc()
         payload = {
             "format_version": np.array(FORMAT_VERSION),

@@ -500,7 +500,6 @@ class TestBoundaryRefreshPolicyPlumbing:
             boundary_refresh_tol=0.2,
         )
         assert session.effective_boundary_refresh_tol() == pytest.approx(0.2)
-        assert session.boundary_refresh_rtol == pytest.approx(0.2)  # compat alias
 
     def test_zero_tolerance_accepted_by_controller(self, floorplan, power_model):
         """tol=0.0 (refresh every period) is a legitimate ablation setting."""
@@ -511,18 +510,6 @@ class TestBoundaryRefreshPolicyPlumbing:
         )
         controller = ThermosyphonController(simulation, boundary_refresh_tol=0.0)
         assert controller.boundary_refresh_tol == 0.0
-
-    def test_rtol_keyword_and_setter_compat(self, floorplan, power_model):
-        """The original boundary_refresh_rtol spelling still constructs and sets."""
-        session = SimulationSession(
-            floorplan,
-            power_model=power_model,
-            thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=CELL_SIZE_MM),
-            boundary_refresh_rtol=0.1,
-        )
-        assert session.boundary_refresh_tol == pytest.approx(0.1)
-        session.boundary_refresh_rtol = 0.25
-        assert session.boundary_refresh_tol == pytest.approx(0.25)
 
 
 class TestWarmSessionReuse:

@@ -9,9 +9,9 @@ The load-bearing guarantees of :mod:`repro.thermal.rom`:
   a-posteriori bound — and the bound itself is a rigorous upper bound on
   the single-step lift error (the M-matrix contraction argument);
 * the case-cell readout agrees with lifting the whole field;
-* :class:`FactorizationCache` stores reduced operators beside the LU
-  factors (bounded, content-keyed, cleared by ``invalidate``) without
-  perturbing the factorization hit/miss statistics;
+* :class:`FactorizationCache` stores reduced operators beside the
+  Cholesky factors (bounded, content-keyed, cleared by ``invalidate``)
+  without perturbing the factorization hit/miss statistics;
 * a rebuild seeded with ``previous_basis`` still spans the stale basis,
   so recurring boundaries stop churning.
 """

@@ -168,10 +168,10 @@ class TestCacheManagement:
             FactorizationCache(network, max_entries=0)
 
     def test_transient_eviction_drops_reduced_lane_too(self, setup):
-        """Regression: evicting a transient LU under LRU pressure must take
+        """Regression: evicting a transient factor under LRU pressure must take
         the same key's reduced-order operator with it — an orphaned basis
         would pin memory for a (boundary, dt) the cache already dropped,
-        and could later be served against a freshly rebuilt LU."""
+        and could later be served against a freshly rebuilt factor."""
         grid, _, network = setup
         cache = FactorizationCache(network, max_entries=2)
         boundaries = [_boundary(grid, fluid=fluid) for fluid in (30.0, 32.0, 34.0)]
