@@ -1,16 +1,18 @@
-"""Floor-engine benchmark: stacked floor-wide solves vs the per-rack loop.
+"""Floor-engine benchmark: stacked floor-wide solves vs standalone rack traces.
 
 Not a paper artefact: pins the win of the floor engine's ownership
-inversion.  Both paths run the *same* :class:`DatacenterModel` floor —
-shared thermal simulator, shared factorization cache, identical physics
-and decisions — and differ only in orchestration: ``engine="floor"``
+inversion.  Both sides run the *same* racks — one shared thermal
+simulator and factorization cache, identical physics and decisions — and
+differ only in orchestration: the :class:`DatacenterModel` floor engine
 advances every server on the floor through one stacked multi-RHS
 back-substitution per (hardware group, cooling boundary) per substep with
-floor-wide power-model memoization and lane-march batching, while
-``engine="per-rack"`` walks racks one :func:`run_rack_period` at a time
-(the previous datacenter layer).  ``test_floor_engine_speedup_vs_per_rack``
+floor-wide power-model memoization and lane-march batching, while the
+baseline runs one :meth:`ThermosyphonController.run_rack_trace` per rack.
+A fixed-setpoint floor reproduces those standalone rack traces bit for
+bit (the golden contract of ``tests/test_floor.py``), so the baseline is
+the floor's reference model.  ``test_floor_engine_speedup_vs_per_rack``
 is a hard gate (also run by the CI ``--quick`` smoke step) so the floor
-cannot silently regress to per-rack stepping;
+cannot silently regress to rack-at-a-time stepping;
 ``test_heterogeneous_floor_runs_stacked`` pins that a mixed-SKU floor
 runs through the stacked engine — multiple hardware groups, no fallback.
 """
@@ -19,6 +21,8 @@ from __future__ import annotations
 
 import time
 
+from repro.core.pipeline import CooledServerSimulation
+from repro.core.runtime_controller import ThermosyphonController
 from repro.datacenter.model import DatacenterModel, RackSpec
 from repro.datacenter.scenarios import build_scenario
 from repro.floorplan.xeon_e5_v4 import build_xeon_e5_v4_floorplan
@@ -39,11 +43,11 @@ TRANSIENT_SUBSTEPS = 2
 #: One benchmark everywhere: a homogeneous fleet is the floor engine's
 #: design case — every server on the floor shares one cooling boundary, so
 #: each substep is a single (64, n_cells) back-substitution where the
-#: per-rack loop pays one call per rack (and one power-model evaluation
-#: per server where the floor memoizes one per distinct workload).  A wide
+#: rack traces pay one call per rack (and one power-model evaluation per
+#: server where the floor memoizes one per distinct workload).  A wide
 #: floor of small racks is the regime the engine exists for: per-rack costs
 #: scale with the rack count while the floor's call counts stay fixed, and
-#: the shared back-substitution row-work — identical in both engines — is
+#: the shared back-substitution row-work — identical on both sides — is
 #: kept from drowning the orchestration gap by the coarse grid.
 BENCHMARKS = ("x264",)
 
@@ -71,7 +75,7 @@ def _setup():
     return floorplan, power_model, racks, plant
 
 
-def _run(floorplan, power_model, racks, plant, engine):
+def _run(floorplan, power_model, racks, plant):
     floor = DatacenterModel(
         racks,
         plant=plant,
@@ -80,26 +84,58 @@ def _run(floorplan, power_model, racks, plant, engine):
         thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=CELL_SIZE_MM),
         control_period_s=CONTROL_PERIOD_S,
         transient_substeps=TRANSIENT_SUBSTEPS,
-        engine=engine,
     )
     return floor.run_trace(duration_s=DURATION_S)
 
 
+def _run_rack_traces(floorplan, power_model, racks, plant):
+    """The per-rack baseline: one standalone rack trace per rack.
+
+    Every rack runs on one shared thermal simulator at the floor's default
+    setpoint.  Returns the per-period plant power (rack chiller powers
+    summed in rack order, as the floor sums them) and the factorizations
+    of the whole run.
+    """
+    simulation = CooledServerSimulation(
+        floorplan,
+        power_model=power_model,
+        thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=CELL_SIZE_MM),
+    )
+    controller = ThermosyphonController(simulation, control_period_s=CONTROL_PERIOD_S)
+    setpoint = PAPER_OPTIMIZED_DESIGN.water_inlet_temperature_c
+    water_loop = PAPER_OPTIMIZED_DESIGN.water_loop().with_inlet_temperature(setpoint)
+    rack_traces = [
+        controller.run_rack_trace(
+            rack.servers,
+            initial_water_loop=water_loop,
+            transient_substeps=TRANSIENT_SUBSTEPS,
+            chiller=plant.chiller_at(setpoint),
+        )
+        for rack in racks
+    ]
+    plant_power_w = [
+        sum(powers) for powers in zip(*(trace.chiller_power_w for trace in rack_traces))
+    ]
+    return plant_power_w, sum(trace.factorizations for trace in rack_traces)
+
+
 def test_bench_floor_engine(benchmark):
     floorplan, power_model, racks, plant = _setup()
-    trace = benchmark(lambda: _run(floorplan, power_model, racks, plant, "floor"))
+    trace = benchmark(lambda: _run(floorplan, power_model, racks, plant))
     assert trace.n_periods == int(DURATION_S / CONTROL_PERIOD_S)
     assert trace.n_servers == N_RACKS * SERVERS_PER_RACK
 
 
 def test_bench_floor_per_rack_baseline(benchmark):
     floorplan, power_model, racks, plant = _setup()
-    trace = benchmark(lambda: _run(floorplan, power_model, racks, plant, "per-rack"))
-    assert trace.n_periods == int(DURATION_S / CONTROL_PERIOD_S)
+    plant_power_w, _ = benchmark(
+        lambda: _run_rack_traces(floorplan, power_model, racks, plant)
+    )
+    assert len(plant_power_w) == int(DURATION_S / CONTROL_PERIOD_S)
 
 
 def test_floor_engine_speedup_vs_per_rack(capsys):
-    """Acceptance gate: floor engine >= 2x the per-rack loop, 32-rack floor.
+    """Acceptance gate: floor engine >= 2x standalone rack traces, 32 racks.
 
     Identical physics on identical hardware — the baseline even keeps the
     shared factorization cache — so the measured gap is pure orchestration:
@@ -111,22 +147,24 @@ def test_floor_engine_speedup_vs_per_rack(capsys):
     floorplan, power_model, racks, plant = _setup()
 
     start = time.perf_counter()
-    baseline_trace = _run(floorplan, power_model, racks, plant, "per-rack")
+    baseline_power_w, baseline_factorizations = _run_rack_traces(
+        floorplan, power_model, racks, plant
+    )
     per_rack_s = time.perf_counter() - start
 
     timings = []
     trace = None
     for _ in range(3):
         start = time.perf_counter()
-        trace = _run(floorplan, power_model, racks, plant, "floor")
+        trace = _run(floorplan, power_model, racks, plant)
         timings.append(time.perf_counter() - start)
     floor_s = min(timings)
 
-    # Sanity: both engines produced the same floor-wide physics.
+    # Sanity: both sides produced the same floor-wide physics.
     assert trace is not None
-    assert trace.n_periods == baseline_trace.n_periods
-    assert trace.plant_power_w == baseline_trace.plant_power_w
-    assert trace.factorizations == baseline_trace.factorizations
+    assert trace.n_periods == len(baseline_power_w)
+    assert trace.plant_power_w == baseline_power_w
+    assert trace.factorizations == baseline_factorizations
 
     speedup = per_rack_s / floor_s
     with capsys.disabled():

@@ -8,19 +8,15 @@ pipeline, finds the warmest water temperature that keeps every server within
 its case-temperature limit, and reports the total chiller power (Eq. 1).
 
 Evaluation routes through the :class:`~repro.core.rack_session.RackSession`
-engine by default: rack hardware is homogeneous, so every server shares one
-thermal network and servers sharing a cooling boundary are solved through a
-single cached factorization with one multi-column back-substitution.  The
-:class:`BatchEvaluator` process path is kept as a fallback
-(``engine="batch"`` or any ``max_workers`` request) for heterogeneous racks
-and process fan-out.
+engine: rack hardware is homogeneous, so every server shares one thermal
+network and servers sharing a cooling boundary are solved through a single
+cached factorization with one multi-column back-substitution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.batch import BatchEvaluator, SweepPoint
 from repro.core.mapping import WorkloadMapping
 from repro.core.mapping_policies import MappingPolicy
 from repro.core.pipeline import (
@@ -86,29 +82,21 @@ class RackModel:
         policy: MappingPolicy | None = None,
         chiller: ChillerModel | None = None,
         cell_size_mm: float = 1.5,
-        max_workers: int | None = None,
-        engine: str = "session",
     ) -> None:
         if not slots:
             raise ConfigurationError("a rack needs at least one server slot")
-        if engine not in ("session", "batch"):
-            raise ConfigurationError(
-                f"engine must be 'session' or 'batch', got {engine!r}"
-            )
         self.slots = list(slots)
         self.design = design
         self.chiller = chiller if chiller is not None else ChillerModel()
-        self.max_workers = max_workers
-        self.engine = engine
         # All servers share the same floorplan and models; one simulation
         # object is reused to avoid rebuilding the thermal network per slot.
         self._simulation = CooledServerSimulation(
             design=design, cell_size_mm=cell_size_mm
         )
         self._pipeline = ThermalAwarePipeline(self._simulation, policy=policy)
-        # The default engine: every slot of every bisection step is solved
-        # through the rack session, so slots sharing a cooling boundary cost
-        # one factorization and one multi-column back-substitution.
+        # Every slot of every bisection step is solved through the rack
+        # session, so slots sharing a cooling boundary cost one
+        # factorization and one multi-column back-substitution.
         self._session = RackSession(
             len(self.slots),
             floorplan=self._simulation.floorplan,
@@ -116,10 +104,6 @@ class RackModel:
             power_model=self._simulation.power_model,
             thermal_simulator=self._simulation.thermal_simulator,
         )
-        # Fallback engine for heterogeneous racks / process fan-out: the
-        # batch evaluator shares the same simulation and factorization
-        # cache, and ``max_workers`` fans the slots out over a process pool.
-        self._evaluator = BatchEvaluator(self._simulation, pipeline=self._pipeline)
         self._resolved_mappings: list[WorkloadMapping] | None = None
 
     # ------------------------------------------------------------------ #
@@ -144,38 +128,19 @@ class RackModel:
             self._resolved_mappings = mappings
         return self._resolved_mappings
 
-    def evaluate(
-        self, water_inlet_temperature_c: float, *, max_workers: int | None = None
-    ) -> RackResult:
-        """Evaluate every server with the shared water inlet temperature.
-
-        Uses the rack-session engine unless the model was built with
-        ``engine="batch"`` or workers were requested (the process-pool
-        fallback for heterogeneous racks).
-        """
+    def evaluate(self, water_inlet_temperature_c: float) -> RackResult:
+        """Evaluate every server with the shared water inlet temperature."""
         water_loop = WaterLoop(
             inlet_temperature_c=water_inlet_temperature_c,
             flow_rate_kg_h=self.design.water_flow_rate_kg_h,
         )
-        workers = max_workers if max_workers is not None else self.max_workers
-        if self.engine == "session" and workers is None:
-            loads = [
-                ServerLoad(
-                    benchmark=slot.benchmark, mapping=mapping, water_loop=water_loop
-                )
-                for slot, mapping in zip(self.slots, self._slot_mappings())
-            ]
-            results = self._session.solve_steady(loads)
-        else:
-            points = [
-                SweepPoint(
-                    benchmark=slot.benchmark,
-                    constraint=slot.constraint,
-                    water_loop=water_loop,
-                )
-                for slot in self.slots
-            ]
-            results = self._evaluator.evaluate_many(points, max_workers=workers)
+        loads = [
+            ServerLoad(
+                benchmark=slot.benchmark, mapping=mapping, water_loop=water_loop
+            )
+            for slot, mapping in zip(self.slots, self._slot_mappings())
+        ]
+        results = self._session.solve_steady(loads)
         chiller_power = sum(
             self.chiller.cooling_power_w(result.water_loop, result.package_power_w)
             for result in results
@@ -188,22 +153,12 @@ class RackModel:
 
     @property
     def session(self) -> RackSession:
-        """The rack-session engine behind the default evaluation path."""
+        """The rack-session engine behind :meth:`evaluate`."""
         return self._session
 
     def cache_stats(self):
         """Factorization-cache counters of the shared thermal simulator."""
         return self._session.cache_stats()
-
-    def close(self) -> None:
-        """Release the batch engine's worker pool, if one was started."""
-        self._evaluator.close()
-
-    def __enter__(self) -> "RackModel":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def warmest_feasible_water_temperature(
         self,

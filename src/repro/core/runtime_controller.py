@@ -69,9 +69,6 @@ ACTUATOR_ACTIONS = frozenset(
     }
 )
 
-#: Backwards-compatible private alias.
-_ACTUATOR_ACTIONS = ACTUATOR_ACTIONS
-
 
 def mapping_at_frequency(
     mapping: WorkloadMapping, frequency_ghz: float
@@ -659,13 +656,6 @@ class ThermosyphonController:
     # ------------------------------------------------------------------ #
     # Trace execution
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _mapping_at_frequency(
-        mapping: WorkloadMapping, frequency_ghz: float
-    ) -> WorkloadMapping:
-        """Backwards-compatible alias of :func:`mapping_at_frequency`."""
-        return mapping_at_frequency(mapping, frequency_ghz)
-
     def run_trace(
         self,
         benchmark: BenchmarkCharacteristics,
@@ -707,14 +697,14 @@ class ThermosyphonController:
         cache = self.simulation.thermal_simulator.solver_cache
         misses_before = cache.stats.misses if cache is not None else None
 
-        current_mapping = self._mapping_at_frequency(mapping, frequency)
+        current_mapping = mapping_at_frequency(mapping, frequency)
         force_refresh = False
         time_s = 0.0
         while time_s < trace.duration_s:
             phase = trace.phase_at(time_s)
             if current_mapping.configuration.frequency_ghz != frequency:
                 # Only rebuild configuration/mapping when DVFS actually acted.
-                current_mapping = self._mapping_at_frequency(mapping, frequency)
+                current_mapping = mapping_at_frequency(mapping, frequency)
             settle_residual: float | None = None
             period_peak: float | None = None
             if mode == "steady":
@@ -746,7 +736,7 @@ class ThermosyphonController:
             action, water_loop, frequency = self.decide(
                 result, water_loop, benchmark, constraint
             )
-            force_refresh = action in _ACTUATOR_ACTIONS
+            force_refresh = action in ACTUATOR_ACTIONS
             record.decisions.append(
                 ControllerDecision(
                     time_s=time_s,
@@ -833,7 +823,7 @@ class ThermosyphonController:
         water_loops = [default_loop] * len(servers)
         frequencies = [server.mapping.configuration.frequency_ghz for server in servers]
         current_mappings = [
-            self._mapping_at_frequency(server.mapping, frequencies[index])
+            mapping_at_frequency(server.mapping, frequencies[index])
             for index, server in enumerate(servers)
         ]
         force_refresh = [False] * len(servers)

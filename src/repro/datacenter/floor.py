@@ -1,8 +1,8 @@
 """Floor engine: every server on the floor stacked through shared operators.
 
-PR 5's datacenter layer advanced racks one :class:`RackSession` at a time,
-so a homogeneous 20-rack floor paid 20 multi-RHS back-substitutions per
-substep where the physics permits one.  :class:`FloorEngine` inverts the
+Advancing racks one :class:`RackSession` at a time makes a homogeneous
+20-rack floor pay 20 multi-RHS back-substitutions per substep where the
+physics permits one.  :class:`FloorEngine` inverts the
 ownership of floor state: the *floor* holds one stacked
 ``(n_servers_in_group, n_cells)`` temperature array per **hardware group**
 (racks sharing one thermal network, i.e. one
@@ -33,8 +33,8 @@ transient_step_many_from_maps` (or ``steady_state_many_from_maps``) per
 Because ``dpbtrs`` back-substitutes multi-column right-hand sides column
 by column and the lane march is elementwise across servers, stacking
 across racks changes *nothing numerically*: a fixed-setpoint floor run is
-bit-identical to standalone per-rack traces, which remain the golden
-model.  Heterogeneous floors (mixed SKUs/designs) need no fallback — each
+bit-identical to standalone rack traces, which remain the golden model.
+Heterogeneous floors (mixed SKUs/designs) need no fallback — each
 hardware group simply stacks fewer rows.
 """
 
@@ -84,11 +84,12 @@ class FloorSnapshot:
 class FloorAdvance:
     """Outcome of one floor-wide control period of physics.
 
-    ``racks[r]`` is rack ``r``'s :class:`RackAdvance`, exactly as the
-    per-rack engine would have produced it.  ``worst_period_peak_case_c``
-    is the highest within-period case temperature across *every* server on
-    the floor, computed vectorized from the stacked group arrays — the
-    floor-level predicted-peak input of the supervisory setpoint loop.
+    ``racks[r]`` is rack ``r``'s :class:`RackAdvance`, exactly as its
+    session's own :meth:`RackSession.advance` would have produced it.
+    ``worst_period_peak_case_c`` is the highest within-period case
+    temperature across *every* server on the floor, computed vectorized
+    from the stacked group arrays — the floor-level predicted-peak input
+    of the supervisory setpoint loop.
     """
 
     racks: tuple[RackAdvance, ...]
@@ -102,16 +103,15 @@ class FloorAdvance:
 
 @dataclass(frozen=True)
 class FloorSpanAdvance:
-    """Outcome of one quasi-steady macro-step spanning several periods.
+    """Outcome of one quasi-steady span of several periods.
 
     ``racks[r]`` is rack ``r``'s :class:`RackAdvance` *for the final
     control period of the span* (the one the controller's decision rule
     evaluates).  ``period_case_c[r]`` / ``period_peak_case_c[r]`` are
     ``(span, n_servers)`` arrays of per-period-end case temperatures and
-    within-period peaks, reconstructed from the reduced-order readout (ROM
-    rows), the full substep march (fallback rows) or endpoint
-    interpolation (macro rows) — the per-period observability that lets a
-    coarse trace keep the fine lane's record shape.
+    within-period peaks, read off the reduced-order lane (ROM rows) or the
+    full substep march (fallback rows) — the per-period observability that
+    lets a coarse trace keep the fine lane's record shape.
     ``period_worst_peak_c[j]`` is the floor-wide worst within-period peak
     of period ``j``.
     """
@@ -206,12 +206,8 @@ class FloorEngine:
         # eviction bounds it on long traces with ever-fresh loads.
         self._point_memo: dict[tuple, LoopOperatingPoint] = {}
         self._point_memo_max_entries = 4096
-        # Reduced-order lane (repro.thermal.rom): set ``rom_config`` to a
-        # RomConfig to let :meth:`advance_span` step quasi-steady spans in a
-        # Krylov subspace; leave None for pure macro-step coarsening.
-        # ``rom_stats`` accumulates the lane's decisions for the floor's
-        # lifetime — trace engines report deltas.
-        self.rom_config: RomConfig | None = None
+        # Decisions of the reduced-order lane behind :meth:`advance_span`,
+        # accumulated for the floor's lifetime — trace engines report deltas.
         self.rom_stats = RomStats()
         if parallel_groups < 0:
             raise ConfigurationError(
@@ -504,6 +500,7 @@ class FloorEngine:
         dt_s: float,
         span: int,
         *,
+        rom: RomConfig,
         n_substeps: int = 1,
         force_boundary_refresh: Sequence[bool | Sequence[bool]] | None = None,
         t_case_max_c: float | None = None,
@@ -514,9 +511,9 @@ class FloorEngine:
         the span is quasi-steady: loads are held, no actuator fired last
         period and every settle residual is below tolerance.  Under that
         contract the floor advances the whole span without per-period
-        decision evaluation, through one of three lanes per solve group:
+        decision evaluation, every solve group through two lanes:
 
-        * **ROM lane** (``rom_config`` set): step in the cached Krylov
+        * **ROM lane** (configured by ``rom``): step in the cached Krylov
           subspace at the fine substep size — ``O(k^2)`` per substep plus
           two ``(n, k)`` mat-vecs for the rigorous a-posteriori error
           bound — lifting only the case-cell readout per substep and the
@@ -526,14 +523,11 @@ class FloorEngine:
           guard band rerun the *entire* span at full fine resolution
           (identical physics to ``span`` calls of :meth:`advance`); the
           :class:`~repro.thermal.rom.RomStats` counters record why.
-        * **Macro lane** (``rom_config`` is None): one stacked
-          backward-Euler macro-step of ``n_substeps`` substeps at
-          ``span * dt_s / n_substeps`` each, with per-period observables
-          reconstructed by endpoint interpolation — the pure-coarsening
-          mode.
 
-        Requires a warm floor (every session viewing its group array);
-        cold starts must go through :meth:`advance` first.
+        The ROM lane caches its bases beside the factorizations, so every
+        hardware group's simulator must keep its solver cache.  Requires a
+        warm floor (every session viewing its group array); cold starts
+        must go through :meth:`advance` first.
         """
         if span < 1:
             raise ValueError(f"span must be >= 1, got {span}")
@@ -583,6 +577,7 @@ class FloorEngine:
                         span,
                         n_substeps,
                         t_case_max_c,
+                        rom,
                         scratch,
                     )
                 return scratch
@@ -792,7 +787,7 @@ class FloorEngine:
         return float(peak_case.max())
 
     # ------------------------------------------------------------------ #
-    # Span marching of one hardware group (coarsening + ROM lanes)
+    # Span marching of one hardware group (ROM lane + full fallback)
     # ------------------------------------------------------------------ #
     def _advance_group_span(
         self,
@@ -810,6 +805,7 @@ class FloorEngine:
         span: int,
         n_substeps: int,
         t_case_max_c: float | None,
+        rom: RomConfig,
         stats: RomStats,
     ) -> None:
         simulator = group.simulator
@@ -827,7 +823,6 @@ class FloorEngine:
         # before dispatch.
         fields = group.fields
         sub_dt = dt_s / n_substeps
-        rom = self.rom_config if simulator.solver_cache is not None else None
         n = group.n_servers
         new_fields = np.empty_like(fields)
         case_hist = np.empty((span, n), dtype=float)
@@ -839,62 +834,49 @@ class FloorEngine:
             boundary = group_boundaries[rows[0]].boundary
             maps_rows = group_maps[rows]
             state = fields[rows]
-            if rom is not None:
-                stats.spans += 1
+            stats.spans += 1
+            with obs.span(
+                "rom.march", group=group.index, rows=len(rows)
+            ) as march_span:
+                causes_before = (
+                    stats.fallback_projection,
+                    stats.fallback_error,
+                    stats.fallback_guard,
+                )
+                ok, end, cases, peaks, res = self._rom_march(
+                    group, boundary, maps_rows, state, sub_dt, span,
+                    n_substeps, t_case_max_c, rom, stats,
+                )
+                # The *why* of every row returned to the full solver:
+                # projection drift, error-bound trip, or guard band.
+                march_span.set(
+                    fallback_projection=stats.fallback_projection
+                    - causes_before[0],
+                    fallback_error=stats.fallback_error - causes_before[1],
+                    fallback_guard=stats.fallback_guard - causes_before[2],
+                )
+            fallback = [row for i, row in enumerate(rows) if not ok[i]]
+            kept = np.flatnonzero(ok)
+            kept_rows = [rows[i] for i in kept]
+            if kept_rows:
+                new_fields[kept_rows] = end[kept]
+                case_hist[:, kept_rows] = cases[:, kept]
+                peak_hist[:, kept_rows] = peaks[:, kept]
+                residuals[kept_rows] = res[kept]
+            if fallback:
+                stats.fallback_rows += len(fallback)
                 with obs.span(
-                    "rom.march", group=group.index, rows=len(rows)
-                ) as march_span:
-                    causes_before = (
-                        stats.fallback_projection,
-                        stats.fallback_error,
-                        stats.fallback_guard,
-                    )
-                    ok, end, cases, peaks, res = self._rom_march(
-                        group, boundary, maps_rows, state, sub_dt, span,
-                        n_substeps, t_case_max_c, rom, stats,
-                    )
-                    # The *why* of every row returned to the full solver:
-                    # projection drift, error-bound trip, or guard band.
-                    march_span.set(
-                        fallback_projection=stats.fallback_projection
-                        - causes_before[0],
-                        fallback_error=stats.fallback_error - causes_before[1],
-                        fallback_guard=stats.fallback_guard - causes_before[2],
-                    )
-                fallback = [row for i, row in enumerate(rows) if not ok[i]]
-                kept = np.flatnonzero(ok)
-                kept_rows = [rows[i] for i in kept]
-                if kept_rows:
-                    new_fields[kept_rows] = end[kept]
-                    case_hist[:, kept_rows] = cases[:, kept]
-                    peak_hist[:, kept_rows] = peaks[:, kept]
-                    residuals[kept_rows] = res[kept]
-                if fallback:
-                    stats.fallback_rows += len(fallback)
-                    with obs.span(
-                        "rom.full_march", group=group.index, rows=len(fallback)
-                    ):
-                        f_end, f_cases, f_peaks, f_res = self._full_march(
-                            simulator, boundary, group_maps[fallback],
-                            fields[fallback], sub_dt, span, n_substeps,
-                            group.case_cell_index,
-                        )
-                    new_fields[fallback] = f_end
-                    case_hist[:, fallback] = f_cases
-                    peak_hist[:, fallback] = f_peaks
-                    residuals[fallback] = f_res
-            else:
-                with obs.span(
-                    "floor.macro_march", group=group.index, rows=len(rows)
+                    "rom.full_march", group=group.index, rows=len(fallback)
                 ):
-                    end, cases, peaks, res = self._macro_march(
-                        simulator, boundary, maps_rows, state, dt_s, span,
-                        n_substeps, group.case_cell_index,
+                    f_end, f_cases, f_peaks, f_res = self._full_march(
+                        simulator, boundary, group_maps[fallback],
+                        fields[fallback], sub_dt, span, n_substeps,
+                        group.case_cell_index,
                     )
-                new_fields[rows] = end
-                case_hist[:, rows] = cases
-                peak_hist[:, rows] = peaks
-                residuals[rows] = res
+                new_fields[fallback] = f_end
+                case_hist[:, fallback] = f_cases
+                peak_hist[:, fallback] = f_peaks
+                residuals[fallback] = f_res
 
         group.fields = new_fields
 
@@ -1057,46 +1039,3 @@ class FloorEngine:
             case_hist[j] = state[:, case_cell_index]
             peak_hist[j] = peak
         return state, case_hist, peak_hist, residual
-
-    def _macro_march(
-        self,
-        simulator,
-        boundary,
-        maps_rows: np.ndarray,
-        state: np.ndarray,
-        dt_s: float,
-        span: int,
-        n_substeps: int,
-        case_cell_index: int,
-    ):
-        """Pure-coarsening lane: one backward-Euler macro-step for the span.
-
-        ``n_substeps`` substeps of ``span * dt_s / n_substeps`` each through
-        the cached factorization keyed by that macro substep size (spans are
-        dyadic, so the key variety stays within the LRU bound).  Per-period
-        case temperatures are endpoint-interpolated — admissible only under
-        the caller's quasi-steady contract — and the per-period residual
-        estimate conservatively divides the span's total movement by
-        ``span`` (not ``span * n_substeps``), so the planner reads a
-        *larger* residual than the fine lane would and drops back sooner.
-        """
-        entry_case = state[:, case_cell_index].copy()
-        macro_sub_dt = span * dt_s / n_substeps
-        total_move = np.zeros(state.shape[0], dtype=float)
-        for _ in range(n_substeps):
-            new_state = simulator.transient_step_many_from_maps(
-                state, maps_rows, boundary, macro_sub_dt
-            )
-            total_move = np.maximum(
-                total_move, np.max(np.abs(new_state - state), axis=1)
-            )
-            state = new_state
-        end_case = state[:, case_cell_index]
-        fractions = (np.arange(1, span + 1, dtype=float) / span)[:, np.newaxis]
-        case_hist = entry_case[np.newaxis, :] + fractions * (
-            end_case - entry_case
-        )[np.newaxis, :]
-        starts = np.vstack([entry_case[np.newaxis, :], case_hist[:-1]])
-        peak_hist = np.maximum(case_hist, starts)
-        residuals = total_move / span
-        return state, case_hist, peak_hist, residuals

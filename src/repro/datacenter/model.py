@@ -16,8 +16,7 @@ condenser water.  :class:`DatacenterSession` executes the floor over time:
   (hardware group, cooling boundary) per substep, one lane march per
   water-condition group across racks.  Each rack's
   :class:`~repro.core.rack_session.RackSession` becomes a row-block view
-  over its group array; ``engine="per-rack"`` keeps the rack-at-a-time
-  loop as a reference baseline;
+  over its group array;
 * each server then runs the paper's fast flow-first/DVFS-second rule
   (:class:`~repro.core.runtime_controller.DecisionPolicy` — the exact rule
   :meth:`ThermosyphonController.run_rack_trace` applies, so a fixed-setpoint
@@ -39,7 +38,7 @@ import os
 from dataclasses import dataclass, field, replace
 
 from repro.core.mapping import WorkloadMapping
-from repro.core.rack_session import RackSession, RackSessionSnapshot
+from repro.core.rack_session import RackSession
 from repro.core.runtime_controller import (
     ControllerAction,
     ControllerDecision,
@@ -49,7 +48,6 @@ from repro.core.runtime_controller import (
     apply_rack_decisions,
     build_rack_loads,
     mapping_at_frequency,
-    run_rack_period,
 )
 from repro.core.session import T_CASE_MAX_C
 from repro.datacenter.floor import FloorEngine, FloorSnapshot
@@ -123,8 +121,8 @@ class RackSpec:
 class CoarseningConfig:
     """Knobs of adaptive control-period coarsening (the million-period lane).
 
-    A span of ``K`` control periods is advanced in one quasi-steady
-    macro-step only while, at the last evaluated period, **all** of these
+    A span of ``K`` control periods is advanced in one quasi-steady step
+    only while, at the last evaluated period, **all** of these
     held: every fast decision was ``NONE`` (no actuator event), every
     settle residual was at most ``quasi_steady_tol_c`` (the signal the
     adaptive boundary-refresh mode already computes), the floor's worst
@@ -136,10 +134,9 @@ class CoarseningConfig:
     trigger drops the run back to single-period stepping.
 
     Spans are quantized to powers of two between ``min_span`` and
-    ``max_span`` so the macro-step ``dt`` values stay within the
-    factorization cache's LRU bound.  ``rom`` configures the reduced-order
-    lane the span steps through (:class:`~repro.thermal.rom.RomConfig`);
-    ``None`` keeps pure macro-stepping through the full solver.
+    ``max_span``.  ``rom`` configures the reduced-order lane every span
+    steps through (:class:`~repro.thermal.rom.RomConfig`), whose error
+    bound sends rows back to the full solver when it trips.
     """
 
     min_span: int = 4
@@ -147,9 +144,13 @@ class CoarseningConfig:
     quasi_steady_tol_c: float = 0.05
     guard_band_c: float = 2.0
     relax_guard_c: float = 0.5
-    rom: RomConfig | None = RomConfig()
+    rom: RomConfig = RomConfig()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.rom, RomConfig):
+            raise ConfigurationError(
+                f"rom must be a RomConfig, got {self.rom!r}"
+            )
         if self.min_span < 2:
             raise ConfigurationError(
                 f"min_span must be >= 2, got {self.min_span}"
@@ -385,10 +386,9 @@ class DatacenterSnapshot:
     Everything :meth:`DatacenterSession.advance_period` evolves: the
     setpoint, the per-server actuator state (water loops, frequencies,
     resolved mappings, pending refresh flags) and the floor physics state
-    (one :class:`~repro.datacenter.floor.FloorSnapshot`, or per-rack
-    :class:`~repro.core.rack_session.RackSessionSnapshot` tuples on the
-    per-rack engine).  The MPC planner takes one snapshot per supervisory
-    decision and restores it after every candidate rollout.
+    (one :class:`~repro.datacenter.floor.FloorSnapshot`).  The MPC planner
+    takes one snapshot per supervisory decision and restores it after
+    every candidate rollout.
     """
 
     setpoint_c: float
@@ -396,8 +396,7 @@ class DatacenterSnapshot:
     frequencies: tuple[tuple[float, ...], ...]
     mappings: tuple[tuple[WorkloadMapping, ...], ...]
     force_refresh: tuple[tuple[bool, ...], ...]
-    floor: FloorSnapshot | None
-    rack_snapshots: tuple[RackSessionSnapshot, ...] | None
+    floor: FloorSnapshot
     # Coarsening-eligibility signals of the last committed period, restored
     # so MPC rollouts (which mutate the setpoint mid-plan) leave the
     # committed trace's span pattern untouched.
@@ -424,13 +423,6 @@ class DatacenterModel:
         thermal simulator (and therefore one factorization cache).  Racks
         carrying their own floorplan get one simulator per distinct
         floorplan, built at the default simulator's cell size.
-    engine:
-        ``"floor"`` (default) advances the whole floor through the stacked
-        :class:`~repro.datacenter.floor.FloorEngine`; ``"per-rack"`` keeps
-        the rack-at-a-time loop of the earlier datacenter layer as a
-        reference baseline.  Both are bit-identical — the floor engine
-        only changes how many rows each factorized operator
-        back-substitutes at once.
     control_period_s, transient_substeps:
         The fast loop's period and backward-Euler substeps, as in
         :meth:`ThermosyphonController.run_rack_trace`.
@@ -439,18 +431,15 @@ class DatacenterModel:
     supply_setpoint_c:
         Initial chiller water supply temperature (default: the design's
         nominal water inlet).
-    boundary_refresh_tol, adaptive_boundary_refresh:
-        Optional cooling-boundary refresh-policy overrides pushed onto
-        every rack session (``None`` keeps the session defaults).
     coarsening:
         A :class:`CoarseningConfig` enables adaptive control-period
-        coarsening (floor engine only): quasi-steady stretches advance in
-        dyadic multi-period macro-steps — through the reduced-order
-        Krylov lane when the config carries a
-        :class:`~repro.thermal.rom.RomConfig` — and any actuator event,
-        residual growth, envelope step or constraint proximity drops back
-        to single-period stepping.  ``None`` (default) keeps every period
-        at full resolution.
+        coarsening: quasi-steady stretches advance in dyadic multi-period
+        spans through the reduced-order Krylov lane, and any actuator
+        event, residual growth, envelope step or constraint proximity
+        drops back to single-period stepping.  The lane reads the
+        factorization cache, so every thermal simulator must keep its
+        solver cache.  ``None`` (default) keeps every period at full
+        resolution.
     parallel_groups:
         Worker-thread budget handed to the
         :class:`~repro.datacenter.floor.FloorEngine`: ``>= 2`` advances
@@ -479,13 +468,10 @@ class DatacenterModel:
         power_model: ServerPowerModel | None = None,
         thermal_simulator: ThermalSimulator | None = None,
         cell_size_mm: float = 1.0,
-        engine: str = "floor",
         control_period_s: float = 2.0,
         transient_substeps: int = 4,
         policy: DecisionPolicy | None = None,
         supply_setpoint_c: float | None = None,
-        boundary_refresh_tol: float | None = None,
-        adaptive_boundary_refresh: bool | None = None,
         coarsening: CoarseningConfig | None = None,
         parallel_groups: int = 0,
         warm_store: WarmStore | str | os.PathLike | None = None,
@@ -507,11 +493,6 @@ class DatacenterModel:
             if thermal_simulator is not None
             else ThermalSimulator(self.floorplan, cell_size_mm=cell_size_mm)
         )
-        if engine not in ("floor", "per-rack"):
-            raise ConfigurationError(
-                f"engine must be 'floor' or 'per-rack', got {engine!r}"
-            )
-        self.engine = engine
         # Resolve each rack's hardware once: racks naming the same floorplan
         # object share one simulator (and one power model, unless the spec
         # carries its own) — the floor engine groups stacked state by these
@@ -561,11 +542,13 @@ class DatacenterModel:
             if supply_setpoint_c is not None
             else design.water_inlet_temperature_c
         )
-        self.boundary_refresh_tol = boundary_refresh_tol
-        self.adaptive_boundary_refresh = adaptive_boundary_refresh
-        if coarsening is not None and engine != "floor":
+        if coarsening is not None and any(
+            simulator.solver_cache is None for simulator in self.rack_simulators
+        ):
             raise ConfigurationError(
-                "control-period coarsening requires the floor engine"
+                "control-period coarsening steps spans through the "
+                "reduced-order lane, which needs the solver cache: build the "
+                "thermal simulator with use_solver_cache=True"
             )
         self.coarsening = coarsening
         if parallel_groups < 0:
@@ -657,18 +640,9 @@ class DatacenterSession:
             )
             for r, rack in enumerate(model.racks)
         ]
-        for session in self.rack_sessions:
-            if model.boundary_refresh_tol is not None:
-                session.boundary_refresh_tol = model.boundary_refresh_tol
-            if model.adaptive_boundary_refresh is not None:
-                session.adaptive_boundary_refresh = model.adaptive_boundary_refresh
-        self.floor_engine = (
-            FloorEngine(self.rack_sessions, parallel_groups=model.parallel_groups)
-            if model.engine == "floor"
-            else None
+        self.floor_engine = FloorEngine(
+            self.rack_sessions, parallel_groups=model.parallel_groups
         )
-        if self.floor_engine is not None and model.coarsening is not None:
-            self.floor_engine.rom_config = model.coarsening.rom
         # Eligibility signals of the last committed period, feeding the
         # coarsening planner: (all decisions NONE, worst settle residual,
         # floor worst peak, the decisions themselves).  None = not
@@ -727,17 +701,12 @@ class DatacenterSession:
 
     def reset(self) -> None:
         """Cold-start the floor (group arrays, fields, held boundaries)."""
-        if self.floor_engine is not None:
-            self.floor_engine.reset()
-        else:
-            for session in self.rack_sessions:
-                session.reset()
+        self.floor_engine.reset()
         self._coarse_state = None
 
     def close(self) -> None:
         """Release the floor engine's worker pool (serial floors: no-op)."""
-        if self.floor_engine is not None:
-            self.floor_engine.close()
+        self.floor_engine.close()
 
     def snapshot(self) -> DatacenterSnapshot:
         """Copy the session's mutable state for a later :meth:`restore`.
@@ -753,12 +722,7 @@ class DatacenterSession:
             frequencies=tuple(tuple(f) for f in self._frequencies),
             mappings=tuple(tuple(m) for m in self._mappings),
             force_refresh=tuple(tuple(f) for f in self._force_refresh),
-            floor=self.floor_engine.snapshot() if self.floor_engine is not None else None,
-            rack_snapshots=(
-                None
-                if self.floor_engine is not None
-                else tuple(session.snapshot() for session in self.rack_sessions)
-            ),
+            floor=self.floor_engine.snapshot(),
             coarse_state=self._coarse_state,
         )
 
@@ -774,13 +738,7 @@ class DatacenterSession:
         self._mappings = [list(m) for m in snapshot.mappings]
         self._force_refresh = [list(f) for f in snapshot.force_refresh]
         self._coarse_state = snapshot.coarse_state
-        if snapshot.floor is not None:
-            self.floor_engine.restore(snapshot.floor)
-        else:
-            for session, rack_snapshot in zip(
-                self.rack_sessions, snapshot.rack_snapshots
-            ):
-                session.restore(rack_snapshot)
+        self.floor_engine.restore(snapshot.floor)
 
     def _distinct_caches(self) -> list:
         """The floor's factorization caches, each exactly once.
@@ -834,8 +792,7 @@ class DatacenterSession:
         fixed-setpoint parity with standalone rack traces holds by
         construction, not by mirrored code.  Between them, the floor engine
         advances every server through one stacked solve per (hardware
-        group, cooling boundary) per substep; ``engine="per-rack"`` models
-        step their racks one :func:`run_rack_period` at a time instead.
+        group, cooling boundary) per substep.
 
         ``n_substeps`` overrides the model's backward-Euler substep count
         for this period only — MPC rollouts trade integration resolution
@@ -853,63 +810,39 @@ class DatacenterSession:
             if bank is not None
             else model.plant.chiller_at(self.setpoint_c)
         )
+        rack_loads = [
+            build_rack_loads(
+                rack.servers,
+                self._traces[r],
+                self._mappings[r],
+                self._frequencies[r],
+                self._water_loops[r],
+                time_s,
+                mapping_memo=self._mapping_memo,
+            )
+            for r, rack in enumerate(model.racks)
+        ]
+        floor_advance = self.floor_engine.advance(
+            rack_loads,
+            model.control_period_s,
+            n_substeps=substeps,
+            force_boundary_refresh=self._force_refresh,
+        )
         rack_decisions: list[tuple[ControllerDecision, ...]] = []
         rack_chiller_w: list[float] = []
-        worst_peak = float("-inf")
-        if self.floor_engine is not None:
-            rack_loads = [
-                build_rack_loads(
-                    rack.servers,
-                    self._traces[r],
-                    self._mappings[r],
-                    self._frequencies[r],
-                    self._water_loops[r],
-                    time_s,
-                    mapping_memo=self._mapping_memo,
-                )
-                for r, rack in enumerate(model.racks)
-            ]
-            floor_advance = self.floor_engine.advance(
-                rack_loads,
-                model.control_period_s,
-                n_substeps=substeps,
-                force_boundary_refresh=self._force_refresh,
+        for r, rack in enumerate(model.racks):
+            decisions, period_chiller_w = apply_rack_decisions(
+                floor_advance.racks[r],
+                rack.servers,
+                self._frequencies[r],
+                self._water_loops[r],
+                self._force_refresh[r],
+                time_s,
+                model.policy,
+                chiller,
             )
-            worst_peak = floor_advance.worst_period_peak_case_c
-            for r, rack in enumerate(model.racks):
-                decisions, period_chiller_w = apply_rack_decisions(
-                    floor_advance.racks[r],
-                    rack.servers,
-                    self._frequencies[r],
-                    self._water_loops[r],
-                    self._force_refresh[r],
-                    time_s,
-                    model.policy,
-                    chiller,
-                )
-                rack_decisions.append(decisions)
-                rack_chiller_w.append(period_chiller_w)
-        else:
-            for r, rack in enumerate(model.racks):
-                decisions, period_chiller_w = run_rack_period(
-                    self.rack_sessions[r],
-                    rack.servers,
-                    self._traces[r],
-                    self._mappings[r],
-                    self._frequencies[r],
-                    self._water_loops[r],
-                    self._force_refresh[r],
-                    time_s,
-                    model.control_period_s,
-                    substeps,
-                    model.policy,
-                    chiller,
-                )
-                worst_peak = max(
-                    worst_peak, max(d.period_peak_case_c for d in decisions)
-                )
-                rack_decisions.append(decisions)
-                rack_chiller_w.append(period_chiller_w)
+            rack_decisions.append(decisions)
+            rack_chiller_w.append(period_chiller_w)
         staging = None
         if bank is not None:
             thermal_load_w = sum(rack_chiller_w)
@@ -925,7 +858,7 @@ class DatacenterSession:
             setpoint_c=self.setpoint_c,
             rack_decisions=tuple(rack_decisions),
             rack_chiller_power_w=tuple(rack_chiller_w),
-            worst_period_peak_case_c=worst_peak,
+            worst_period_peak_case_c=floor_advance.worst_period_peak_case_c,
             staging=staging,
         )
 
@@ -935,14 +868,15 @@ class DatacenterSession:
     def advance_span(
         self, time_s: float, span: int, *, n_substeps: int | None = None
     ) -> list[DatacenterPeriod]:
-        """Advance ``span`` control periods in one quasi-steady macro-step.
+        """Advance ``span`` control periods in one quasi-steady span.
 
         Only valid under :meth:`_plan_span`'s eligibility contract (held
-        loads, no pending actuator event, warm floor).  The floor marches
-        the whole span through :meth:`FloorEngine.advance_span` (reduced
-        space, full fallback, or macro-step — see there); the fast decision
-        rule is evaluated once, on the final period's physics, exactly
-        where the fine lane would next be allowed to act.  Held periods
+        loads, no pending actuator event, warm floor) on a model built
+        with a :class:`CoarseningConfig`.  The floor marches the whole span
+        through :meth:`FloorEngine.advance_span` (reduced space with full
+        fallback — see there); the fast decision rule is evaluated once,
+        on the final period's physics, exactly where the fine lane would
+        next be allowed to act.  Held periods
         are recorded as full :class:`DatacenterPeriod`\\ s at the held
         operating point — per-period case temperatures and within-period
         peaks come from the span lanes' readouts, the energy bill
@@ -953,6 +887,10 @@ class DatacenterSession:
         violation scanning) is preserved.
         """
         model = self.model
+        if model.coarsening is None:
+            raise ConfigurationError(
+                "advance_span needs a model built with a CoarseningConfig"
+            )
         substeps = n_substeps if n_substeps is not None else model.transient_substeps
         bank = model.plant if isinstance(model.plant, ChillerBank) else None
         chiller = (
@@ -976,6 +914,7 @@ class DatacenterSession:
             rack_loads,
             model.control_period_s,
             span,
+            rom=model.coarsening.rom,
             n_substeps=substeps,
             force_boundary_refresh=self._force_refresh,
             t_case_max_c=model.policy.t_case_max_c,
@@ -1098,7 +1037,7 @@ class DatacenterSession:
         period run at full resolution?
         """
         cfg = self.model.coarsening
-        if cfg is None or self.floor_engine is None:
+        if cfg is None:
             return 1, "disabled"
         state = self._coarse_state
         if state is None:
@@ -1132,7 +1071,7 @@ class DatacenterSession:
         )
         if span <= 1:
             # Quasi-steady, but the event lattice (phase boundary, window
-            # boundary or run end) left no room for a macro-span.
+            # boundary or run end) left no room for a span.
             return 1, "lattice"
         return span, None
 
@@ -1184,7 +1123,7 @@ MpcSupervisoryController`) is handed the live session for receding-horizon
         store_stats_before = {key: store.stats for key, store in stores.items()}
         rom_before = (
             self.floor_engine.rom_stats.copy()
-            if self.floor_engine is not None and model.coarsening is not None
+            if model.coarsening is not None
             else None
         )
 
@@ -1204,7 +1143,7 @@ MpcSupervisoryController`) is handed the live session for receding-horizon
         while time_s < duration:
             # Coarsening: when the last period certified quasi-steadiness
             # (and no trigger is pending), a whole dyadic span advances in
-            # one macro-step; otherwise a single fine period.  Spans never
+            # one step; otherwise a single fine period.  Spans never
             # cross a supervisory window boundary, so the window block
             # below can stay per-period.
             span, dropback = self._plan_span(

@@ -115,9 +115,8 @@ class SpanPlanner:
         The span never crosses the next envelope event, the current
         supervisory window's boundary (``periods_per_window`` of 0 means
         no supervisory loop) or the run end, and is quantized to the
-        largest power of two at most the horizon — dyadic spans keep the
-        macro-``dt`` variety within the factorization cache's LRU bound.
-        Horizons below ``min_span`` collapse to 1 (fine stepping).
+        largest power of two at most the horizon.  Horizons below
+        ``min_span`` collapse to 1 (fine stepping).
         """
         cap = self.max_span
         if periods_per_window:

@@ -57,14 +57,12 @@ __all__ = [
 class Counters:
     """A bag of named monotonic integer counters.
 
-    The storage behind every counter in the system — the hub's own
-    counters and the per-instance bags of
-    :class:`~repro.thermal.solver_cache.FactorizationCache`,
-    :class:`~repro.thermal.rom.RomStats` and
-    :class:`~repro.thermal.warm_store.WarmStore`, whose legacy stats
-    dataclasses are now *views* over one of these.  Increments take a
-    lock (worker threads of the parallel floor engine share bags); reads
-    are lock-free snapshots of plain ints.
+    The storage behind the hub's own counters and the per-instance bags
+    of :class:`~repro.thermal.solver_cache.FactorizationCache` and
+    :class:`~repro.thermal.warm_store.WarmStore`, whose stats dataclasses
+    are *views* over one of these.  Increments take a lock (worker
+    threads of the parallel floor engine share bags); reads are lock-free
+    snapshots of plain ints.
     """
 
     __slots__ = ("_values", "_lock")
@@ -77,11 +75,6 @@ class Counters:
         """Increment ``name`` by ``value`` (created at zero on first use)."""
         with self._lock:
             self._values[name] = self._values.get(name, 0) + value
-
-    def set(self, name: str, value: int) -> None:
-        """Overwrite ``name`` (used by counter *views* with setters)."""
-        with self._lock:
-            self._values[name] = value
 
     def get(self, name: str, default: int = 0) -> int:
         """Current value of ``name`` (``default`` when never touched)."""

@@ -60,12 +60,12 @@ the cached one (the projection test catches that).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields, replace
+from typing import ClassVar
 
 import numpy as np
 from scipy import linalg as dense_linalg
 
-from repro.obs.telemetry import Counters
 from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = ["ReducedOperator", "RomConfig", "RomStats", "build_reduced_operator"]
@@ -103,6 +103,7 @@ class RomConfig:
         check_positive(self.guard_band_c, "guard_band_c")
 
 
+@dataclass
 class RomStats:
     """Counters of the reduced-order lane's decisions (floor-lifetime).
 
@@ -114,44 +115,24 @@ class RomStats:
     the constraint guard band, or the entry states left the span of a
     (re)built basis.  ``basis_builds`` counts cold builds,
     ``basis_rebuilds`` the drift-triggered replacements of a cached basis.
-
-    The storage is a :class:`repro.obs.telemetry.Counters` bag; the named
-    fields are read/write property views over it, so the historical
-    dataclass surface (keyword construction, ``stats.spans += 1``,
-    ``copy``/``merge``/``delta``, equality) is unchanged while the values
-    live on the unified telemetry primitive.
     """
 
-    FIELDS = (
-        "basis_builds",
-        "basis_rebuilds",
-        "spans",
-        "rom_periods",
-        "rom_rows",
-        "fallback_rows",
-        "fallback_error",
-        "fallback_guard",
-        "fallback_projection",
-    )
+    #: The counter names, in declaration order.
+    FIELDS: ClassVar[tuple[str, ...]]
 
-    __slots__ = ("_counters",)
-
-    def __init__(self, **counts: int) -> None:
-        unknown = set(counts) - set(self.FIELDS)
-        if unknown:
-            raise TypeError(f"unknown RomStats fields: {sorted(unknown)}")
-        self._counters = Counters()
-        for name, value in counts.items():
-            self._counters.set(name, int(value))
-
-    @property
-    def counters(self) -> Counters:
-        """The backing telemetry counter bag."""
-        return self._counters
+    basis_builds: int = 0
+    basis_rebuilds: int = 0
+    spans: int = 0
+    rom_periods: int = 0
+    rom_rows: int = 0
+    fallback_rows: int = 0
+    fallback_error: int = 0
+    fallback_guard: int = 0
+    fallback_projection: int = 0
 
     def copy(self) -> "RomStats":
         """An independent snapshot of the current counters."""
-        return RomStats(**self._counters.snapshot())
+        return replace(self)
 
     def merge(self, other: "RomStats") -> None:
         """Fold another counter set into this one, in place.
@@ -161,14 +142,14 @@ class RomStats:
         the join — integer addition is order-independent, but the fixed
         order keeps the commit path deterministic by construction.
         """
-        for name, value in other._counters.snapshot().items():
-            self._counters.add(name, value)
+        for name in self.FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def delta(self, before: "RomStats") -> "RomStats":
         """Counter activity since a :meth:`copy` snapshot."""
         return RomStats(
             **{
-                name: self._counters.get(name) - before._counters.get(name)
+                name: getattr(self, name) - getattr(before, name)
                 for name in self.FIELDS
             }
         )
@@ -178,34 +159,8 @@ class RomStats:
         """Total row-level fallbacks to the full solver."""
         return self.fallback_error + self.fallback_guard + self.fallback_projection
 
-    def _astuple(self) -> tuple[int, ...]:
-        return tuple(self._counters.get(name) for name in self.FIELDS)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RomStats):
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{name}={self._counters.get(name)}" for name in self.FIELDS
-        )
-        return f"RomStats({inner})"
-
-
-def _rom_counter_property(name: str) -> property:
-    def getter(self: RomStats) -> int:
-        return self._counters.get(name)
-
-    def setter(self: RomStats, value: int) -> None:
-        self._counters.set(name, int(value))
-
-    return property(getter, setter, doc=f"Live ``{name}`` counter view.")
-
-
-for _field_name in RomStats.FIELDS:
-    setattr(RomStats, _field_name, _rom_counter_property(_field_name))
-del _field_name
+RomStats.FIELDS = tuple(f.name for f in dataclass_fields(RomStats))
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,7 @@ The load-bearing guarantees of :mod:`repro.datacenter.floor`:
 * an N-rack homogeneous floor pays exactly one rack's operator
   factorizations, asserted via merged :class:`CacheStats`;
 * :meth:`DatacenterSession.cache_stats` counts every distinct cache
-  exactly once on a heterogeneous floor (no double-count, no drop);
-* ``engine="per-rack"`` (the benchmark baseline) and the floor engine
-  produce identical traces.
+  exactly once on a heterogeneous floor (no double-count, no drop).
 """
 
 import pytest
@@ -101,16 +99,6 @@ class TestFloorEngineValidation:
         with pytest.raises(ValidationError):
             engine.advance([[load], [load]], 2.0)
 
-    def test_bad_engine_name_rejected(self, floorplan, x264):
-        servers = _servers(floorplan, x264, 1)
-        with pytest.raises(ConfigurationError):
-            DatacenterModel(
-                [RackSpec(name="r0", servers=servers)],
-                floorplan=floorplan,
-                thermal_simulator=_simulator(floorplan),
-                engine="batch",
-            )
-
 
 class TestMixedSkuEquivalence:
     def test_bit_identical_to_standalone_rack_traces(
@@ -185,35 +173,6 @@ class TestMixedSkuEquivalence:
                             decision_b, field
                         ), field
             assert floor_rack.chiller_power_w == standalone.chiller_power_w
-
-    def test_engines_agree(self, floorplan, power_model, x264, canneal):
-        """The floor engine and the per-rack baseline produce one answer."""
-        racks = [
-            RackSpec(name="r0", servers=_servers(floorplan, x264, 2)),
-            RackSpec(name="r1", servers=_servers(floorplan, canneal, 2)),
-        ]
-
-        def build(engine):
-            return DatacenterModel(
-                racks,
-                plant=ChillerPlant(free_cooling_outdoor_c=18.0),
-                floorplan=floorplan,
-                power_model=power_model,
-                thermal_simulator=_simulator(floorplan),
-                control_period_s=CONTROL_PERIOD_S,
-                engine=engine,
-            )
-
-        floor_trace = build("floor").run_trace(duration_s=DURATION_S)
-        rack_trace = build("per-rack").run_trace(duration_s=DURATION_S)
-        for ours, theirs in zip(floor_trace.racks, rack_trace.racks):
-            assert ours.chiller_power_w == theirs.chiller_power_w
-            for period_a, period_b in zip(ours.periods, theirs.periods):
-                for decision_a, decision_b in zip(period_a, period_b):
-                    for field in _DECISION_FIELDS:
-                        assert getattr(decision_a, field) == getattr(
-                            decision_b, field
-                        ), field
 
 
 class TestBoundaryGroupPartitioning:

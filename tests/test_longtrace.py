@@ -158,12 +158,6 @@ class TestRomFallback:
             trace.rom_stats.fallback_error + trace.rom_stats.fallback_projection
         ) > 0
 
-    def test_macro_lane_without_rom(self, scenario, floorplan, power_model):
-        trace = _run(scenario, floorplan, power_model, CoarseningConfig(rom=None))
-        assert trace.coarse_spans > 0
-        assert trace.rom_stats is not None
-        assert trace.rom_stats.spans == 0
-
 
 class TestSnapshotRestoreWithCoarseLanes:
     def test_hold_only_mpc_is_bit_identical_to_frozen_reactive(
@@ -223,15 +217,29 @@ class TestSnapshotRestoreWithCoarseLanes:
 
 
 class TestConfigValidation:
-    def test_coarsening_requires_floor_engine(self, scenario, floorplan, power_model):
+    def test_coarsening_requires_rom_config(self):
         with pytest.raises(ConfigurationError):
-            _model(
-                scenario,
-                floorplan,
-                power_model,
-                CoarseningConfig(),
-                engine="per-rack",
+            CoarseningConfig(rom=None)
+
+    def test_coarsening_requires_solver_cache(self, scenario, floorplan, power_model):
+        with pytest.raises(ConfigurationError, match="solver cache"):
+            DatacenterModel(
+                scenario.racks,
+                floorplan=floorplan,
+                power_model=power_model,
+                thermal_simulator=ThermalSimulator(
+                    floorplan, cell_size_mm=CELL_SIZE_MM, use_solver_cache=False
+                ),
+                coarsening=CoarseningConfig(),
             )
+
+    def test_advance_span_requires_coarsening(
+        self, scenario, floorplan, power_model
+    ):
+        session = _model(scenario, floorplan, power_model, None).session()
+        session.advance_period(0.0)
+        with pytest.raises(ConfigurationError):
+            session.advance_span(CONTROL_PERIOD_S, 4)
 
     def test_coarsening_config_validation(self):
         with pytest.raises(Exception):

@@ -10,9 +10,9 @@ The load-bearing guarantees:
 * exporters round-trip — a JSONL dump parses back and feeds the report
   builder, the Chrome trace document is schema-valid (Perfetto-loadable),
   Prometheus text exposition renders every metric family;
-* the legacy stats surfaces (:class:`CacheStats`, :class:`RomStats`,
-  :class:`WarmStoreStats`) are *views* over telemetry counter bags that
-  behave exactly like the dataclasses they replaced.
+* the legacy stats surfaces behave exactly like the dataclasses they
+  were: :class:`CacheStats` and :class:`WarmStoreStats` as *views* over
+  telemetry counter bags, :class:`RomStats` as a plain dataclass.
 """
 
 import io

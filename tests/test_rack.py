@@ -40,7 +40,7 @@ class TestEvaluation:
         assert small_rack.evaluate(30.0).all_within_limit
 
     def test_batched_evaluation_matches_direct_pipeline(self, small_rack):
-        """The BatchEvaluator routing must reproduce per-slot pipeline runs."""
+        """Rack-session evaluation must reproduce per-slot pipeline runs."""
         from repro.thermosyphon.water_loop import WaterLoop
 
         batched = small_rack.evaluate(28.0)
@@ -67,11 +67,6 @@ class TestEvaluation:
             for r in result.server_results
         )
         assert result.chiller_power_w == pytest.approx(expected)
-
-    def test_rack_is_a_context_manager(self):
-        slots = [ServerSlot(get_benchmark("x264"), QoSConstraint(2.0))]
-        with RackModel(slots, cell_size_mm=2.5) as rack:
-            assert rack.evaluate(30.0).chiller_power_w > 0.0
 
 
 class TestWaterTemperatureSearch:

@@ -3,8 +3,8 @@
 The load-bearing guarantees: every batched layer (grouped operating points,
 stacked lane march, multi-column back-substitution) reproduces the
 per-server :class:`SimulationSession` to <= 1e-12 across homogeneous and
-heterogeneous slots; the session-backed :class:`RackModel` matches the old
-:class:`BatchEvaluator` path exactly; and the batched engine actually pays
+heterogeneous slots; the session-backed :class:`RackModel` matches the
+per-slot :class:`BatchEvaluator` exactly; and the batched engine actually pays
 fewer factorizations — one per distinct cooling boundary instead of one per
 server, asserted through merged :class:`CacheStats`.
 """
@@ -12,6 +12,7 @@ server, asserted through merged :class:`CacheStats`.
 import numpy as np
 import pytest
 
+from repro.core.batch import BatchEvaluator, SweepPoint
 from repro.core.mapping import ThreadMapper
 from repro.core.mapping_policies import ProposedThermalAwareMapping
 from repro.core.rack import RackModel, ServerSlot
@@ -23,6 +24,7 @@ from repro.exceptions import ConfigurationError, ValidationError
 from repro.thermal.simulator import ThermalSimulator
 from repro.thermal.solver_cache import CacheStats
 from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN
+from repro.thermosyphon.water_loop import WaterLoop
 from repro.workloads.configuration import Configuration
 from repro.workloads.parsec import get_benchmark
 from repro.workloads.qos import QoSConstraint
@@ -204,6 +206,14 @@ class TestCacheStatsMerge:
 
 
 class TestRackModelParity:
+    """``RackModel.evaluate`` (rack session) == the per-slot batch evaluator.
+
+    The probe temperatures are the first ones the two water-temperature
+    searches visit (15-40 C for the warmest feasible water, 10-30 C for
+    the hot-spot target), so the searches built on ``evaluate`` land where
+    per-slot evaluation would.
+    """
+
     @pytest.fixture(scope="class")
     def slots(self):
         return [
@@ -212,54 +222,46 @@ class TestRackModelParity:
             ServerSlot(get_benchmark("canneal"), QoSConstraint(2.0)),
         ]
 
-    def test_evaluate_matches_batch_engine(self, slots):
-        session_rack = RackModel(slots, cell_size_mm=CELL_SIZE_MM)
-        batch_rack = RackModel(slots, cell_size_mm=CELL_SIZE_MM, engine="batch")
-        ours = session_rack.evaluate(28.0)
-        theirs = batch_rack.evaluate(28.0)
-        assert ours.chiller_power_w == pytest.approx(theirs.chiller_power_w, abs=1e-9)
-        for a, b in zip(ours.server_results, theirs.server_results):
+    @pytest.fixture(scope="class")
+    def rack(self, slots):
+        return RackModel(slots, cell_size_mm=CELL_SIZE_MM)
+
+    @pytest.fixture(scope="class")
+    def evaluator(self):
+        return BatchEvaluator(CooledServerSimulation(cell_size_mm=CELL_SIZE_MM))
+
+    @pytest.mark.parametrize(
+        "water_c", [10.0, 15.0, 20.0, 21.25, 27.5, 30.0, 33.75, 40.0]
+    )
+    def test_evaluate_matches_batch_evaluator(self, rack, evaluator, slots, water_c):
+        ours = rack.evaluate(water_c)
+        water_loop = WaterLoop(
+            inlet_temperature_c=water_c,
+            flow_rate_kg_h=rack.design.water_flow_rate_kg_h,
+        )
+        theirs = evaluator.evaluate_many(
+            [
+                SweepPoint(
+                    benchmark=slot.benchmark,
+                    constraint=slot.constraint,
+                    water_loop=water_loop,
+                )
+                for slot in slots
+            ]
+        )
+        assert ours.chiller_power_w == pytest.approx(
+            sum(
+                rack.chiller.cooling_power_w(r.water_loop, r.package_power_w)
+                for r in theirs
+            ),
+            abs=1e-9,
+        )
+        for a, b in zip(ours.server_results, theirs):
             assert a.case_temperature_c == pytest.approx(b.case_temperature_c, abs=1e-12)
             assert a.die_metrics.theta_max_c == pytest.approx(
                 b.die_metrics.theta_max_c, abs=1e-12
             )
             assert a.package_power_w == pytest.approx(b.package_power_w, abs=1e-12)
-
-    def test_water_temperature_search_parity(self, slots):
-        """Bisection through the session engine lands where the old path did."""
-        session_rack = RackModel(slots, cell_size_mm=CELL_SIZE_MM)
-        batch_rack = RackModel(slots, cell_size_mm=CELL_SIZE_MM, engine="batch")
-        ours = session_rack.warmest_feasible_water_temperature(
-            low_c=15.0, high_c=40.0, tolerance_c=2.0
-        )
-        theirs = batch_rack.warmest_feasible_water_temperature(
-            low_c=15.0, high_c=40.0, tolerance_c=2.0
-        )
-        assert ours.water_inlet_temperature_c == pytest.approx(
-            theirs.water_inlet_temperature_c, abs=1e-12
-        )
-        assert ours.worst_case_temperature_c == pytest.approx(
-            theirs.worst_case_temperature_c, abs=1e-12
-        )
-
-    def test_hot_spot_search_parity(self, slots):
-        session_rack = RackModel(slots, cell_size_mm=CELL_SIZE_MM)
-        batch_rack = RackModel(slots, cell_size_mm=CELL_SIZE_MM, engine="batch")
-        nominal = session_rack.evaluate(30.0)
-        target = nominal.worst_die_hot_spot_c - 3.0
-        ours = session_rack.water_temperature_for_hot_spot(
-            target, low_c=10.0, high_c=30.0, tolerance_c=1.0
-        )
-        theirs = batch_rack.water_temperature_for_hot_spot(
-            target, low_c=10.0, high_c=30.0, tolerance_c=1.0
-        )
-        assert ours.water_inlet_temperature_c == pytest.approx(
-            theirs.water_inlet_temperature_c, abs=1e-12
-        )
-
-    def test_invalid_engine_rejected(self, slots):
-        with pytest.raises(ConfigurationError):
-            RackModel(slots, engine="warp-drive")
 
 
 class TestTransientLane:
