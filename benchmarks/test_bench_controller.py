@@ -7,9 +7,11 @@ boundary) against the quasi-static steady re-solve on a jittered trace —
 the regime where every power jitter costs the steady path a fresh
 factorization.  ``test_lane_march_speedup_vs_reference`` gates the batched
 ``(n_lanes, n_cells)`` evaporator march against the preserved per-lane
-golden loop.  Both gates also run in the CI ``--quick`` smoke step, so
-neither path can silently regress to factorize-per-period or per-lane
-Python loops.
+golden loop, and ``test_multi_point_lane_march_speedup`` gates one march
+over servers at distinct operating points (a floor refresh) against one
+single-point march per server.  The gates also run in the CI ``--quick``
+smoke step, so no path can silently regress to factorize-per-period,
+per-lane or per-point Python loops.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from repro.core.mapping import ThreadMapper
 from repro.core.mapping_policies import ProposedThermalAwareMapping
 from repro.core.pipeline import CooledServerSimulation
 from repro.core.runtime_controller import ThermosyphonController
+from repro.floorplan.xeon_e5_v4 import build_xeon_e5_v4_floorplan
+from repro.thermal.simulator import ThermalSimulator
 from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN
 from repro.thermosyphon.loop import ThermosyphonLoop
 from repro.workloads.configuration import Configuration
@@ -146,3 +150,59 @@ def test_lane_march_speedup_vs_reference(capsys):
             f"speedup {speedup:.1f}x"
         )
     assert speedup >= 3.0
+
+
+def test_multi_point_lane_march_speedup(capsys):
+    """One march over 8 servers at 8 operating points must beat 8 marches.
+
+    A floor refresh marches every stale server of a hardware group in one
+    call, each server at its own operating point (total power and water
+    inlet differ).  The ratio is ~4x at 1.5 mm; the gate sits at 2x.  Every
+    server's boundary must equal its single-point march bit for bit.
+    """
+    n_servers = 8
+    simulator = ThermalSimulator(build_xeon_e5_v4_floorplan(), cell_size_mm=CELL_SIZE_MM)
+    pitch = simulator.grid.cell_pitch_mm()
+    loop = ThermosyphonLoop(PAPER_OPTIMIZED_DESIGN)
+    nominal = PAPER_OPTIMIZED_DESIGN.water_loop()
+    rng = np.random.default_rng(8)
+    maps = np.stack(
+        [(0.1 + 0.02 * index) * rng.random(simulator.shape) for index in range(n_servers)]
+    )
+    points = [
+        loop.operating_point(
+            float(power.sum()),
+            nominal.with_inlet_temperature(nominal.inlet_temperature_c + 0.5 * index),
+        )
+        for index, power in enumerate(maps)
+    ]
+    assert len({point.saturation_temperature_c for point in points}) == n_servers
+
+    single_timings, multi_timings = [], []
+    for _ in range(5):
+        start = time.perf_counter()
+        singles = [
+            loop.cooling_boundary(power, pitch, point) for power, point in zip(maps, points)
+        ]
+        single_timings.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        multi = loop.cooling_boundaries(maps, pitch, points)
+        multi_timings.append(time.perf_counter() - start)
+    single_s, multi_s = min(single_timings), min(multi_timings)
+
+    for ours, single in zip(multi, singles):
+        assert np.array_equal(ours.boundary.htc_w_m2k, single.boundary.htc_w_m2k)
+        assert np.array_equal(
+            ours.boundary.fluid_temperature_c, single.boundary.fluid_temperature_c
+        )
+        assert np.array_equal(ours.outlet_quality_per_lane, single.outlet_quality_per_lane)
+        assert ours.dryout == single.dryout
+
+    speedup = single_s / multi_s
+    with capsys.disabled():
+        print(
+            f"\n[multi-point lane march @ {CELL_SIZE_MM} mm, {n_servers} servers at "
+            f"{n_servers} points] {n_servers} calls {single_s * 1e3:.2f} ms, one call "
+            f"{multi_s * 1e3:.2f} ms, speedup {speedup:.1f}x"
+        )
+    assert speedup >= 2.0

@@ -17,9 +17,10 @@ and batches every layer of the evaluation:
 
 1. **Loop layer** — servers are grouped by ``(water loop, total power)``;
    each group converges the thermosyphon operating point once.
-2. **Thermosyphon layer** — servers sharing an operating point march their
-   evaporator lanes as one stacked ``(n_servers * n_lanes, n_cells)`` array
-   through :meth:`ThermosyphonLoop.cooling_boundaries`.
+2. **Thermosyphon layer** — every server being refreshed marches its
+   evaporator lanes, at its own operating point, in one stacked
+   ``(n_servers * n_lanes, n_cells)`` array through
+   :meth:`ThermosyphonLoop.cooling_boundaries`.
 3. **Solver layer** — servers are grouped by cooling-boundary content
    (:meth:`CoolingBoundary.cache_token`); each group is solved through one
    cached factorization with a single multi-column back-substitution
@@ -360,20 +361,14 @@ class RackSession:
         power_maps: np.ndarray,
         operating_points: dict[int, LoopOperatingPoint],
     ) -> dict[int, BoundaryResult]:
-        """Batched lane march, grouped by shared operating point."""
-        pitch = self.thermal_simulator.grid.cell_pitch_mm()
-        by_point: dict[int, list[int]] = {}
-        for index in operating_points:
-            by_point.setdefault(id(operating_points[index]), []).append(index)
-        boundaries: dict[int, BoundaryResult] = {}
-        for indices in by_point.values():
-            point = operating_points[indices[0]]
-            results = self.loop.cooling_boundaries(
-                power_maps[indices], pitch, point
-            )
-            for index, result in zip(indices, results):
-                boundaries[index] = result
-        return boundaries
+        """One lane march for every server in ``operating_points``."""
+        indices = list(operating_points)
+        results = self.loop.cooling_boundaries(
+            power_maps[indices],
+            self.thermal_simulator.grid.cell_pitch_mm(),
+            [operating_points[index] for index in indices],
+        )
+        return dict(zip(indices, results))
 
     def _group_by_boundary(
         self, boundaries: Sequence[BoundaryResult]

@@ -25,7 +25,7 @@ floor are grouped by hardware (one
 :class:`~repro.thermal.simulator.ThermalSimulator` per distinct
 floorplan) and by cooling-boundary content, and each group advances
 through **one** stacked multi-RHS back-substitution per substep and one
-evaporator lane march per water-condition group — rack sessions become
+evaporator lane march per boundary refresh — rack sessions become
 row-block views over the floor's group arrays.  A homogeneous N-rack
 floor therefore costs roughly one rack's factorizations and solves, and
 a heterogeneous floor simply stacks fewer rows per group; both stay

@@ -15,11 +15,12 @@ control period runs four floor-wide batched stages:
    one evaluation, because the power model is a deterministic pure
    function of them.
 2. **Refresh** — every stale cooling boundary on the floor is grouped by
-   (thermosyphon design, water condition, total power); each group
-   converges the loop operating point *once* and marches its evaporator
-   lanes through **one** stacked
+   (thermosyphon design, water condition, total power), and each group
+   converges the loop operating point *once*.  The evaporator lanes of
+   every stale server then march through **one** stacked
    :meth:`~repro.thermosyphon.loop.ThermosyphonLoop.cooling_boundaries`
-   call per water-condition group — across racks, not per rack.
+   call per (design, hardware group), each server at its own operating
+   point — across racks and operating points, not per rack or per point.
 3. **Solve** — steady initialization and every backward-Euler substep run
    one :meth:`~repro.thermal.simulator.ThermalSimulator.\
 transient_step_many_from_maps` (or ``steady_state_many_from_maps``) per
@@ -634,8 +635,9 @@ class FloorEngine:
         reaches the same loop operating point, so the condenser iteration
         runs once per distinct (design, water loop, total power) across the
         *whole floor*; the evaporator lane march then runs once per
-        operating-point group with the power maps of every member server —
-        whatever rack it sits in — stacked into a single call.
+        (design, hardware group) with the power maps of every stale member
+        server — whatever rack it sits in and whatever its operating point
+        — stacked into a single call.
         """
         # (design, water loop, total power) -> [(rack, server, total), ...]
         point_members: dict[tuple, list[tuple[int, int, float]]] = {}
@@ -659,12 +661,12 @@ class FloorEngine:
         power_maps: Sequence[np.ndarray],
         water_loops: Sequence[Sequence],
     ) -> None:
-
-        # One loop convergence per group, then one lane march per group of
-        # members sharing the grid pitch (the pitch is fixed per hardware
-        # group; designs shared across SKUs march separately per pitch).
+        # One loop convergence per distinct point, then one lane march per
+        # (design, hardware group): the grid is fixed per hardware group, so
+        # every member of a march shares its shape and pitch.
+        marches: dict[tuple, list[tuple[int, int, float, LoopOperatingPoint]]] = {}
         for key, members in point_members.items():
-            _, water_loop, total = key
+            design, water_loop, total = key
             point: LoopOperatingPoint | None = self._point_memo.get(key)
             if point is None:
                 first_session = self.rack_sessions[members[0][0]]
@@ -672,24 +674,22 @@ class FloorEngine:
                 while len(self._point_memo) >= self._point_memo_max_entries:
                     self._point_memo.pop(next(iter(self._point_memo)))
                 self._point_memo[key] = point
-            by_pitch: dict[tuple, list[tuple[int, int, float]]] = {}
             for r, s, member_total in members:
-                pitch = self.rack_sessions[r].thermal_simulator.grid.cell_pitch_mm()
-                by_pitch.setdefault(tuple(pitch), []).append((r, s, member_total))
-            for pitch_members in by_pitch.values():
-                r0 = pitch_members[0][0]
-                session0 = self.rack_sessions[r0]
-                pitch = session0.thermal_simulator.grid.cell_pitch_mm()
-                stacked = np.stack(
-                    [power_maps[r][s] for r, s, _ in pitch_members]
+                group = self._group_of_rack[r]
+                marches.setdefault((design, group.index), []).append(
+                    (r, s, member_total, point)
                 )
-                results: list[BoundaryResult] = session0.loop.cooling_boundaries(
-                    stacked, pitch, point
+        for members in marches.values():
+            session0 = self.rack_sessions[members[0][0]]
+            results: list[BoundaryResult] = session0.loop.cooling_boundaries(
+                np.stack([power_maps[r][s] for r, s, _, _ in members]),
+                session0.thermal_simulator.grid.cell_pitch_mm(),
+                [point for _, _, _, point in members],
+            )
+            for (r, s, member_total, point), result in zip(members, results):
+                self.rack_sessions[r].store_boundary(
+                    s, point, result, water_loops[r][s], member_total
                 )
-                for (r, s, member_total), result in zip(pitch_members, results):
-                    self.rack_sessions[r].store_boundary(
-                        s, point, result, water_loops[r][s], member_total
-                    )
 
     # ------------------------------------------------------------------ #
     # Stages 3-4: stacked init and substep marching of one hardware group

@@ -14,7 +14,7 @@ condenser water.  :class:`DatacenterSession` executes the floor over time:
   :class:`~repro.thermal.simulator.ThermalSimulator` (and factorization
   cache) per distinct floorplan, one multi-RHS back-substitution per
   (hardware group, cooling boundary) per substep, one lane march per
-  water-condition group across racks.  Each rack's
+  (design, hardware group) across racks and operating points.  Each rack's
   :class:`~repro.core.rack_session.RackSession` becomes a row-block view
   over its group array;
 * each server then runs the paper's fast flow-first/DVFS-second rule
@@ -450,10 +450,9 @@ class DatacenterModel:
     warm_store:
         A :class:`~repro.thermal.warm_store.WarmStore` (or a directory
         path for one) attached to every hardware group's factorization
-        cache, so reduced-order bases and assembled operator systems
-        persist across runs — run ``N+1`` of the same floor skips every
-        Arnoldi build and operator assembly while staying bit-identical
-        to the cold run.  ``None`` (default) consults the
+        cache, so reduced-order bases persist across runs — run ``N+1``
+        of the same floor skips every Arnoldi build while staying
+        bit-identical to the cold run.  ``None`` (default) consults the
         ``REPRO_WARM_STORE`` environment variable for a directory path
         and runs fully cold when that is unset too.
     """

@@ -228,8 +228,8 @@ def run_fig10(
     ``parallel_groups`` and ``warm_store`` forward to
     :class:`~repro.datacenter.model.DatacenterModel`: the former fans the
     floor's hardware groups over worker threads (bit-identical; pays off
-    on ``hetero=True`` floors), the latter persists reduced bases and
-    assembled operators across runs (a directory path or a
+    on ``hetero=True`` floors), the latter persists reduced bases across
+    runs (a directory path or a
     :class:`~repro.thermal.warm_store.WarmStore`).
     """
     platform = platform if platform is not None else build_platform()

@@ -62,7 +62,7 @@ def run_all(
     make multi-day traces practical from the command line.
     ``parallel_groups`` fans fig10's hardware groups over worker threads
     (pays off with ``hetero=True``) and ``warm_store`` names a directory
-    that persists reduced bases and assembled operators across invocations
+    that persists reduced bases across invocations
     — the year-scale knobs (see the README's simulated-year recipe).
     ``telemetry`` names a ``.jsonl`` path: a telemetry hub is enabled for
     the whole suite and the run's counters, histograms and spans are
@@ -228,7 +228,7 @@ def main() -> None:
         "--warm-store",
         default=None,
         metavar="DIR",
-        help="persist reduced-order bases and assembled operators to DIR so "
+        help="persist reduced-order bases to DIR so "
         "repeat runs skip every Arnoldi build (also: REPRO_WARM_STORE)",
     )
     parser.add_argument(

@@ -240,6 +240,20 @@ class ThermalNetwork:
         )
         return vectors
 
+    def boundary_terms(
+        self, cooling: CoolingBoundary
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """What a cooling boundary adds to the bulk system.
+
+        Returns the per-cell diagonal addition (the top-layer convective
+        conductance, zero below the top layer) and the boundary RHS
+        (bottom ambient plus top fluid terms).  The operator is
+        :attr:`bulk_matrix` plus that diagonal; only the diagonal and the
+        RHS depend on the boundary.
+        """
+        diag_add, rhs_add = self._top_boundary_terms(cooling)
+        return diag_add, self._bottom_rhs + rhs_add
+
     def conductance_system(
         self, cooling: CoolingBoundary
     ) -> tuple[sparse.csr_matrix, np.ndarray]:
@@ -252,9 +266,9 @@ class ThermalNetwork:
         enters the matrix, which is what makes factorization caching across
         power maps possible.
         """
-        diag_add, rhs_add = self._top_boundary_terms(cooling)
+        diag_add, boundary_rhs = self.boundary_terms(cooling)
         matrix = (self._bulk_matrix + sparse.diags(diag_add)).tocsr()
-        return matrix, self._bottom_rhs + rhs_add
+        return matrix, boundary_rhs
 
     def system(
         self, power_map_w: np.ndarray, cooling: CoolingBoundary

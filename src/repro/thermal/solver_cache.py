@@ -7,23 +7,31 @@ power-dependent right-hand side: power injection only ever touches ``b``
 operator therefore only changes when the *cooling boundary* changes — and,
 for backward-Euler transient stepping, when the step size ``dt_s`` changes.
 
-:class:`FactorizationCache` exploits this: it assembles the operator and
-factors it once per distinct ``(cooling boundary, dt)`` and reuses the
-factor for every solve with a different power map, turning repeated solves
-into a single back-substitution each.
+:class:`FactorizationCache` exploits this: it factors the operator once
+per distinct ``(cooling boundary, dt)`` and reuses the factor for every
+solve with a different power map, turning repeated solves into a single
+back-substitution each.
 
-Kernel: banded Cholesky
------------------------
+Kernel: banded Cholesky from the bulk band
+------------------------------------------
 The operator is symmetric positive definite, and every cell couples only
 to its six grid neighbours.  :class:`BandOrdering` renumbers the cells with
 the layer index innermost, then the narrower in-plane axis, then the wider
 one, so every coupling lies within ``min(n_rows, n_columns) * n_layers``
-of the diagonal.  Each factorization scatters the upper band of the
-assembled CSC operator into LAPACK band storage and factors it with
-``dpbtrf``; :class:`BandedCholesky` solves through ``dpbtrs``, which
-back-substitutes the columns of a multi-column right-hand side one at a
-time, so an ``(n, k)`` solve is bit-identical to ``k`` single-column
-solves.  SciPy's band wrappers hold the GIL for the whole call.
+of the diagonal.  A cooling boundary only adds to the diagonal: the
+operator is the network's fixed bulk matrix (conduction plus bottom
+boundary) plus the top-layer conductance ``g``, plus ``C/dt`` for a
+transient operator.  So the cache records, once per network, where the
+upper triangle of the bulk matrix lands in LAPACK band storage and with
+which values.  Each factorization zero-fills a band, scatters those
+values, adds ``g`` and then ``C/dt`` to the diagonal row — the order in
+which ``(bulk + diags(g)) + diags(C/dt)`` rounds, so no sparse operator
+is assembled and the factor is bit-identical to factoring the assembled
+one — and factors it with ``dpbtrf``.  :class:`BandedCholesky` solves
+through ``dpbtrs``, which back-substitutes the columns of a multi-column
+right-hand side one at a time, so an ``(n, k)`` solve is bit-identical to
+``k`` single-column solves.  SciPy's band wrappers hold the GIL for the
+whole call.
 
 Caching/invalidation contract
 -----------------------------
@@ -36,7 +44,8 @@ Caching/invalidation contract
   in place after construction (the token is memoised on first use).
 * The underlying :class:`ThermalNetwork` is assumed immutable after
   construction.  If it is rebuilt or mutated in place, call
-  :meth:`FactorizationCache.invalidate` to drop every cached factorization.
+  :meth:`FactorizationCache.invalidate` to drop every cached factorization
+  and the recorded bulk band.
 * The cache is LRU-bounded (``max_entries`` per solver kind) so boundary
   sweeps cannot grow memory without limit.
 """
@@ -171,8 +180,14 @@ class BandOrdering:
         self.perm = order.ravel()
         self.inverse = np.argsort(self.perm)
 
-    def factorize(self, matrix: sparse.spmatrix) -> BandedCholesky:
-        """Banded Cholesky factor of a symmetric positive definite operator."""
+    def upper_band(self, matrix: sparse.spmatrix) -> tuple[np.ndarray, np.ndarray]:
+        """Where a symmetric operator's upper triangle lands in band storage.
+
+        Returns ``(positions, values)``: ``positions`` index the
+        column-major flattening of LAPACK upper band storage, shape
+        ``(bandwidth + 1, n_cells)``, and ``values`` are the matching
+        entries, read straight from the operator's CSC structure.
+        """
         matrix = matrix.tocsc()
         columns = self.inverse[
             np.repeat(np.arange(self.n_cells), np.diff(matrix.indptr))
@@ -181,8 +196,25 @@ class BandOrdering:
         if np.any(np.abs(offsets) > self.bandwidth):
             raise ValueError("operator couples cells that are not grid neighbours")
         upper = offsets >= 0
+        positions = (self.bandwidth - offsets[upper]) + (
+            self.bandwidth + 1
+        ) * columns[upper]
+        return positions, matrix.data[upper]
+
+    def factorize(
+        self, upper_band: tuple[np.ndarray, np.ndarray], *diagonals: np.ndarray
+    ) -> BandedCholesky:
+        """Banded Cholesky factor of ``bulk + diags(d1) + diags(d2) ...``.
+
+        ``upper_band`` is :meth:`upper_band` of the bulk operator; each
+        diagonal is a per-cell vector, added in the order given.
+        """
+        positions, values = upper_band
         band = np.zeros((self.bandwidth + 1, self.n_cells), order="F")
-        band[self.bandwidth - offsets[upper], columns[upper]] = matrix.data[upper]
+        band.reshape(-1, order="F")[positions] = values
+        diagonal = band[self.bandwidth]
+        for addition in diagonals:
+            diagonal += addition[self.perm]
         factor, info = dpbtrf(band, overwrite_ab=True)
         if info != 0:
             raise ConvergenceError(f"{_SINGULAR_MESSAGE} (dpbtrf info {info})")
@@ -251,6 +283,8 @@ class FactorizationCache:
         self._transient: OrderedDict[tuple, TransientOperator] = OrderedDict()
         self._reduced: OrderedDict[tuple, object] = OrderedDict()
         self._ordering = BandOrdering(network.grid)
+        # The bulk operator's upper band, recorded on the first miss.
+        self._bulk_band: tuple[np.ndarray, np.ndarray] | None = None
         self._warm_store = None
         self._network_key: str | None = None
         # Hit/miss tallies live in a telemetry counter bag; the public
@@ -271,13 +305,12 @@ class FactorizationCache:
     def attach_warm_store(self, store) -> None:
         """Attach a :class:`~repro.thermal.warm_store.WarmStore` (or None).
 
-        With a store attached, operator misses first consult the disk
-        entries keyed by the network's content key: a hit skips the
-        operator *assembly* (the factorization of the byte-identical
-        persisted system re-runs and reproduces the cold factor exactly,
-        so warm and cold runs stay bit-identical), and reduced-operator
-        misses skip the whole Arnoldi build.  Cold builds persist their
-        results back (first write wins).
+        With a store attached, reduced-operator misses first consult the
+        disk entries keyed by the network's content key, so a hit skips
+        the whole Arnoldi build; cold builds persist their results back
+        (first write wins).  Factorizations never touch the store: they
+        start from the recorded bulk band and assemble no sparse operator,
+        so a persisted system would save them nothing.
         """
         with self._lock:
             self._warm_store = store
@@ -296,6 +329,12 @@ class FactorizationCache:
     # ------------------------------------------------------------------ #
     # Operators
     # ------------------------------------------------------------------ #
+    def _factorize(self, *diagonals: np.ndarray) -> BandedCholesky:
+        """Factor the bulk operator plus ``diagonals`` (lock held)."""
+        if self._bulk_band is None:
+            self._bulk_band = self._ordering.upper_band(self.network.bulk_matrix)
+        return self._ordering.factorize(self._bulk_band, *diagonals)
+
     def steady_operator(self, cooling: CoolingBoundary) -> SteadyOperator:
         """Factorized ``A`` and boundary RHS for a cooling boundary."""
         key = cooling.cache_token()
@@ -308,22 +347,10 @@ class FactorizationCache:
             check_steady_solvable(self.network, cooling)
             self._counters.add("misses")
             with get_telemetry().span("cache.factorize", kind="steady"):
-                matrix = boundary_rhs = None
-                store = self._warm_store
-                if store is not None:
-                    system_key = store.system_key(
-                        self._warm_network_key(), "steady", key, None
-                    )
-                    loaded = store.load_system(system_key)
-                    if loaded is not None:
-                        matrix, boundary_rhs = loaded
-                if matrix is None:
-                    matrix, boundary_rhs = self.network.conductance_system(cooling)
-                    if store is not None:
-                        store.store_system(system_key, matrix, boundary_rhs)
+                top_conductance, boundary_rhs = self.network.boundary_terms(cooling)
                 entry = SteadyOperator(
                     boundary_rhs=boundary_rhs,
-                    solve=self._ordering.factorize(matrix),
+                    solve=self._factorize(top_conductance),
                 )
             self._steady[key] = entry
             while len(self._steady) > self.max_entries:
@@ -345,24 +372,11 @@ class FactorizationCache:
             self._counters.add("misses")
             with get_telemetry().span("cache.factorize", kind="transient"):
                 capacitance_over_dt = self.network.capacitance / float(dt_s)
-                system = boundary_rhs = None
-                store = self._warm_store
-                if store is not None:
-                    system_key = store.system_key(
-                        self._warm_network_key(), "transient", key[0], dt_s
-                    )
-                    loaded = store.load_system(system_key)
-                    if loaded is not None:
-                        system, boundary_rhs = loaded
-                if system is None:
-                    matrix, boundary_rhs = self.network.conductance_system(cooling)
-                    system = matrix + sparse.diags(capacitance_over_dt)
-                    if store is not None:
-                        store.store_system(system_key, system, boundary_rhs)
+                top_conductance, boundary_rhs = self.network.boundary_terms(cooling)
                 entry = TransientOperator(
                     boundary_rhs=boundary_rhs,
                     capacitance_over_dt=capacitance_over_dt,
-                    solve=self._ordering.factorize(system),
+                    solve=self._factorize(top_conductance, capacitance_over_dt),
                 )
             self._transient[key] = entry
             while len(self._transient) > self.max_entries:
@@ -467,14 +481,16 @@ class FactorizationCache:
         place; cooling-boundary changes invalidate implicitly through the
         content-based key.  Every lane drops together — steady and
         transient factors, the reduced-operator bases riding beside
-        them, and the memoised warm-store network key (the mutated network
-        must re-hash, so stale disk entries under the old key can never be
-        loaded again).
+        them, the recorded bulk band (the next factorization re-reads the
+        network's bulk matrix), and the memoised warm-store network key
+        (the mutated network must re-hash, so stale disk entries under the
+        old key can never be loaded again).
         """
         with self._lock:
             self._steady.clear()
             self._transient.clear()
             self._reduced.clear()
+            self._bulk_band = None
             self._network_key = None
             # The network memoises its own content key; a mutation-driven
             # invalidate must force a re-hash there too.

@@ -1,20 +1,21 @@
-"""Persistent warm store: reduced bases and assembled operators across runs.
+"""Persistent warm store: reduced bases across runs.
 
-Everything the long-trace engine builds lazily on a cold start is a pure
-function of content the floor can hash: the reduced-order Krylov bases
-(:class:`~repro.thermal.rom.ReducedOperator`) depend only on the thermal
-network, the cooling boundary, the substep size, the
+The costliest thing the long-trace engine builds lazily on a cold start is
+a pure function of content the floor can hash: the reduced-order Krylov
+bases (:class:`~repro.thermal.rom.ReducedOperator`) depend only on the
+thermal network, the cooling boundary, the substep size, the
 :class:`~repro.thermal.rom.RomConfig` and the (scenario-stable) seed
-fields; the assembled backward-Euler / steady systems handed to the
-banded Cholesky factorization depend only on the network, the boundary
-and the substep size.  :class:`WarmStore` persists both to disk keyed by
-exactly those content keys — the network's :meth:`~repro.thermal.network.\
+fields.  :class:`WarmStore` persists them to disk keyed by exactly those
+content keys — the network's :meth:`~repro.thermal.network.\
 ThermalNetwork.content_key`, the boundary's :meth:`~repro.thermal.\
 boundary.CoolingBoundary.cache_token` and the ROM config — so run ``N+1``
-of the same floor skips every Arnoldi basis build and every operator
-assembly.  Factors are not persisted: the factorization of the
-byte-identical persisted system re-runs and reproduces the cold run's
-factors exactly.
+of the same floor skips every Arnoldi basis build.
+
+The store can also hold assembled backward-Euler / steady systems
+(:meth:`WarmStore.store_system` / :meth:`WarmStore.load_system`), but the
+factorization cache no longer reads or writes them: it factors straight
+from the network's bulk band and assembles no system a stored one could
+replace.  Factors are never persisted.
 
 Bit-identity contract
 ---------------------
@@ -108,7 +109,7 @@ def _config_fingerprint(config: RomConfig) -> tuple:
 
 
 class WarmStore:
-    """Content-keyed on-disk store of reduced operators and systems.
+    """Content-keyed on-disk store of reduced operators (and systems).
 
     Parameters
     ----------

@@ -235,29 +235,33 @@ class EvaporatorModel:
             )
         return wall_htc * self.geometry.area_enhancement
 
-    def _two_phase_htc_array(
-        self,
-        quality: np.ndarray,
-        mass_flux_kg_m2s: float,
-        heat_flux_w_m2: np.ndarray,
-        t_sat_c: float,
-    ) -> np.ndarray:
-        """Vectorized :meth:`two_phase_htc_w_m2k` over lanes at one cell.
-
-        Operation-for-operation identical to the scalar method (same
-        association order, same guards) so the batched march reproduces the
-        per-lane golden path to round-off.
-        """
-        quality = np.clip(quality, 0.0, 1.0)
-        h_liquid = self.single_phase_htc_w_m2k(mass_flux_kg_m2s)
+    def _cooper_prefactor(self, t_sat_c: float) -> float:
+        """The heat-flux-independent factor of the Cooper correlation."""
         reduced = self.refrigerant.reduced_pressure(t_sat_c)
-        prefactor = (
+        return (
             55.0
             * reduced**0.12
             * (-math.log10(reduced)) ** (-0.55)
             * self.refrigerant.molar_mass_kg_kmol ** (-0.5)
         )
-        h_nucleate = prefactor * np.maximum(heat_flux_w_m2, 100.0) ** 0.67
+
+    def _two_phase_htc_array(
+        self,
+        quality: np.ndarray,
+        h_liquid: np.ndarray,
+        cooper_prefactor: np.ndarray,
+        heat_flux_w_m2: np.ndarray,
+    ) -> np.ndarray:
+        """Vectorized :meth:`two_phase_htc_w_m2k` over lanes at one cell.
+
+        ``h_liquid`` (the single-phase HTC) and ``cooper_prefactor`` carry
+        each lane's operating-point scalars.  Operation-for-operation
+        identical to the scalar method (same association order, same
+        guards) so the batched march reproduces the per-lane golden path
+        to round-off.
+        """
+        quality = np.clip(quality, 0.0, 1.0)
+        h_nucleate = cooper_prefactor * np.maximum(heat_flux_w_m2, 100.0) ** 0.67
         h_convective = h_liquid * (1.0 + 1.0 * quality**0.8)
         h_wet = (h_nucleate**2 + h_convective**2) ** 0.5
 
@@ -369,8 +373,8 @@ class EvaporatorModel:
     def solve_channels(
         self,
         heat_per_cell_w: np.ndarray,
-        mass_flow_kg_s: float,
-        t_sat_c: float,
+        mass_flow_kg_s: float | np.ndarray,
+        t_sat_c: float | np.ndarray,
         *,
         inlet_subcooling_c: float = 3.0,
         inlet_quality: float = 0.0,
@@ -380,27 +384,72 @@ class EvaporatorModel:
         """March many parallel lanes at once.
 
         The batched counterpart of :meth:`solve_channel`: ``heat_per_cell_w``
-        has shape ``(n_lanes, n_cells)`` (cells in flow-direction order) and
-        every lane carries ``mass_flow_kg_s`` and shares the inlet state.
+        has shape ``(n_lanes, n_cells)`` (cells in flow-direction order).
+        ``mass_flow_kg_s`` and ``t_sat_c`` give each lane its own mass flow
+        and saturation temperature, as arrays of shape ``(n_lanes,)`` or as
+        scalars shared by every lane, so the lanes of servers at different
+        operating points march in one call; the inlet state is shared.
         Cells remain the sequential axis — the refrigerant state depends on
         everything upstream — but all lanes advance together through NumPy
         array arithmetic, removing the per-lane Python loop from the hot
-        path.  :meth:`solve_channel` is kept as the scalar golden model; the
-        two must agree to round-off (see ``tests/test_lane_march_equivalence``).
+        path.
+
+        Lanes sharing a (mass flow, saturation temperature) pair form one
+        operating point.  Its scalars — latent heat, mass flux, single-phase
+        and subcooled HTC, and per cell the reduced pressure and Cooper
+        prefactor — are evaluated once, with the scalar Python expressions
+        of a single-point march, and repeated over the point's lanes, so
+        every lane is bit-identical to marching its point alone.
+        :meth:`solve_channel` is kept as the scalar golden model; the two
+        must agree to round-off (see ``tests/test_lane_march_equivalence``).
         """
         heat_per_cell_w = np.asarray(heat_per_cell_w, dtype=float)
         if heat_per_cell_w.ndim != 2:
             raise ValidationError("heat_per_cell_w must be two-dimensional (n_lanes, n_cells)")
-        check_positive(mass_flow_kg_s, "mass_flow_kg_s")
+        n_lanes, n_cells = heat_per_cell_w.shape
+        flows = _per_lane(mass_flow_kg_s, n_lanes, "mass_flow_kg_s")
+        if not np.all(flows > 0.0) or not np.all(np.isfinite(flows)):
+            raise ValidationError("mass_flow_kg_s must be finite and > 0 in every lane")
+        t_sats = _per_lane(t_sat_c, n_lanes, "t_sat_c")
         check_positive(cell_base_area_m2, "cell_base_area_m2")
 
         refrigerant = self.refrigerant
-        latent = refrigerant.latent_heat_j_kg(t_sat_c)
         cp_liquid = refrigerant.liquid_specific_heat_j_kgk
-        mass_flux = mass_flow_kg_s / self.geometry.channel_flow_area_m2
         enhancement = self.geometry.area_enhancement
+        points, lane_point = np.unique(
+            np.column_stack((flows, t_sats)), axis=0, return_inverse=True
+        )
+        lane_point = lane_point.reshape(-1)
 
-        n_lanes, n_cells = heat_per_cell_w.shape
+        # Operating-point scalars, one Python evaluation per point.
+        n_points = points.shape[0]
+        h_liquid = np.empty(n_points)
+        sensible_denominator = np.empty(n_points)
+        latent_denominator = np.empty(n_points)
+        local_t_sat = np.empty((n_points, n_cells))
+        cooper_prefactor = np.empty((n_points, n_cells))
+        for point, (flow, t_sat) in enumerate(points.tolist()):
+            latent = refrigerant.latent_heat_j_kg(t_sat)
+            h_liquid[point] = self.single_phase_htc_w_m2k(
+                flow / self.geometry.channel_flow_area_m2
+            )
+            sensible_denominator[point] = max(flow * cp_liquid, 1e-9)
+            latent_denominator[point] = max(flow * latent, 1e-9)
+            for index in range(n_cells):
+                cell_t_sat = t_sat - saturation_slope_c_per_cell * index
+                local_t_sat[point, index] = cell_t_sat
+                cooper_prefactor[point, index] = self._cooper_prefactor(cell_t_sat)
+        h_subcooled = (h_liquid * 1.5) * enhancement
+
+        # Repeat each point's scalars over its lanes.
+        h_liquid = h_liquid[lane_point]
+        h_subcooled = h_subcooled[lane_point]
+        local_t_sat = local_t_sat[lane_point]
+        cooper_prefactor = cooper_prefactor[lane_point]
+        heat_flux = heat_per_cell_w / (cell_base_area_m2 * enhancement)
+        temperature_rise = heat_per_cell_w / sensible_denominator[lane_point, np.newaxis]
+        quality_rise = heat_per_cell_w / latent_denominator[lane_point, np.newaxis]
+
         quality = np.zeros((n_lanes, n_cells), dtype=float)
         fluid_temperature = np.zeros((n_lanes, n_cells), dtype=float)
         htc = np.zeros((n_lanes, n_cells), dtype=float)
@@ -411,34 +460,33 @@ class EvaporatorModel:
         subcooling = np.full(n_lanes, initial_subcooling, dtype=float)
         dryout = np.zeros(n_lanes, dtype=bool)
 
-        flux_denominator = cell_base_area_m2 * enhancement
-        sensible_denominator = max(mass_flow_kg_s * cp_liquid, 1e-9)
-        latent_denominator = max(mass_flow_kg_s * latent, 1e-9)
-        h_subcooled = (self.single_phase_htc_w_m2k(mass_flux) * 1.5) * enhancement
-
         for index in range(n_cells):
-            local_t_sat = t_sat_c - saturation_slope_c_per_cell * index
-            cell_heat = heat_per_cell_w[:, index]
-            heat_flux = cell_heat / flux_denominator
+            cell_t_sat = local_t_sat[:, index]
             subcooled = subcooling > 0.0
             saturated = ~subcooled
 
             h_two_phase = (
-                self._two_phase_htc_array(current_quality, mass_flux, heat_flux, local_t_sat)
+                self._two_phase_htc_array(
+                    current_quality,
+                    h_liquid,
+                    cooper_prefactor[:, index],
+                    heat_flux[:, index],
+                )
                 * enhancement
             )
             fluid_temperature[:, index] = np.where(
-                subcooled, local_t_sat - subcooling, local_t_sat
+                subcooled, cell_t_sat - subcooling, cell_t_sat
             )
             htc[:, index] = np.where(subcooled, h_subcooled, h_two_phase)
 
             # Sensible heating region: the liquid warms towards saturation.
-            temperature_rise = cell_heat / sensible_denominator
             subcooling = np.where(
-                subcooled, np.maximum(subcooling - temperature_rise, 0.0), subcooling
+                subcooled,
+                np.maximum(subcooling - temperature_rise[:, index], 0.0),
+                subcooling,
             )
             # Saturated boiling region: quality advances by the energy balance.
-            advanced = np.minimum(current_quality + cell_heat / latent_denominator, 1.0)
+            advanced = np.minimum(current_quality + quality_rise[:, index], 1.0)
             current_quality = np.where(saturated, advanced, current_quality)
             quality[:, index] = np.where(saturated, current_quality, 0.0)
             dryout |= saturated & (current_quality > self.dryout_quality)
@@ -449,3 +497,15 @@ class EvaporatorModel:
             base_htc_w_m2k=htc,
             dryout_per_lane=dryout,
         )
+
+
+def _per_lane(value: float | np.ndarray, n_lanes: int, name: str) -> np.ndarray:
+    """A scalar or ``(n_lanes,)`` argument as one float per lane."""
+    values = np.asarray(value, dtype=float)
+    if values.ndim == 0:
+        return np.full(n_lanes, float(values))
+    if values.shape != (n_lanes,):
+        raise ValidationError(
+            f"{name} must be a scalar or have shape ({n_lanes},), got {values.shape}"
+        )
+    return values

@@ -11,6 +11,7 @@ temperature for the thermal simulator).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,27 +211,32 @@ class ThermosyphonLoop:
             check_positive(pitch_y_mm, "pitch_y_mm")
             operating_point = self.operating_point(float(power_map_w.sum()), water_loop)
         return self.cooling_boundaries(
-            power_map_w[np.newaxis], cell_pitch_mm, operating_point
+            power_map_w[np.newaxis], cell_pitch_mm, [operating_point]
         )[0]
 
     def cooling_boundaries(
         self,
         power_maps_w: np.ndarray,
         cell_pitch_mm: tuple[float, float],
-        operating_point: LoopOperatingPoint,
+        operating_points: Sequence[LoopOperatingPoint],
     ) -> list[BoundaryResult]:
-        """Cooling boundaries for many servers sharing one operating point.
+        """Cooling boundaries for many servers, one lane march for all.
 
-        The rack-engine generalisation of :meth:`cooling_boundary` (which
-        delegates here with a single-map stack): ``power_maps_w`` has shape
-        ``(n_servers, n_rows, n_columns)`` and every server shares
-        ``operating_point`` (identical thermosyphon hardware at the same
-        total heat and water condition — the homogeneous rack case).  The
-        already-vectorized ``(n_lanes, n_cells)`` evaporator march is
-        stacked into one ``(n_servers * n_lanes, n_cells)`` call, so the
-        whole rack marches in a single pass; because smoothing and the
-        march are elementwise per server/lane, each server's entry is
-        identical to a single-map call (and to the per-lane golden loop of
+        The rack- and floor-engine generalisation of :meth:`cooling_boundary`
+        (which delegates here with a single-map stack): ``power_maps_w`` has
+        shape ``(n_servers, n_rows, n_columns)`` and ``operating_points``
+        holds one converged point per server — servers of this design at
+        different total heats and water conditions march together.  Every
+        point must share the design's inlet state (subcooling and
+        quality); a call whose points disagree raises
+        :class:`ValidationError`.  The already-vectorized
+        ``(n_lanes, n_cells)`` evaporator march is stacked into one
+        ``(n_servers * n_lanes, n_cells)`` call, each lane carrying its
+        server's mass flow and saturation temperature, so the whole stack
+        marches in a single pass.  Because smoothing and the march are
+        elementwise per server/lane and each point's scalars are evaluated
+        as for that point alone, each server's entry is bit-identical to a
+        single-map call (and matches the per-lane golden loop of
         ``tests/reference_lane_march.py``).
         """
         power_maps_w = np.asarray(power_maps_w, dtype=float)
@@ -243,9 +249,31 @@ class ThermosyphonLoop:
         check_positive(pitch_y_mm, "pitch_y_mm")
 
         n_servers, n_rows, n_columns = power_maps_w.shape
+        operating_points = list(operating_points)
+        if n_servers == 0 or len(operating_points) != n_servers:
+            raise ValidationError(
+                f"expected one operating point per server ({n_servers}), "
+                f"got {len(operating_points)}"
+            )
+        inlet = (
+            operating_points[0].inlet_subcooling_c,
+            operating_points[0].inlet_quality,
+        )
+        if any(
+            (point.inlet_subcooling_c, point.inlet_quality) != inlet
+            for point in operating_points
+        ):
+            raise ValidationError(
+                "operating points of one lane march must share the inlet state"
+            )
         orientation = self.design.orientation
         n_lanes = orientation.channel_count(n_rows, n_columns)
-        flow_per_lane = operating_point.mass_flow_kg_s / n_lanes
+        flow_per_lane = np.repeat(
+            [point.mass_flow_kg_s / n_lanes for point in operating_points], n_lanes
+        )
+        t_sat_per_lane = np.repeat(
+            [point.saturation_temperature_c for point in operating_points], n_lanes
+        )
         cell_area_m2 = (pitch_x_mm * 1e-3) * (pitch_y_mm * 1e-3)
 
         # One smoothing pass over the whole stack: a zero sigma along the
@@ -281,9 +309,9 @@ class ThermosyphonLoop:
         batch = self.evaporator.solve_channels(
             lane_heat_stack.reshape(n_servers * n_lanes, n_cells),
             flow_per_lane,
-            operating_point.saturation_temperature_c,
-            inlet_subcooling_c=operating_point.inlet_subcooling_c,
-            inlet_quality=operating_point.inlet_quality,
+            t_sat_per_lane,
+            inlet_subcooling_c=inlet[0],
+            inlet_quality=inlet[1],
             cell_base_area_m2=cell_area_m2,
             saturation_slope_c_per_cell=0.015,
         )

@@ -1,16 +1,26 @@
-"""Golden reference for the thermal factorization kernel.
+"""Golden references for the thermal factorization kernel.
 
-COLAMD-ordered SuperLU (:func:`scipy.sparse.linalg.splu`) is a general
-sparse LU that assumes nothing about the operator's symmetry or band
-structure.  The banded Cholesky kernel of
-:mod:`repro.thermal.solver_cache` is held to it at contract tier B.
+* **Tier A** — :func:`golden_factor` is the assemble-and-scatter
+  factorization the cache used before it factored from the recorded bulk
+  band: assemble the sparse operator through
+  :meth:`~repro.thermal.network.ThermalNetwork.conductance_system` (plus
+  ``diags(C/dt)`` for a transient operator), scatter the upper band of its
+  CSC form into LAPACK band storage and factor it with ``dpbtrf``.  The
+  cache's factors must equal it bit for bit.
+* **Tier B** — COLAMD-ordered SuperLU (:func:`scipy.sparse.linalg.splu`)
+  is a general sparse LU that assumes nothing about the operator's
+  symmetry or band structure.  The banded Cholesky kernel of
+  :mod:`repro.thermal.solver_cache` is held to it at contract tier B.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import dpbtrf
 from scipy.sparse.linalg import splu
+
+from repro.thermal.solver_cache import BandOrdering
 
 #: Contract tier B: a kernel swap may move a temperature by at most this.
 TIER_B_C = 1e-9
@@ -19,3 +29,27 @@ TIER_B_C = 1e-9
 def golden_solve(matrix: sparse.spmatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` through COLAMD-ordered SuperLU."""
     return splu(matrix.tocsc(), permc_spec="COLAMD").solve(rhs)
+
+
+def golden_factor(network, cooling, dt_s: float | None = None):
+    """Band factor and boundary RHS of an assembled operator.
+
+    Returns ``(factor, boundary_rhs)`` for the steady operator
+    (``dt_s=None``) or the backward-Euler operator ``A + C/dt``.
+    """
+    matrix, boundary_rhs = network.conductance_system(cooling)
+    if dt_s is not None:
+        matrix = matrix + sparse.diags(network.capacitance / float(dt_s))
+    ordering = BandOrdering(network.grid)
+    matrix = matrix.tocsc()
+    columns = ordering.inverse[
+        np.repeat(np.arange(ordering.n_cells), np.diff(matrix.indptr))
+    ]
+    offsets = columns - ordering.inverse[matrix.indices]
+    assert np.all(np.abs(offsets) <= ordering.bandwidth)
+    upper = offsets >= 0
+    band = np.zeros((ordering.bandwidth + 1, ordering.n_cells), order="F")
+    band[ordering.bandwidth - offsets[upper], columns[upper]] = matrix.data[upper]
+    factor, info = dpbtrf(band, overwrite_ab=True)
+    assert info == 0
+    return factor, boundary_rhs

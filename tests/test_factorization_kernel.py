@@ -1,5 +1,10 @@
 """Contract tests of the banded Cholesky kernel behind the factorization cache.
 
+* Tier A against the assemble-and-scatter golden
+  (``tests/reference_kernel.py``): factoring from the recorded bulk band
+  reproduces the factor of the assembled operator and its boundary RHS
+  bit for bit, steady and at both MPC substeps, on every grid below, and
+  again after :meth:`FactorizationCache.invalidate` picks up a new bulk.
 * Tier B (<= 1e-9 degC) against the COLAMD SuperLU golden
   (``tests/reference_kernel.py``) for steady operators and for the
   backward-Euler operators at the MPC floor's two substeps, on the 2.0,
@@ -24,9 +29,10 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from reference_kernel import TIER_B_C, golden_solve
+from reference_kernel import TIER_B_C, golden_factor, golden_solve
 from repro.exceptions import ConvergenceError
 from repro.floorplan.grid_mapper import GridMapper
+from repro.floorplan.xeon_e5_v4 import build_xeon_e5_v4_floorplan
 from repro.thermal.boundary import BottomBoundary, CoolingBoundary, uniform_cooling_boundary
 from repro.thermal.grid import ThermalGrid
 from repro.thermal.layers import standard_thermosyphon_stack
@@ -104,6 +110,47 @@ class TestBandOrdering:
         renumbered = matrix.tocsr()[ordering.perm][:, ordering.perm].tocoo()
         assert np.max(np.abs(renumbered.row - renumbered.col)) == ordering.bandwidth
         assert np.array_equal(ordering.perm[ordering.inverse], np.arange(matrix.shape[0]))
+
+
+def _assert_tier_a_against_golden(cache: FactorizationCache, cooling) -> None:
+    network = cache.network
+    steady = cache.steady_operator(cooling)
+    factor, boundary_rhs = golden_factor(network, cooling)
+    assert np.array_equal(steady.solve.factor, factor)
+    assert np.array_equal(steady.boundary_rhs, boundary_rhs)
+    for dt_s in DT_S:
+        transient = cache.transient_operator(cooling, dt_s)
+        factor, boundary_rhs = golden_factor(network, cooling, dt_s)
+        assert np.array_equal(transient.solve.factor, factor)
+        assert np.array_equal(transient.boundary_rhs, boundary_rhs)
+
+
+class TestTierAAgainstAssembledGolden:
+    def test_steady_and_transient_factors(self, simulator):
+        grid = simulator.grid
+        cache = FactorizationCache(simulator.network)
+        _assert_tier_a_against_golden(cache, _boundary(grid.n_rows, grid.n_columns))
+
+    @pytest.mark.parametrize("shape", [(9, 14), (14, 9)], ids=["wide", "tall"])
+    def test_non_square_grids(self, floorplan, shape):
+        cache = FactorizationCache(_network(floorplan, *shape))
+        _assert_tier_a_against_golden(cache, _boundary(*shape))
+
+    def test_invalidate_picks_up_a_new_bulk(self, floorplan):
+        """Swap the bulk matrix in place: after invalidate() the next factor
+        is the golden of the new bulk, not of the recorded old one."""
+        shape = (9, 14)
+        network = _network(floorplan, *shape)
+        other = _network(build_xeon_e5_v4_floorplan(spreader_size_mm=42.0), *shape)
+        cache = FactorizationCache(network)
+        cooling = _boundary(*shape)
+        _assert_tier_a_against_golden(cache, cooling)
+        old_factor = cache.steady_operator(cooling).solve.factor
+        network._bulk_matrix = other.bulk_matrix
+        cache.invalidate()
+        assert len(cache) == 0
+        _assert_tier_a_against_golden(cache, cooling)
+        assert not np.array_equal(cache.steady_operator(cooling).solve.factor, old_factor)
 
 
 class TestTierBAgainstGolden:

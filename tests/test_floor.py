@@ -13,9 +13,15 @@ The load-bearing guarantees of :mod:`repro.datacenter.floor`:
 * an N-rack homogeneous floor pays exactly one rack's operator
   factorizations, asserted via merged :class:`CacheStats`;
 * :meth:`DatacenterSession.cache_stats` counts every distinct cache
-  exactly once on a heterogeneous floor (no double-count, no drop).
+  exactly once on a heterogeneous floor (no double-count, no drop);
+* a boundary refresh makes one lane march per (design, hardware group),
+  whatever the number of operating points, so SKUs whose grids share a
+  pitch but not a shape never stack into one march.
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.core.mapping import ThreadMapper
@@ -25,6 +31,7 @@ from repro.core.rack_session import RackSession, ServerLoad
 from repro.core.runtime_controller import RackServer, ThermosyphonController
 from repro.datacenter.floor import FloorEngine
 from repro.datacenter.model import DatacenterModel, RackSpec
+from repro.datacenter.scenarios import build_scenario
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.floorplan.xeon_e5_v4 import build_xeon_e5_v4_floorplan
 from repro.power.power_model import ServerPowerModel
@@ -35,6 +42,7 @@ from repro.thermosyphon.design import (
     PAPER_OPTIMIZED_DESIGN,
     SEURET_REFERENCE_DESIGN,
 )
+from repro.thermosyphon.loop import ThermosyphonLoop
 from repro.workloads.configuration import Configuration
 from repro.workloads.parsec import get_benchmark
 from repro.workloads.qos import QoSConstraint
@@ -173,6 +181,107 @@ class TestMixedSkuEquivalence:
                             decision_b, field
                         ), field
             assert floor_rack.chiller_power_w == standalone.chiller_power_w
+
+
+class TestSharedPitchSkus:
+    def test_skus_sharing_a_pitch_match_single_rack_floors(
+        self, floorplan, second_floorplan
+    ):
+        """At 2.0 mm the default SKU (19x19 cells) and the 42 mm-spreader SKU
+        (21x21 cells) share a pitch; with identical loads both racks sit at
+        one operating point.  Each rack must still march on its own grid
+        and match a floor holding that rack alone, bit for bit."""
+        scenario = build_scenario(
+            "diurnal", n_racks=1, servers_per_rack=2, duration_s=8.0, seed=7
+        )
+        rack = scenario.racks[0]
+        racks = (
+            replace(rack, name="default"),
+            replace(rack, name="spreader42", floorplan=second_floorplan),
+        )
+
+        def run(floor_racks):
+            model = DatacenterModel(
+                floor_racks,
+                plant=ChillerPlant(free_cooling_outdoor_c=18.0),
+                floorplan=floorplan,
+                thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=2.0),
+                control_period_s=CONTROL_PERIOD_S,
+            )
+            return model, model.run_trace(duration_s=8.0)
+
+        model, mixed = run(racks)
+        pitches = {sim.grid.cell_pitch_mm() for sim in model.rack_simulators}
+        shapes = {sim.shape for sim in model.rack_simulators}
+        assert len(pitches) == 1 and len(shapes) == 2
+        for index, single_rack in enumerate(racks):
+            _, alone = run((single_rack,))
+            ours, theirs = mixed.racks[index], alone.racks[0]
+            assert len(ours.periods) == len(theirs.periods) == 4
+            for period_a, period_b in zip(ours.periods, theirs.periods):
+                for decision_a, decision_b in zip(period_a, period_b):
+                    for field in _DECISION_FIELDS:
+                        assert getattr(decision_a, field) == getattr(
+                            decision_b, field
+                        ), field
+
+
+class TestOneLaneMarchPerHardwareGroup:
+    def test_distinct_points_march_once_per_hardware_group(
+        self, floorplan, second_floorplan, x264, monkeypatch
+    ):
+        """Four servers at four operating points on two hardware groups:
+        two marches, each server's boundary equal to a single-point one."""
+        sessions = [
+            RackSession(2, floorplan=fp, thermal_simulator=_simulator(fp))
+            for fp in (floorplan, second_floorplan)
+        ]
+        engine = FloorEngine(sessions)
+        nominal = PAPER_OPTIMIZED_DESIGN.water_loop()
+        loads = [
+            [
+                ServerLoad(
+                    benchmark=x264,
+                    mapping=_mapping(session.floorplan, x264),
+                    water_loop=nominal.with_inlet_temperature(
+                        nominal.inlet_temperature_c + 2 * r + s
+                    ),
+                )
+                for s in range(2)
+            ]
+            for r, session in enumerate(sessions)
+        ]
+        stacks = []
+        original = ThermosyphonLoop.cooling_boundaries
+
+        def counted(loop, power_maps_w, *args, **kwargs):
+            stacks.append(len(power_maps_w))
+            return original(loop, power_maps_w, *args, **kwargs)
+
+        monkeypatch.setattr(ThermosyphonLoop, "cooling_boundaries", counted)
+        engine.advance(loads, 2.0)
+        assert stacks == [2, 2]
+        monkeypatch.undo()
+
+        points = set()
+        for session, rack_loads in zip(sessions, loads):
+            pitch = session.thermal_simulator.grid.cell_pitch_mm()
+            _, maps, _ = session._evaluate_power(rack_loads)
+            for s, held in enumerate(session.held_boundaries()):
+                points.add(held.operating_point)
+                single = session.loop.cooling_boundary(
+                    maps[s], pitch, held.operating_point
+                )
+                ours = held.boundary_result
+                assert np.array_equal(ours.boundary.htc_w_m2k, single.boundary.htc_w_m2k)
+                assert np.array_equal(
+                    ours.boundary.fluid_temperature_c,
+                    single.boundary.fluid_temperature_c,
+                )
+                assert np.array_equal(
+                    ours.outlet_quality_per_lane, single.outlet_quality_per_lane
+                )
+        assert len(points) == 4
 
 
 class TestBoundaryGroupPartitioning:

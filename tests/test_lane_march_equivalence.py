@@ -6,6 +6,10 @@ Every case requires the batched quality, fluid-temperature and HTC fields to
 match the lane-by-lane march to <= 1e-12, across orientations, reversed
 flow, dryout overload and subcooled / vapor-preloaded inlets — the fast path
 only counts if it is the same physics.
+
+One ``cooling_boundaries`` call over servers at distinct operating points
+must reproduce a single-point call for every server bit for bit: the floor
+engine marches all of a hardware group's stale servers in one call.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import numpy as np
 import pytest
 
 from reference_lane_march import reference_cooling_boundary
+from repro.exceptions import ValidationError
 from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN
 from repro.thermosyphon.evaporator import EvaporatorModel
 from repro.thermosyphon.loop import ThermosyphonLoop
@@ -112,6 +117,50 @@ class TestSolveChannelsEquivalence:
         with pytest.raises(Exception):
             model.solve_channels(np.ones(5), 1e-4, 41.0, cell_base_area_m2=1e-6)
 
+    @pytest.mark.parametrize(
+        "flows, t_sats",
+        [
+            (np.full(3, 6e-5), 41.0),
+            (6e-5, np.full(5, 41.0)),
+            (np.full((4, 1), 6e-5), 41.0),
+        ],
+        ids=["short-flows", "long-t-sat", "two-dimensional-flows"],
+    )
+    def test_rejects_per_lane_arrays_of_the_wrong_length(self, model, flows, t_sats):
+        with pytest.raises(ValidationError, match="shape"):
+            model.solve_channels(
+                _lane_heats(4, 10), flows, t_sats, cell_base_area_m2=1e-6
+            )
+
+    @pytest.mark.parametrize("bad", [0.0, -6e-5, np.nan], ids=["zero", "negative", "nan"])
+    def test_rejects_non_positive_flows(self, model, bad):
+        flows = np.full(4, 6e-5)
+        flows[2] = bad
+        with pytest.raises(ValidationError, match="mass_flow_kg_s"):
+            model.solve_channels(_lane_heats(4, 10), flows, 41.0, cell_base_area_m2=1e-6)
+
+    def test_lanes_at_distinct_points_match_single_point_marches(self, model):
+        heats = _lane_heats(6, 12)
+        flows = np.array([6e-5, 6e-5, 3e-5, 3e-5, 6e-5, 1e-4])
+        t_sats = np.array([41.0, 41.0, 38.5, 38.5, 44.0, 41.0])
+        batch = model.solve_channels(
+            heats, flows, t_sats, cell_base_area_m2=1e-6, saturation_slope_c_per_cell=0.015
+        )
+        for lane in range(heats.shape[0]):
+            single = model.solve_channels(
+                heats[lane : lane + 1],
+                float(flows[lane]),
+                float(t_sats[lane]),
+                cell_base_area_m2=1e-6,
+                saturation_slope_c_per_cell=0.015,
+            )
+            assert np.array_equal(batch.quality[lane], single.quality[0])
+            assert np.array_equal(batch.base_htc_w_m2k[lane], single.base_htc_w_m2k[0])
+            assert np.array_equal(
+                batch.fluid_temperature_c[lane], single.fluid_temperature_c[0]
+            )
+            assert batch.dryout_per_lane[lane] == single.dryout_per_lane[0]
+
 
 def _power_map(shape: tuple[int, int], *, scale: float = 1.2) -> np.ndarray:
     """Deterministic non-uniform power map with a cold (zero-power) margin."""
@@ -176,3 +225,73 @@ class TestCoolingBoundaryEquivalence:
         _assert_field_close(
             reference.outlet_quality_per_lane, batched.outlet_quality_per_lane
         )
+
+
+class TestMultiPointCoolingBoundaries:
+    """One call over servers at distinct operating points == single-point calls."""
+
+    PITCH = (1.5, 1.5)
+    SHAPE = (10, 14)
+    #: (power scale, water inlet offset in degC) per server; the last
+    #: server is overloaded into dryout.
+    SERVERS = ((1.0, 0.0), (1.3, 0.0), (0.7, 3.0), (1.0, -2.0), (14.0, 1.0))
+
+    def _servers(self, loop):
+        nominal = loop.design.water_loop()
+        maps, points = [], []
+        for index, (scale, offset) in enumerate(self.SERVERS):
+            rng = np.random.default_rng(100 + index)
+            power = scale * rng.random(self.SHAPE)
+            power[:, -3:] = 0.0
+            water = nominal.with_inlet_temperature(nominal.inlet_temperature_c + offset)
+            maps.append(power)
+            points.append(loop.operating_point(float(power.sum()), water))
+        return np.stack(maps), points
+
+    def _assert_matches_single_point_calls(self, loop):
+        maps, points = self._servers(loop)
+        assert len({(p.total_heat_w, p.saturation_temperature_c) for p in points}) == len(
+            points
+        )
+        results = loop.cooling_boundaries(maps, self.PITCH, points)
+        assert len(results) == len(points)
+        for power, point, ours in zip(maps, points, results):
+            single = loop.cooling_boundary(power, self.PITCH, point)
+            assert np.array_equal(ours.boundary.htc_w_m2k, single.boundary.htc_w_m2k)
+            assert np.array_equal(
+                ours.boundary.fluid_temperature_c, single.boundary.fluid_temperature_c
+            )
+            assert np.array_equal(
+                ours.outlet_quality_per_lane, single.outlet_quality_per_lane
+            )
+            assert ours.max_quality == single.max_quality
+            assert ours.dryout == single.dryout
+        assert results[-1].dryout, "the overloaded server must dry out"
+        assert not results[0].dryout
+
+    @pytest.mark.parametrize("orientation", list(Orientation), ids=[o.value for o in Orientation])
+    def test_every_orientation(self, orientation):
+        self._assert_matches_single_point_calls(
+            ThermosyphonLoop(PAPER_OPTIMIZED_DESIGN.with_orientation(orientation))
+        )
+
+    @pytest.mark.parametrize("orientation", list(Orientation), ids=[o.value for o in Orientation])
+    def test_vapor_preloaded_inlet(self, orientation):
+        design = PAPER_OPTIMIZED_DESIGN.with_filling_ratio(0.25).with_orientation(orientation)
+        loop = ThermosyphonLoop(design)
+        assert loop.filling_ratio_effects().inlet_quality > 0.0
+        self._assert_matches_single_point_calls(loop)
+
+    def test_points_must_share_the_inlet_state(self):
+        loop = ThermosyphonLoop(PAPER_OPTIMIZED_DESIGN)
+        undercharged = ThermosyphonLoop(PAPER_OPTIMIZED_DESIGN.with_filling_ratio(0.25))
+        maps, points = self._servers(loop)
+        points[1] = undercharged.operating_point(points[1].total_heat_w)
+        with pytest.raises(ValidationError, match="inlet state"):
+            loop.cooling_boundaries(maps, self.PITCH, points)
+
+    def test_needs_one_point_per_server(self):
+        loop = ThermosyphonLoop(PAPER_OPTIMIZED_DESIGN)
+        maps, points = self._servers(loop)
+        with pytest.raises(ValidationError, match="one operating point per server"):
+            loop.cooling_boundaries(maps, self.PITCH, points[:-1])

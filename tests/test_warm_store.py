@@ -2,10 +2,13 @@
 
 The :class:`~repro.thermal.warm_store.WarmStore` contract:
 
-* a cold coarsened run populates the store (reduced operators + assembled
-  systems) and a second run of the same floor reads everything back —
-  ``RomStats.basis_builds == 0``, store hits on both entry kinds — while
-  reproducing the cold trace bit for bit;
+* a cold coarsened run populates the store with reduced operators and a
+  second run of the same floor reads them back — ``RomStats.basis_builds
+  == 0`` — while reproducing the cold trace bit for bit;
+* the factorization cache neither writes nor reads assembled-system
+  entries: it factors from the network's bulk band and assembles nothing
+  a stored system could save (the store's system methods stay,
+  round-tripped below);
 * robustness: corrupt or wrong-version entries are *stale* (counted,
   ignored, degrade to a cold build), never exceptions or wrong answers;
 * first write wins, so rebuilds and concurrent writers cannot change what
@@ -91,7 +94,8 @@ class TestColdWarmRoundTrip:
         assert trace.rom_stats.basis_builds > 0
         assert store.stats.stores > 0
         assert store.stats.reduced_misses > 0
-        assert store.stats.system_misses > 0
+        assert store.stats.system_hits == store.stats.system_misses == 0
+        assert not list(store.path.glob("system-*.npz"))
         assert store.stats.stale == 0
 
     def test_warm_run_skips_every_arnoldi_build(self, warm):
@@ -100,9 +104,10 @@ class TestColdWarmRoundTrip:
         assert trace.rom_stats.basis_builds == 0
         assert store.stats.reduced_hits > 0
 
-    def test_warm_run_reads_assembled_systems(self, warm):
+    def test_warm_run_reads_no_assembled_systems(self, warm):
         _, store = warm
-        assert store.stats.system_hits > 0
+        assert store.stats.system_hits == store.stats.system_misses == 0
+        assert not list(store.path.glob("system-*.npz"))
         assert store.stats.stale == 0
 
     def test_warm_trace_is_bit_identical(self, cold, warm):
