@@ -4,7 +4,7 @@ Demonstrates the batch-evaluation engine: many (benchmark, configuration,
 water-flow) points are evaluated through one ``CooledServerSimulation``, so
 the thermal factorization cache is shared across the whole sweep.  Run with
 ``PYTHONPATH=src python examples/batch_sweep.py``; pass ``--parallel N`` to
-fan the points out over N worker processes.
+fan the points out over N threads sharing the same cache.
 """
 
 from __future__ import annotations
@@ -40,21 +40,19 @@ def main() -> None:
         for flow in flows_kg_h
     ]
 
-    # The context manager shuts the worker pool down; the pool (and the
-    # workers' warm factorization caches) persists between the two passes.
-    with BatchEvaluator(simulation) as evaluator:
-        start = time.perf_counter()
-        results = evaluator.evaluate_many(points, max_workers=arguments.parallel)
-        elapsed = time.perf_counter() - start
+    evaluator = BatchEvaluator(simulation)
+    start = time.perf_counter()
+    results = evaluator.evaluate_many(points, max_workers=arguments.parallel)
+    elapsed = time.perf_counter() - start
 
-        # Each sweep point has a distinct cooling boundary (the boundary
-        # depends on the power map and flow), so the first pass is all
-        # misses.  Re-evaluating the same operating points — what a
-        # controller trace or an optimizer refinement loop does — runs
-        # entirely on cached factorizations.
-        start = time.perf_counter()
-        evaluator.evaluate_many(points, max_workers=arguments.parallel)
-        second_pass = time.perf_counter() - start
+    # Each sweep point has a distinct cooling boundary (the boundary depends
+    # on the power map and flow), so the first pass is all misses.
+    # Re-evaluating the same operating points — what a controller trace or
+    # an optimizer refinement loop does — runs entirely on cached
+    # factorizations.
+    start = time.perf_counter()
+    evaluator.evaluate_many(points, max_workers=arguments.parallel)
+    second_pass = time.perf_counter() - start
 
     print(f"{'benchmark':<14} {'flow kg/h':>9} {'P_pkg W':>8} {'T_hot C':>8} "
           f"{'T_case C':>8} {'P_chiller W':>11}")
@@ -69,16 +67,11 @@ def main() -> None:
         )
     print(f"\n{len(points)} evaluations in {elapsed:.2f} s")
     print(f"second pass over the same points: {second_pass:.2f} s")
-    cache = simulation.thermal_simulator.solver_cache
-    serial = arguments.parallel is None or arguments.parallel <= 1
-    if cache is not None and serial:
-        stats = cache.stats
-        print(
-            f"factorization cache: {stats.hits} hits / {stats.misses} misses "
-            f"(hit rate {stats.hit_rate:.0%})"
-        )
-    elif not serial:
-        print("(parallel run: factorization caches live in the worker processes)")
+    stats = simulation.thermal_simulator.solver_cache.stats
+    print(
+        f"factorization cache: {stats.hits} hits / {stats.misses} misses "
+        f"(hit rate {stats.hit_rate:.0%})"
+    )
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ controller, the thermosyphon design-space optimiser, the end-to-end
 evaluation pipeline, and the rack-level model with a shared chiller.
 """
 
-from repro.core.batch import BatchEvaluator, DesignSweepEvaluator, SweepPoint
+from repro.core.batch import BatchEvaluator, SweepPoint
 from repro.core.heat_flux import ComponentHeatFlux, estimate_component_heat_flux
 from repro.core.config_selection import ConfigurationSelection, QoSAwareConfigSelector
 from repro.core.mapping_policies import (
@@ -30,7 +30,6 @@ from repro.core.rack import RackModel, RackResult, ServerSlot
 
 __all__ = [
     "BatchEvaluator",
-    "DesignSweepEvaluator",
     "SweepPoint",
     "ComponentHeatFlux",
     "estimate_component_heat_flux",

@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.core.batch import DesignSweepEvaluator
-from repro.core.pipeline import EvaluationResult, T_CASE_MAX_C
+from repro.core.pipeline import CooledServerSimulation, EvaluationResult, T_CASE_MAX_C
 from repro.floorplan.floorplan import Floorplan
 from repro.power.power_model import CoreActivity, ServerPowerModel
 from repro.thermal.simulator import ThermalSimulator
@@ -58,7 +57,6 @@ class ThermosyphonDesignOptimizer:
         t_case_max_c: float = T_CASE_MAX_C,
         worst_case_benchmark: BenchmarkCharacteristics | None = None,
         cell_size_mm: float = 1.0,
-        max_workers: int | None = None,
     ) -> None:
         self.floorplan = floorplan
         self.power_model = (
@@ -75,13 +73,6 @@ class ThermosyphonDesignOptimizer:
                 PARSEC_BENCHMARKS.values(), key=lambda b: b.core_dynamic_power_fmax_w
             )
         self.worst_case_benchmark = worst_case_benchmark
-        #: Worker-process count for the candidate sweeps (None/1 = serial).
-        self.max_workers = max_workers
-        self._sweep_evaluator = DesignSweepEvaluator(
-            floorplan,
-            power_model=self.power_model,
-            thermal_simulator=self.thermal_simulator,
-        )
 
     # ------------------------------------------------------------------ #
     # Worst-case evaluation
@@ -113,36 +104,30 @@ class ThermosyphonDesignOptimizer:
     def evaluate_designs(
         self, designs: Sequence[ThermosyphonDesign]
     ) -> list[DesignCandidateResult]:
-        """Evaluate many candidate designs through the batched sweep engine.
+        """Evaluate many candidate designs against the worst-case workload.
 
-        All candidates share the optimiser's thermal simulator and its
-        factorization cache; with :attr:`max_workers` set the candidates are
-        fanned out over a process pool (release it with :meth:`close` or by
-        using the optimiser as a context manager).
+        Every candidate runs on the optimiser's floorplan, power model and
+        thermal simulator, so all of them share one factorization cache;
+        only the cheap loop model is rebuilt per design.
         """
-        designs = list(designs)
-        results = self._sweep_evaluator.evaluate_many(
-            designs,
-            self._worst_case_activities(),
-            3.2,
-            memory_intensity=self.worst_case_benchmark.memory_intensity,
-            benchmark_name=self.worst_case_benchmark.name,
-            max_workers=self.max_workers,
-        )
-        return [
-            self._candidate_result(design, result)
-            for design, result in zip(designs, results)
-        ]
-
-    def close(self) -> None:
-        """Shut down the sweep evaluator's worker pool, if one was started."""
-        self._sweep_evaluator.close()
-
-    def __enter__(self) -> "ThermosyphonDesignOptimizer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        activities = self._worst_case_activities()
+        benchmark = self.worst_case_benchmark
+        results = []
+        for design in designs:
+            simulation = CooledServerSimulation(
+                self.floorplan,
+                design=design,
+                power_model=self.power_model,
+                thermal_simulator=self.thermal_simulator,
+            )
+            result = simulation.simulate_activities(
+                activities,
+                3.2,
+                memory_intensity=benchmark.memory_intensity,
+                benchmark_name=benchmark.name,
+            )
+            results.append(self._candidate_result(design, result))
+        return results
 
     # ------------------------------------------------------------------ #
     # Sweeps

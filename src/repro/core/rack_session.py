@@ -10,8 +10,8 @@ loop-convergence iteration), it owns the stacked per-server state —
 
 * the temperature fields as one ``(n_servers, n_cells)`` array, and
 * one held cooling-boundary state per server (operating point + per-cell
-  HTC/fluid maps), refreshed under the same drift policy as the
-  single-server session —
+  HTC/fluid maps), refreshed under the single-server session's drift test
+  (:data:`~repro.core.session.BOUNDARY_REFRESH_TOL`) —
 
 and batches every layer of the evaluation:
 
@@ -45,7 +45,6 @@ import numpy as np
 from repro.core.mapping import ThreadMapper, WorkloadMapping
 from repro.core.session import (
     EvaluationResult,
-    adaptive_refresh_tol,
     build_evaluation_result,
     power_drift_exceeds,
 )
@@ -58,7 +57,7 @@ from repro.thermal.solver_cache import CacheStats
 from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN, ThermosyphonDesign
 from repro.thermosyphon.loop import BoundaryResult, LoopOperatingPoint, ThermosyphonLoop
 from repro.thermosyphon.water_loop import WaterLoop
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_positive
 from repro.workloads.benchmark import BenchmarkCharacteristics
 
 
@@ -92,15 +91,14 @@ class RackSessionSnapshot:
     """Frozen copy of a :class:`RackSession`'s mutable state.
 
     Captures everything :meth:`RackSession.advance` evolves — the stacked
-    temperature fields, the held cooling boundaries and the last settle
-    residuals.  The boundary entries are themselves frozen dataclasses, so
-    only the field array needs a defensive copy; a snapshot/restore pair is
-    two array copies, which is what makes speculative MPC rollouts cheap.
+    temperature fields and the held cooling boundaries.  The boundary
+    entries are themselves frozen dataclasses, so only the field array
+    needs a defensive copy; a snapshot/restore pair is two array copies,
+    which is what makes speculative MPC rollouts cheap.
     """
 
     temperatures: np.ndarray | None
     boundaries: tuple[_HeldBoundary | None, ...]
-    last_residuals: tuple[float | None, ...]
 
 
 @dataclass(frozen=True)
@@ -149,11 +147,6 @@ class RackSession:
         The shared hardware substrate, as for
         :class:`~repro.core.session.SimulationSession`.  One thermal
         simulator (network + factorization cache) serves the whole rack.
-    boundary_refresh_tol, adaptive_boundary_refresh,
-    adaptive_residual_reference_c:
-        Per-server cooling-boundary refresh policy on the transient lane,
-        identical to the single-server session; the adaptive mode tracks
-        each server's own settle residual.
     """
 
     def __init__(
@@ -165,9 +158,6 @@ class RackSession:
         power_model: ServerPowerModel | None = None,
         thermal_simulator: ThermalSimulator | None = None,
         cell_size_mm: float = 1.0,
-        boundary_refresh_tol: float = 0.15,
-        adaptive_boundary_refresh: bool = False,
-        adaptive_residual_reference_c: float = 0.5,
     ) -> None:
         if n_servers < 1:
             raise ConfigurationError(f"n_servers must be >= 1, got {n_servers}")
@@ -183,17 +173,9 @@ class RackSession:
             else ThermalSimulator(self.floorplan, cell_size_mm=cell_size_mm)
         )
         self.loop = ThermosyphonLoop(design)
-        self.boundary_refresh_tol = check_non_negative(
-            boundary_refresh_tol, "boundary_refresh_tol"
-        )
-        self.adaptive_boundary_refresh = bool(adaptive_boundary_refresh)
-        self.adaptive_residual_reference_c = check_positive(
-            adaptive_residual_reference_c, "adaptive_residual_reference_c"
-        )
         self._mapper = ThreadMapper(self.floorplan, orientation=design.orientation)
         self._temperatures: np.ndarray | None = None
         self._boundaries: list[_HeldBoundary | None] = [None] * self.n_servers
-        self._last_residuals: list[float | None] = [None] * self.n_servers
         # Case temperature is one cell of the heat-spreader plane; resolve
         # its flat index once so the substep peak scan is a single gather.
         self._case_cell_index = self._resolve_case_cell_index()
@@ -212,7 +194,6 @@ class RackSession:
         """Forget every server's temperature field and boundary state."""
         self._temperatures = None
         self._boundaries = [None] * self.n_servers
-        self._last_residuals = [None] * self.n_servers
 
     def snapshot(self) -> RackSessionSnapshot:
         """Copy the session's mutable state for a later :meth:`restore`.
@@ -227,7 +208,6 @@ class RackSession:
                 None if self._temperatures is None else self._temperatures.copy()
             ),
             boundaries=tuple(self._boundaries),
-            last_residuals=tuple(self._last_residuals),
         )
 
     def restore(
@@ -247,7 +227,6 @@ class RackSession:
                 f"session has {self.n_servers}"
             )
         self._boundaries = list(snapshot.boundaries)
-        self._last_residuals = list(snapshot.last_residuals)
         if fields is not None:
             self._temperatures = fields
         elif snapshot.temperatures is None:
@@ -445,23 +424,13 @@ class RackSession:
     # ------------------------------------------------------------------ #
     # Transient lane
     # ------------------------------------------------------------------ #
-    def _effective_refresh_tol(self, server: int) -> float:
-        return adaptive_refresh_tol(
-            self.boundary_refresh_tol,
-            self.adaptive_boundary_refresh,
-            self._last_residuals[server],
-            self.adaptive_residual_reference_c,
-        )
-
     def _needs_refresh(
         self, server: int, total_power: float, water_loop: WaterLoop, force: bool
     ) -> bool:
         state = self._boundaries[server]
         if force or state is None or state.water_loop != water_loop:
             return True
-        return power_drift_exceeds(
-            total_power, state.total_power_w, self._effective_refresh_tol(server)
-        )
+        return power_drift_exceeds(total_power, state.total_power_w)
 
     def normalize_force_flags(
         self, force_boundary_refresh: bool | Sequence[bool]
@@ -582,7 +551,6 @@ class RackSession:
         held = self.held_boundaries()
         servers = []
         for index, load in enumerate(loads):
-            self._last_residuals[index] = float(residuals[index])
             state = held[index]
             result = build_evaluation_result(
                 benchmark_name=load.benchmark.name,
@@ -629,7 +597,7 @@ class RackSession:
         loads = self._check_loads(loads)
         check_positive(dt_s, "dt_s")
         if n_substeps < 1:
-            raise ValueError(f"n_substeps must be >= 1, got {n_substeps}")
+            raise ValidationError(f"n_substeps must be >= 1, got {n_substeps}")
         force = self.normalize_force_flags(force_boundary_refresh)
 
         breakdowns, power_maps, water_loops = self._evaluate_power(loads)

@@ -42,7 +42,7 @@ from repro.power.dvfs import CORE_FREQUENCIES_GHZ
 from repro.thermal.solver_cache import CacheStats
 from repro.thermosyphon.chiller import ChillerModel
 from repro.thermosyphon.water_loop import WaterLoop
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_positive
 from repro.workloads.benchmark import BenchmarkCharacteristics
 from repro.workloads.configuration import Configuration
 from repro.workloads.qos import QoSConstraint
@@ -566,14 +566,7 @@ def run_rack_period(
 
 
 class ThermosyphonController:
-    """Flow-rate-first, DVFS-second thermal emergency controller.
-
-    ``boundary_refresh_tol`` and ``adaptive_boundary_refresh`` plumb the
-    transient lane's cooling-boundary refresh policy through the controller:
-    when given, they are applied to the simulation session (and to any rack
-    session built by :meth:`run_rack_trace`) before a trace runs; ``None``
-    keeps the session's own setting.
-    """
+    """Flow-rate-first, DVFS-second thermal emergency controller."""
 
     def __init__(
         self,
@@ -584,8 +577,6 @@ class ThermosyphonController:
         control_period_s: float = 2.0,
         relax_margin_c: float = 8.0,
         raise_on_unresolved: bool = False,
-        boundary_refresh_tol: float | None = None,
-        adaptive_boundary_refresh: bool | None = None,
     ) -> None:
         self.simulation = simulation
         self.t_case_max_c = t_case_max_c
@@ -595,19 +586,6 @@ class ThermosyphonController:
         #: controller closes the valve again to save pumping/chiller effort.
         self.relax_margin_c = relax_margin_c
         self.raise_on_unresolved = raise_on_unresolved
-        self.boundary_refresh_tol = (
-            check_non_negative(boundary_refresh_tol, "boundary_refresh_tol")
-            if boundary_refresh_tol is not None
-            else None
-        )
-        self.adaptive_boundary_refresh = adaptive_boundary_refresh
-
-    def _apply_refresh_policy(self, session) -> None:
-        """Push the controller's refresh overrides onto a session."""
-        if self.boundary_refresh_tol is not None:
-            session.boundary_refresh_tol = self.boundary_refresh_tol
-        if self.adaptive_boundary_refresh is not None:
-            session.adaptive_boundary_refresh = self.adaptive_boundary_refresh
 
     # ------------------------------------------------------------------ #
     # Single-period decision
@@ -681,7 +659,6 @@ class ThermosyphonController:
                 f"mode must be 'steady' or 'transient', got {mode!r}"
             )
         session = self.simulation.session
-        self._apply_refresh_policy(session)
         mapper = ThreadMapper(
             self.simulation.floorplan, orientation=self.simulation.design.orientation
         )
@@ -812,7 +789,6 @@ class ThermosyphonController:
                 f"rack session is sized for {rack_session.n_servers} servers, "
                 f"got {len(servers)}"
             )
-        self._apply_refresh_policy(rack_session)
         chiller = chiller if chiller is not None else ChillerModel()
 
         default_loop = (

@@ -21,15 +21,11 @@ Two solution lanes are exposed:
     the previous call and is advanced by backward-Euler steps; the cooling
     boundary is treated as *slowly varying* — it is recomputed only when the
     water loop changes, when the caller forces it (an actuator event), or
-    when the total power drifts beyond ``boundary_refresh_tol`` of the
+    when the total power drifts beyond :data:`BOUNDARY_REFRESH_TOL` of the
     value it was last built at.  Because power only enters the RHS of the
     thermal system, every step at a held boundary is a single cached
     back-substitution: a whole controller trace can run on one or two
     factorizations where the steady path refactorizes on every power jitter.
-    With ``adaptive_boundary_refresh`` the tolerance tightens while the
-    field is far from equilibrium (large settle residual), so fast
-    transients track the boundary more closely and settled stretches keep
-    the full factorization savings.
 
 :class:`repro.core.pipeline.CooledServerSimulation` is a thin facade over
 this class; the runtime controller's ``mode="transient"`` drives the
@@ -43,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.mapping import ThreadMapper, WorkloadMapping
+from repro.exceptions import ValidationError
 from repro.floorplan.floorplan import Floorplan
 from repro.floorplan.xeon_e5_v4 import build_xeon_e5_v4_floorplan
 from repro.power.power_model import CoreActivity, PowerBreakdown, ServerPowerModel
@@ -52,12 +49,18 @@ from repro.thermosyphon.chiller import ChillerModel
 from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN, ThermosyphonDesign
 from repro.thermosyphon.loop import BoundaryResult, LoopOperatingPoint, ThermosyphonLoop
 from repro.thermosyphon.water_loop import WaterLoop
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_positive
 from repro.workloads.benchmark import BenchmarkCharacteristics
 from repro.workloads.configuration import Configuration
 
 #: Maximum allowed case (heat-spreader centre) temperature, Section VI-B.
 T_CASE_MAX_C = 85.0
+
+#: Relative total-power drift that makes the transient lane rebuild a held
+#: cooling boundary.  The boundary (per-cell HTC and fluid temperature)
+#: varies weakly with power, so small workload jitter does not warrant a new
+#: operator factorization; actuator changes always refresh regardless.
+BOUNDARY_REFRESH_TOL = 0.15
 
 
 @dataclass
@@ -129,30 +132,16 @@ def build_evaluation_result(
     )
 
 
-def adaptive_refresh_tol(
-    tol: float, adaptive: bool, residual_c: float | None, reference_c: float
-) -> float:
-    """The boundary-refresh tolerance effective at a given settle residual.
-
-    The single source of the adaptive policy, shared by
-    :class:`SimulationSession` and the rack engine: in the static mode (or
-    with no residual yet, or a settled field) the tolerance is ``tol``;
-    above ``reference_c`` it tightens proportionally (``tol * reference /
-    residual``), so mid-transient periods refresh sooner.
-    """
-    if not adaptive or residual_c is None or residual_c <= reference_c:
-        return tol
-    return tol * reference_c / residual_c
-
-
-def power_drift_exceeds(total_power_w: float, reference_w: float, tol: float) -> bool:
-    """True when the power drifted beyond the tolerance of its reference.
+def power_drift_exceeds(total_power_w: float, reference_w: float) -> bool:
+    """True when the power drifted beyond :data:`BOUNDARY_REFRESH_TOL`.
 
     The single source of the drift test both session engines hold their
     cooling boundary against (relative to the power the boundary was built
     at, with a floor guarding the zero-power case).
     """
-    return abs(total_power_w - reference_w) > tol * max(abs(reference_w), 1e-9)
+    return abs(total_power_w - reference_w) > BOUNDARY_REFRESH_TOL * max(
+        abs(reference_w), 1e-9
+    )
 
 
 @dataclass(frozen=True)
@@ -203,22 +192,6 @@ class SimulationSession:
     ----------
     floorplan, design, power_model, thermal_simulator, cell_size_mm:
         As for :class:`repro.core.pipeline.CooledServerSimulation`.
-    boundary_refresh_tol:
-        Relative total-power drift that triggers a cooling-boundary rebuild
-        on the transient lane.  The boundary (per-cell HTC and fluid
-        temperature) varies weakly with power, so small workload jitter does
-        not warrant a new operator factorization; actuator changes always
-        refresh regardless of this tolerance.
-    adaptive_boundary_refresh:
-        Settle-residual-driven adaptive mode: while the previous advance
-        left the field changing by more than
-        ``adaptive_residual_reference_c`` per step, the effective tolerance
-        shrinks proportionally (a field mid-transient sees its boundary
-        refreshed sooner), and it relaxes back to ``boundary_refresh_tol``
-        once the field has settled.
-    adaptive_residual_reference_c:
-        Settle residual (degC per substep) at which the adaptive mode
-        starts tightening the tolerance.
     """
 
     def __init__(
@@ -229,9 +202,6 @@ class SimulationSession:
         power_model: ServerPowerModel | None = None,
         thermal_simulator: ThermalSimulator | None = None,
         cell_size_mm: float = 1.0,
-        boundary_refresh_tol: float = 0.15,
-        adaptive_boundary_refresh: bool = False,
-        adaptive_residual_reference_c: float = 0.5,
     ) -> None:
         self.floorplan = floorplan if floorplan is not None else build_xeon_e5_v4_floorplan()
         self.design = design
@@ -244,16 +214,8 @@ class SimulationSession:
             else ThermalSimulator(self.floorplan, cell_size_mm=cell_size_mm)
         )
         self.loop = ThermosyphonLoop(design)
-        self.boundary_refresh_tol = check_non_negative(
-            boundary_refresh_tol, "boundary_refresh_tol"
-        )
-        self.adaptive_boundary_refresh = bool(adaptive_boundary_refresh)
-        self.adaptive_residual_reference_c = check_positive(
-            adaptive_residual_reference_c, "adaptive_residual_reference_c"
-        )
         self._temperatures: np.ndarray | None = None
         self._boundary_state: _BoundaryState | None = None
-        self._last_settle_residual_c: float | None = None
 
     # ------------------------------------------------------------------ #
     # Shared helpers
@@ -399,24 +361,6 @@ class SimulationSession:
         """
         self._temperatures = None
         self._boundary_state = None
-        self._last_settle_residual_c = None
-
-    def effective_boundary_refresh_tol(self) -> float:
-        """The refresh tolerance the next :meth:`advance` will apply.
-
-        Equal to :attr:`boundary_refresh_tol` in the static mode.  In the
-        adaptive mode the tolerance scales with how settled the field was
-        after the previous advance: a residual above
-        ``adaptive_residual_reference_c`` tightens it proportionally
-        (``tol * reference / residual``), so mid-transient periods refresh
-        the boundary sooner while settled stretches keep the static policy.
-        """
-        return adaptive_refresh_tol(
-            self.boundary_refresh_tol,
-            self.adaptive_boundary_refresh,
-            self._last_settle_residual_c,
-            self.adaptive_residual_reference_c,
-        )
 
     def _ensure_boundary(
         self, power_map_w: np.ndarray, water_loop: WaterLoop, *, force: bool
@@ -425,9 +369,7 @@ class SimulationSession:
         total_power = float(power_map_w.sum())
         state = self._boundary_state
         if not force and state is not None and state.water_loop == water_loop:
-            if not power_drift_exceeds(
-                total_power, state.total_power_w, self.effective_boundary_refresh_tol()
-            ):
+            if not power_drift_exceeds(total_power, state.total_power_w):
                 return False
         operating_point = self.loop.operating_point(total_power, water_loop)
         boundary_result = self.loop.cooling_boundary(
@@ -462,7 +404,7 @@ class SimulationSession:
         power_map_w = np.asarray(power_map_w, dtype=float)
         check_positive(dt_s, "dt_s")
         if n_substeps < 1:
-            raise ValueError(f"n_substeps must be >= 1, got {n_substeps}")
+            raise ValidationError(f"n_substeps must be >= 1, got {n_substeps}")
         if water_loop is None:
             water_loop = self.design.water_loop()
         refreshed = self._ensure_boundary(
@@ -490,7 +432,6 @@ class SimulationSession:
             peak_case = max(peak_case, thermal_result.case_temperature_c())
         assert thermal_result is not None
         self._temperatures = field
-        self._last_settle_residual_c = residual
         return SessionAdvance(
             thermal_result=thermal_result,
             operating_point=state.operating_point,

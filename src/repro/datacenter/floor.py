@@ -29,7 +29,7 @@ transient_step_many_from_maps` (or ``steady_state_many_from_maps``) per
    whatever rack they sit in.
 4. **Finish** — each rack session adopts its row-block view of the group
    array through :meth:`RackSession.finish_advance`, so the rack-level API
-   (results, residual tracking, boundary hold policy) is unchanged.
+   (results, settle residuals, boundary hold policy) is unchanged.
 
 Because ``dpbtrs`` back-substitutes multi-column right-hand sides column
 by column and the lane march is elementwise across servers, stacking
@@ -67,7 +67,7 @@ class FloorSnapshot:
     """Frozen copy of the floor's warm state for speculative rollouts.
 
     Captures the stacked group temperature arrays plus every rack session's
-    :class:`RackSessionSnapshot` (held boundaries, residual history) and
+    :class:`RackSessionSnapshot` (fields and held boundaries) and
     whether each session's field was a row-block view of its group array —
     :meth:`FloorEngine.restore` re-establishes exactly that view
     relationship, so a restored floor is *warm*: the next advance carries
@@ -323,7 +323,7 @@ class FloorEngine:
         """Copy the floor's warm mutable state for a later :meth:`restore`.
 
         One array copy per hardware group plus each session's (frozen)
-        boundary/residual tuples — no simulator, cache or network state is
+        boundary tuple — no simulator, cache or network state is
         copied, which is what keeps an MPC rollout's cost down to the
         back-substitutions the rollout itself performs.
         """
@@ -395,7 +395,7 @@ class FloorEngine:
         back-substitutes at once.
         """
         if n_substeps < 1:
-            raise ValueError(f"n_substeps must be >= 1, got {n_substeps}")
+            raise ValidationError(f"n_substeps must be >= 1, got {n_substeps}")
         obs = get_telemetry()
         with obs.span("floor.advance", n_substeps=n_substeps):
             loads, breakdowns, power_maps, water_loops, refreshed, boundaries = (
@@ -531,9 +531,9 @@ class FloorEngine:
         must go through :meth:`advance` first.
         """
         if span < 1:
-            raise ValueError(f"span must be >= 1, got {span}")
+            raise ValidationError(f"span must be >= 1, got {span}")
         if n_substeps < 1:
-            raise ValueError(f"n_substeps must be >= 1, got {n_substeps}")
+            raise ValidationError(f"n_substeps must be >= 1, got {n_substeps}")
         obs = get_telemetry()
         with obs.span("floor.advance_span", span=span, n_substeps=n_substeps):
             loads, breakdowns, power_maps, water_loops, refreshed, boundaries = (

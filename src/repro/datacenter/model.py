@@ -124,8 +124,8 @@ class CoarseningConfig:
     A span of ``K`` control periods is advanced in one quasi-steady step
     only while, at the last evaluated period, **all** of these
     held: every fast decision was ``NONE`` (no actuator event), every
-    settle residual was at most ``quasi_steady_tol_c`` (the signal the
-    adaptive boundary-refresh mode already computes), the floor's worst
+    settle residual was at most ``quasi_steady_tol_c`` (the largest
+    per-cell change over the period's final substep), the floor's worst
     within-period peak stayed ``guard_band_c`` below the policy's
     ``t_case_max_c``, no server with an open valve sat within
     ``relax_guard_c`` of the relax (``DECREASE_FLOW``) threshold, no

@@ -47,6 +47,7 @@ from repro.datacenter.mpc import (
     default_candidates,
     plan_setpoint,
 )
+from repro.exceptions import ValidationError
 from repro.utils.validation import check_non_negative, check_positive, check_positive_int
 
 
@@ -125,7 +126,7 @@ class SupervisoryController:
     ) -> None:
         self.period_s = check_positive(period_s, "period_s")
         if setpoint_min_c > setpoint_max_c:
-            raise ValueError(
+            raise ValidationError(
                 f"setpoint_min_c {setpoint_min_c} must be <= setpoint_max_c "
                 f"{setpoint_max_c}"
             )
@@ -226,7 +227,7 @@ class MpcSupervisoryController(SupervisoryController):
             tuple(candidates) if candidates is not None else default_candidates(horizon)
         )
         if not self.candidates:
-            raise ValueError("MPC needs at least one candidate trajectory")
+            raise ValidationError("MPC needs at least one candidate trajectory")
         self.rollout_periods_per_window = check_positive_int(
             rollout_periods_per_window, "rollout_periods_per_window"
         )

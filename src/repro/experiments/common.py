@@ -60,11 +60,6 @@ class Platform:
             )
         return self._evaluators[approach.name]
 
-    def close(self) -> None:
-        """Shut down any worker pools started by the cached evaluators."""
-        for evaluator in self._evaluators.values():
-            evaluator.close()
-
 
 def build_platform(*, cell_size_mm: float = 1.0) -> Platform:
     """Build the Xeon E5 v4 platform every experiment uses."""
@@ -159,7 +154,7 @@ def evaluate_approach_batch(
     All benchmarks are evaluated through the platform's cached
     :class:`BatchEvaluator` for the approach, so they share one simulation
     and one thermal factorization cache; ``max_workers`` optionally fans the
-    points out over worker processes.
+    points out over that many threads, which share the same cache.
     """
     evaluator = platform.batch_evaluator(approach)
     water_loop = approach.design.water_loop()

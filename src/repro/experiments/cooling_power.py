@@ -136,32 +136,7 @@ def run_cooling_power(
     bisection) until its average hot spot matches the proposed stack's hot
     spot at the nominal 30 degC water, mirroring the paper's argument.
     """
-    own_platform = platform is None
     platform = platform if platform is not None else build_platform()
-    try:
-        return _run_cooling_power(
-            platform,
-            benchmark_names,
-            qos_factor,
-            proposed_water_temperature_c,
-            water_search_low_c,
-            water_tolerance_c,
-            max_workers,
-        )
-    finally:
-        if own_platform:
-            platform.close()
-
-
-def _run_cooling_power(
-    platform: Platform,
-    benchmark_names: tuple[str, ...],
-    qos_factor: float,
-    proposed_water_temperature_c: float,
-    water_search_low_c: float,
-    water_tolerance_c: float,
-    max_workers: int | None,
-) -> CoolingPowerResult:
     constraint = QoSConstraint(qos_factor)
     chiller = ChillerModel()
     approaches = paper_approaches()

@@ -50,8 +50,9 @@ def run_all(
     """Run every experiment and return the combined textual report.
 
     ``max_workers`` fans the batched benchmark sweeps (Table II and the
-    cooling-power comparison) out over worker processes; the remaining
-    experiments run serially on the shared, factorization-cached platform.
+    cooling-power comparison) out over that many threads sharing the
+    platform's factorization cache; the remaining experiments run serially
+    on the same platform.
     ``racks``/``hetero`` size the fig10 datacenter floor and optionally mix
     thermosyphon designs across its racks (exercising the floor engine's
     multi-group path); ``mpc`` adds fig10's model-predictive third leg and
@@ -130,7 +131,6 @@ def run_all(
             ).as_table()
         )
     finally:
-        platform.close()
         if hub is not None:
             try:
                 manifest = obs.run_manifest(
@@ -175,7 +175,8 @@ def main() -> None:
         type=int,
         default=None,
         metavar="N",
-        help="fan batched sweeps out over N worker processes",
+        help="fan batched sweeps out over N threads sharing one "
+        "factorization cache (results are identical to serial)",
     )
     parser.add_argument(
         "--racks",

@@ -69,24 +69,8 @@ def run_table2(
     max_workers: int | None = None,
 ) -> Table2Result:
     """Run the full Table II sweep (batched per approach and QoS level)."""
-    own_platform = platform is None
     platform = platform if platform is not None else build_platform()
     approaches = approaches if approaches is not None else paper_approaches()
-
-    try:
-        return _run_table2(platform, benchmark_names, qos_factors, approaches, max_workers)
-    finally:
-        if own_platform:
-            platform.close()
-
-
-def _run_table2(
-    platform: Platform,
-    benchmark_names: tuple[str, ...],
-    qos_factors: tuple[float, ...],
-    approaches: tuple[Approach, ...],
-    max_workers: int | None,
-) -> Table2Result:
     comparison = ApproachComparison()
     cells: list[Table2Cell] = []
     for approach in approaches:

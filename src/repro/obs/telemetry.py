@@ -40,6 +40,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 
+from repro.exceptions import ValidationError
 from repro.obs.tracing import _NULL_SPAN, Tracer
 
 __all__ = [
@@ -102,7 +103,9 @@ class Histogram:
 
     def __init__(self, bounds: tuple[float, ...]) -> None:
         if not bounds or list(bounds) != sorted(bounds):
-            raise ValueError(f"histogram bounds must be sorted and non-empty: {bounds}")
+            raise ValidationError(
+                f"histogram bounds must be sorted and non-empty: {bounds}"
+            )
         self.bounds = tuple(float(bound) for bound in bounds)
         self.counts = [0] * (len(self.bounds) + 1)
         self.total = 0

@@ -27,6 +27,8 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.exceptions import ValidationError
+
 __all__ = ["SpanRecord", "Tracer"]
 
 
@@ -120,7 +122,7 @@ class Tracer:
 
     def __init__(self, *, capacity: int = 65536) -> None:
         if capacity < 1:
-            raise ValueError(f"span ring capacity must be >= 1: {capacity}")
+            raise ValidationError(f"span ring capacity must be >= 1: {capacity}")
         self.capacity = capacity
         self.started = 0
         self.dropped = 0

@@ -66,6 +66,7 @@ from typing import ClassVar
 import numpy as np
 from scipy import linalg as dense_linalg
 
+from repro.exceptions import ValidationError
 from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = ["ReducedOperator", "RomConfig", "RomStats", "build_reduced_operator"]
@@ -95,7 +96,7 @@ class RomConfig:
     def __post_init__(self) -> None:
         check_positive_int(self.max_basis, "max_basis")
         if self.krylov_iterations < 0:
-            raise ValueError(
+            raise ValidationError(
                 f"krylov_iterations must be >= 0, got {self.krylov_iterations}"
             )
         check_positive(self.projection_tol_c, "projection_tol_c")

@@ -86,15 +86,7 @@ class ThermalResult:
     def core_temperature_c(self, core_index: int, *, reduce: str = "max") -> float:
         """Temperature of one core (max or mean over the cells it covers)."""
         core = self.floorplan.core(core_index)
-        weights = self.grid_mapper.component_mask(core.name)
-        selected = self.die_map()[weights > 0.0]
-        if selected.size == 0:
-            return float("nan")
-        if reduce == "max":
-            return float(selected.max())
-        if reduce == "mean":
-            return float(selected.mean())
-        raise ValueError(f"reduce must be 'max' or 'mean', got {reduce!r}")
+        return self.component_temperature_c(core.name, reduce=reduce)
 
     def core_temperatures_c(self, *, reduce: str = "max") -> dict[int, float]:
         """Per-core temperatures keyed by logical core index."""
@@ -104,7 +96,9 @@ class ThermalResult:
         }
 
     def component_temperature_c(self, name: str, *, reduce: str = "max") -> float:
-        """Temperature of an arbitrary floorplan component."""
+        """Temperature of a floorplan component (max or mean over its cells)."""
+        if reduce not in ("max", "mean"):
+            raise ValidationError(f"reduce must be 'max' or 'mean', got {reduce!r}")
         weights = self.grid_mapper.component_mask(name)
         selected = self.die_map()[weights > 0.0]
         if selected.size == 0:
@@ -133,11 +127,6 @@ class ThermalSimulator:
         re-keys the cache automatically.  Call
         :meth:`invalidate_solver_cache` if the network is ever mutated in
         place.
-    solver_cache_entries:
-        LRU capacity of the shared cache.  Size it to at least the number
-        of distinct cooling boundaries a sweep revisits, otherwise a
-        repeated walk over the sweep evicts each entry just before it is
-        needed again.
     """
 
     def __init__(
@@ -148,7 +137,6 @@ class ThermalSimulator:
         cell_size_mm: float = 1.0,
         bottom_boundary: BottomBoundary | None = None,
         use_solver_cache: bool = True,
-        solver_cache_entries: int = 16,
     ) -> None:
         check_positive(cell_size_mm, "cell_size_mm")
         self.floorplan = floorplan
@@ -162,9 +150,7 @@ class ThermalSimulator:
         self.die_mask = self.grid_mapper.die_mask()
         self.network = ThermalNetwork(self.grid, self.die_mask, bottom_boundary)
         self.solver_cache = (
-            FactorizationCache(self.network, max_entries=solver_cache_entries)
-            if use_solver_cache
-            else None
+            FactorizationCache(self.network) if use_solver_cache else None
         )
         self._steady_solver = SteadyStateSolver(
             self.network, cache=self.solver_cache, use_cache=use_solver_cache

@@ -1,12 +1,8 @@
-"""Property-based tests of the adaptive-tolerance and trace-resampling laws.
+"""Property-based tests of the trace-resampling laws.
 
 Hypothesis sweeps the input spaces the example-based suites only spot
 check:
 
-* :func:`~repro.core.session.adaptive_refresh_tol` never loosens beyond
-  the configured tolerance, is monotone non-increasing in the residual,
-  and collapses to the configured tolerance at or below the reference
-  residual (and always in static mode);
 * :meth:`~repro.workloads.trace.PhasedTrace.resample` (one vectorized
   ``searchsorted``) agrees with the scalar golden model
   ``phase_at``/``activity_at`` sample for sample — with sampling grids
@@ -21,15 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.session import adaptive_refresh_tol
 from repro.workloads.trace import PhasedTrace, TracePhase
-
-finite_tols = st.floats(min_value=1e-6, max_value=1e3)
-references = st.floats(min_value=1e-6, max_value=1e3)
-residuals = st.one_of(
-    st.none(), st.floats(min_value=0.0, max_value=1e6)
-)
-
 
 @st.composite
 def traces(draw):
@@ -43,39 +31,6 @@ def traces(draw):
         for _ in range(n_phases)
     )
     return PhasedTrace("prop", phases)
-
-
-class TestAdaptiveRefreshTol:
-    @given(tol=finite_tols, reference=references, residual=residuals)
-    def test_never_loosens_beyond_configured_tol(self, tol, reference, residual):
-        effective = adaptive_refresh_tol(tol, True, residual, reference)
-        assert 0.0 < effective <= tol
-
-    @given(
-        tol=finite_tols,
-        reference=references,
-        lo=st.floats(min_value=0.0, max_value=1e6),
-        hi=st.floats(min_value=0.0, max_value=1e6),
-    )
-    def test_monotone_non_increasing_in_residual(self, tol, reference, lo, hi):
-        lo, hi = min(lo, hi), max(lo, hi)
-        assert adaptive_refresh_tol(tol, True, hi, reference) <= adaptive_refresh_tol(
-            tol, True, lo, reference
-        )
-
-    @given(tol=finite_tols, reference=references, residual=residuals)
-    def test_static_mode_and_settled_residual_return_tol(
-        self, tol, reference, residual
-    ):
-        assert adaptive_refresh_tol(tol, False, residual, reference) == tol
-        assert adaptive_refresh_tol(tol, True, None, reference) == tol
-        assert adaptive_refresh_tol(tol, True, reference, reference) == tol
-
-    @given(tol=finite_tols, reference=references, scale=st.floats(2.0, 1e4))
-    def test_tightens_proportionally_above_reference(self, tol, reference, scale):
-        effective = adaptive_refresh_tol(tol, True, reference * scale, reference)
-        assert effective < tol
-        assert effective * scale == tol or abs(effective * scale - tol) < 1e-9 * tol
 
 
 class TestResampleGoldenEquivalence:

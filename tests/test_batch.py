@@ -3,18 +3,19 @@
 The engine must produce results identical to the direct pipeline path
 (it is a routing layer, not a model), resolve sweep points at every level
 (mapping / configuration / constraint), preserve point order, and the
-process-parallel path must agree with the serial path.
+thread fan-out must agree with the serial path bit for bit while sharing
+one factorization cache.
 """
 
 import pytest
 
-from repro.core.batch import BatchEvaluator, DesignSweepEvaluator, SweepPoint
+from repro.core.batch import BatchEvaluator, SweepPoint
 from repro.core.mapping import ThreadMapper
 from repro.core.mapping_policies import ProposedThermalAwareMapping
 from repro.core.pipeline import CooledServerSimulation
 from repro.exceptions import ConfigurationError
-from repro.power.power_model import CoreActivity
-from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN, SEURET_REFERENCE_DESIGN
+from repro.thermal.simulator import ThermalSimulator
+from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN
 from repro.workloads.configuration import Configuration
 from repro.workloads.qos import QoSConstraint
 
@@ -104,56 +105,71 @@ class TestEvaluateMany:
         # Identical points produce identical boundaries: one factorization.
         assert cache.stats.misses - baseline_misses <= 1
 
-    def test_parallel_matches_serial_and_reuses_the_pool(self, simulation, x264, canneal):
+    def test_threads_match_serial_bit_for_bit(self, simulation, x264, canneal):
+        evaluator = BatchEvaluator(simulation)
+        mapping = evaluator.mapper.map(
+            canneal, Configuration(4, 1, 2.6), evaluator.policy
+        )
         points = [
+            SweepPoint(benchmark=canneal, mapping=mapping),
             SweepPoint(benchmark=x264, configuration=Configuration(8, 2, 3.2)),
-            SweepPoint(benchmark=canneal, configuration=Configuration(4, 1, 2.6)),
-        ]
-        with BatchEvaluator(simulation) as evaluator:
-            serial = evaluator.evaluate_many(points)
-            parallel = evaluator.evaluate_many(points, max_workers=2)
-            first_pool = evaluator._pool._executor
-            evaluator.evaluate_many(points, max_workers=2)
-            # The pool (and the workers' warm caches) persists across calls.
-            assert evaluator._pool._executor is first_pool
-        assert evaluator._pool._executor is None  # context exit shuts the pool down
-        for a, b in zip(serial, parallel):
-            assert a.benchmark_name == b.benchmark_name
-            assert a.package_power_w == pytest.approx(b.package_power_w)
-            assert a.die_metrics.theta_max_c == pytest.approx(b.die_metrics.theta_max_c, abs=1e-9)
-
-    def test_thread_backend_matches_serial(self, simulation, x264, canneal):
-        points = [
-            SweepPoint(benchmark=x264, configuration=Configuration(8, 2, 3.2)),
-            SweepPoint(benchmark=canneal, configuration=Configuration(4, 1, 2.6)),
+            SweepPoint(benchmark=x264, constraint=QoSConstraint(2.0)),
             SweepPoint(benchmark=x264, configuration=Configuration(4, 2, 2.9)),
         ]
-        evaluator = BatchEvaluator(simulation)
         serial = evaluator.evaluate_many(points)
-        threaded = evaluator.evaluate_many(points, max_workers=2, backend="thread")
-        # Threads share the parent simulation (and its factorization cache):
-        # no process pool is ever spun up.
-        assert evaluator._pool._executor is None
+        threaded = evaluator.evaluate_many(points, max_workers=2)
+        assert [r.benchmark_name for r in threaded] == ["canneal", "x264", "x264", "x264"]
         for a, b in zip(serial, threaded):
-            assert a.benchmark_name == b.benchmark_name
-            assert a.package_power_w == pytest.approx(b.package_power_w)
-            assert a.die_metrics.theta_max_c == pytest.approx(
-                b.die_metrics.theta_max_c, abs=1e-9
-            )
-            assert a.case_temperature_c == pytest.approx(
-                b.case_temperature_c, abs=1e-9
+            assert a.configuration == b.configuration
+            assert a.package_power_w == b.package_power_w
+            assert a.die_metrics == b.die_metrics
+            assert a.package_metrics == b.package_metrics
+            assert a.case_temperature_c == b.case_temperature_c
+            assert a.operating_point == b.operating_point
+
+    def test_threads_share_one_cache(self, floorplan, power_model, x264, canneal):
+        """A threaded sweep pays exactly the serial sweep's factorizations."""
+
+        def fresh_simulation():
+            return CooledServerSimulation(
+                floorplan,
+                design=PAPER_OPTIMIZED_DESIGN,
+                power_model=power_model,
+                thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=2.0),
             )
 
-    def test_unknown_backend_rejected(self, evaluator, x264):
-        point = SweepPoint(benchmark=x264, configuration=Configuration(8, 2, 3.2))
-        with pytest.raises(ConfigurationError):
-            evaluator.evaluate_many([point], max_workers=2, backend="fiber")
+        # Three distinct boundaries, each visited twice: well inside the
+        # cache's 16 entries, so nothing is evicted on either path.
+        points = [
+            SweepPoint(benchmark=benchmark, configuration=configuration)
+            for benchmark, configuration in (
+                (x264, Configuration(8, 2, 3.2)),
+                (canneal, Configuration(4, 1, 2.6)),
+                (x264, Configuration(2, 1, 2.6)),
+            )
+        ] * 2
+        misses = []
+        for max_workers in (None, 2):
+            simulation = fresh_simulation()
+            BatchEvaluator(simulation).evaluate_many(points, max_workers=max_workers)
+            misses.append(simulation.thermal_simulator.solver_cache.stats.misses)
+        assert misses[0] == misses[1]
+        assert 0 < misses[0] < len(points)
+
+    def test_more_workers_than_points(self, evaluator, x264, canneal):
+        points = [
+            SweepPoint(benchmark=x264, configuration=Configuration(8, 2, 3.2)),
+            SweepPoint(benchmark=canneal, configuration=Configuration(4, 1, 2.6)),
+        ]
+        serial = evaluator.evaluate_many(points)
+        threaded = evaluator.evaluate_many(points, max_workers=8)
+        assert [r.die_metrics for r in threaded] == [r.die_metrics for r in serial]
 
     def test_parallel_constraint_points_use_the_parent_pipeline(
         self, simulation, x264
     ):
-        """Constraint-only points are resolved before shipping, so a custom
-        (restricted) configuration table cannot silently diverge in workers."""
+        """Threads resolve constraint-only points through the evaluator's own
+        pipeline, so a custom (restricted) configuration table applies."""
         from repro.core.pipeline import ThermalAwarePipeline
 
         restricted = (Configuration(2, 1, 2.6),)
@@ -162,90 +178,25 @@ class TestEvaluateMany:
             SweepPoint(benchmark=x264, constraint=QoSConstraint(4.0)),
             SweepPoint(benchmark=x264, constraint=QoSConstraint(4.0)),
         ]
-        with BatchEvaluator(simulation, pipeline=pipeline) as evaluator:
-            results = evaluator.evaluate_many(points, max_workers=2)
+        evaluator = BatchEvaluator(simulation, pipeline=pipeline)
+        results = evaluator.evaluate_many(points, max_workers=2)
         for result in results:
             assert result.configuration == restricted[0]
 
-    def test_parallel_respects_custom_thermal_simulator_and_mapper(
-        self, floorplan, power_model, x264
-    ):
-        """Workers must rebuild the *actual* configuration, not defaults."""
-        from repro.thermal.boundary import BottomBoundary
-        from repro.thermal.simulator import ThermalSimulator
+    def test_parallel_respects_custom_mapper(self, simulation, floorplan, x264):
+        """Threads map through the evaluator's mapper, not a default one."""
         from repro.thermosyphon.orientation import Orientation
 
-        custom_simulator = ThermalSimulator(
-            floorplan,
-            cell_size_mm=2.0,
-            bottom_boundary=BottomBoundary(htc_w_m2k=0.0),
-        )
-        simulation = CooledServerSimulation(
-            floorplan,
-            design=PAPER_OPTIMIZED_DESIGN,
-            power_model=power_model,
-            thermal_simulator=custom_simulator,
-        )
         mapper = ThreadMapper(floorplan, orientation=Orientation.EAST_TO_WEST)
         points = [
             SweepPoint(benchmark=x264, configuration=Configuration(4, 2, 3.2)),
             SweepPoint(benchmark=x264, configuration=Configuration(2, 1, 2.6)),
         ]
-        with BatchEvaluator(simulation, mapper=mapper) as evaluator:
-            serial = evaluator.evaluate_many(points)
-            parallel = evaluator.evaluate_many(points, max_workers=2)
-        for a, b in zip(serial, parallel):
-            assert a.die_metrics.theta_max_c == pytest.approx(
-                b.die_metrics.theta_max_c, abs=1e-9
-            )
+        evaluator = BatchEvaluator(simulation, mapper=mapper)
+        serial = evaluator.evaluate_many(points)
+        parallel = evaluator.evaluate_many(points, max_workers=2)
+        for point, a, b in zip(points, serial, parallel):
+            assert a.die_metrics == b.die_metrics
             assert a.mapping.active_cores == b.mapping.active_cores
-
-
-class TestDesignSweepEvaluator:
-    def test_designs_share_the_thermal_simulator(
-        self, floorplan, power_model, coarse_thermal_simulator, x264
-    ):
-        sweep = DesignSweepEvaluator(
-            floorplan,
-            power_model=power_model,
-            thermal_simulator=coarse_thermal_simulator,
-        )
-        activities = [
-            CoreActivity.running(i, x264.core_power_parameters(), 2) for i in range(8)
-        ]
-        results = sweep.evaluate_many(
-            [PAPER_OPTIMIZED_DESIGN, SEURET_REFERENCE_DESIGN],
-            activities,
-            3.2,
-            memory_intensity=x264.memory_intensity,
-            benchmark_name=x264.name,
-        )
-        assert len(results) == 2
-        # The two designs genuinely differ thermally.
-        assert (
-            results[0].die_metrics.theta_max_c != results[1].die_metrics.theta_max_c
-        )
-
-    def test_single_design_equals_direct_simulation(
-        self, floorplan, power_model, coarse_thermal_simulator, x264
-    ):
-        sweep = DesignSweepEvaluator(
-            floorplan,
-            power_model=power_model,
-            thermal_simulator=coarse_thermal_simulator,
-        )
-        activities = [
-            CoreActivity.running(i, x264.core_power_parameters(), 2) for i in range(8)
-        ]
-        batched = sweep.evaluate(
-            PAPER_OPTIMIZED_DESIGN, activities, 3.2,
-            memory_intensity=x264.memory_intensity,
-        )
-        direct = CooledServerSimulation(
-            floorplan,
-            design=PAPER_OPTIMIZED_DESIGN,
-            power_model=power_model,
-            thermal_simulator=coarse_thermal_simulator,
-        ).simulate_activities(activities, 3.2, memory_intensity=x264.memory_intensity)
-        assert batched.die_metrics.theta_max_c == pytest.approx(direct.die_metrics.theta_max_c)
-        assert batched.package_power_w == pytest.approx(direct.package_power_w)
+            expected = mapper.map(x264, point.configuration, evaluator.policy)
+            assert b.mapping.active_cores == expected.active_cores

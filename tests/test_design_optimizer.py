@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.design_optimizer import ThermosyphonDesignOptimizer
-from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN
+from repro.core.pipeline import CooledServerSimulation
+from repro.power.power_model import CoreActivity
+from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN, SEURET_REFERENCE_DESIGN
 from repro.thermosyphon.orientation import Orientation
 
 
@@ -27,6 +29,37 @@ class TestEvaluation:
 
     def test_worst_case_uses_most_power_hungry_benchmark(self, optimizer):
         assert optimizer.worst_case_benchmark.name == "x264"
+
+    def test_designs_differ_thermally(self, optimizer):
+        paper, seuret = optimizer.evaluate_designs(
+            [PAPER_OPTIMIZED_DESIGN, SEURET_REFERENCE_DESIGN]
+        )
+        assert paper.die_hot_spot_c != seuret.die_hot_spot_c
+
+    def test_design_equals_direct_worst_case_simulation(
+        self, optimizer, floorplan, power_model, coarse_thermal_simulator
+    ):
+        (candidate,) = optimizer.evaluate_designs([PAPER_OPTIMIZED_DESIGN])
+        worst = optimizer.worst_case_benchmark
+        activities = [
+            CoreActivity.running(core.core_index, worst.core_power_parameters(), 2)
+            for core in floorplan.cores
+        ]
+        direct = CooledServerSimulation(
+            floorplan,
+            design=PAPER_OPTIMIZED_DESIGN,
+            power_model=power_model,
+            thermal_simulator=coarse_thermal_simulator,
+        ).simulate_activities(
+            activities,
+            3.2,
+            memory_intensity=worst.memory_intensity,
+            benchmark_name=worst.name,
+        )
+        assert candidate.die_hot_spot_c == direct.die_metrics.theta_max_c
+        assert candidate.die_gradient_c_per_mm == direct.die_metrics.grad_max_c_per_mm
+        assert candidate.case_temperature_c == direct.case_temperature_c
+        assert candidate.dryout == direct.dryout
 
 
 class TestSweeps:

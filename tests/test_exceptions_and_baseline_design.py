@@ -1,12 +1,79 @@
 """Exception hierarchy and Seuret uniform-heat-flux baseline tests."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro import exceptions
 from repro.baselines.seuret_design import uniform_heat_flux_boundary
-from repro.thermosyphon.design import SEURET_REFERENCE_DESIGN
+from repro.core.mapping import ThreadMapper
+from repro.core.mapping_policies import ProposedThermalAwareMapping
+from repro.core.rack_session import RackSession, ServerLoad
+from repro.core.session import SimulationSession
+from repro.datacenter.floor import FloorEngine
+from repro.datacenter.supervisory import MpcSupervisoryController, SupervisoryController
+from repro.obs.telemetry import Histogram
+from repro.obs.tracing import Tracer
+from repro.thermal.rom import RomConfig
+from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN, SEURET_REFERENCE_DESIGN
 from repro.thermosyphon.loop import ThermosyphonLoop
+from repro.workloads.configuration import Configuration
+
+#: Every caller-input check, each given an input it must reject.
+CALLER_INPUT_SITES = {
+    "SimulationSession.advance n_substeps": lambda ctx: ctx.session.advance(
+        ctx.power_map, n_substeps=0
+    ),
+    "RackSession.advance n_substeps": lambda ctx: ctx.rack.advance(
+        [ctx.load], n_substeps=0
+    ),
+    "FloorEngine.advance n_substeps": lambda ctx: ctx.floor.advance(
+        [[ctx.load]], 2.0, n_substeps=0
+    ),
+    "FloorEngine.advance_span span": lambda ctx: ctx.floor.advance_span(
+        [[ctx.load]], 2.0, 0, rom=RomConfig()
+    ),
+    "FloorEngine.advance_span n_substeps": lambda ctx: ctx.floor.advance_span(
+        [[ctx.load]], 2.0, 4, rom=RomConfig(), n_substeps=0
+    ),
+    "SupervisoryController setpoints": lambda ctx: SupervisoryController(
+        setpoint_min_c=30.0, setpoint_max_c=20.0
+    ),
+    "MpcSupervisoryController candidates": lambda ctx: MpcSupervisoryController(
+        candidates=()
+    ),
+    "RomConfig krylov_iterations": lambda ctx: RomConfig(krylov_iterations=-1),
+    "ThermalResult.core_temperature_c reduce": lambda ctx: (
+        ctx.result.core_temperature_c(0, reduce="median")
+    ),
+    "ThermalResult.component_temperature_c reduce": lambda ctx: (
+        ctx.result.component_temperature_c("core0", reduce="median")
+    ),
+    "Tracer capacity": lambda ctx: Tracer(capacity=0),
+    "Histogram empty bounds": lambda ctx: Histogram(()),
+    "Histogram unsorted bounds": lambda ctx: Histogram((2.0, 1.0)),
+}
+
+
+@pytest.fixture(scope="module")
+def caller_input_context(floorplan, power_model, coarse_thermal_simulator, x264):
+    simulator = coarse_thermal_simulator
+    mapper = ThreadMapper(floorplan, orientation=PAPER_OPTIMIZED_DESIGN.orientation)
+    mapping = mapper.map(x264, Configuration(8, 2, 3.2), ProposedThermalAwareMapping())
+    rack = RackSession(
+        1, floorplan=floorplan, power_model=power_model, thermal_simulator=simulator
+    )
+    return SimpleNamespace(
+        session=SimulationSession(
+            floorplan, power_model=power_model, thermal_simulator=simulator
+        ),
+        power_map=np.zeros(simulator.shape),
+        rack=rack,
+        floor=FloorEngine([rack]),
+        load=ServerLoad(benchmark=x264, mapping=mapping),
+        result=simulator.result_from_vector(np.full(simulator.grid.n_cells, 40.0)),
+    )
 
 
 class TestExceptionHierarchy:
@@ -32,6 +99,11 @@ class TestExceptionHierarchy:
     def test_catching_base_class_catches_specifics(self):
         with pytest.raises(exceptions.ReproError):
             raise exceptions.DryoutError("channel dried out")
+
+    @pytest.mark.parametrize("site", sorted(CALLER_INPUT_SITES))
+    def test_caller_input_checks_raise_validation_error(self, site, caller_input_context):
+        with pytest.raises(exceptions.ValidationError):
+            CALLER_INPUT_SITES[site](caller_input_context)
 
 
 class TestUniformHeatFluxBoundary:

@@ -446,74 +446,6 @@ class TestRackTrace:
             controller.run_rack_trace(servers, None)
 
 
-class TestBoundaryRefreshPolicyPlumbing:
-    def test_controller_overrides_session_tolerance(self, floorplan, power_model, x264):
-        mapping = _mapping(floorplan, x264)
-        simulation = CooledServerSimulation(
-            floorplan,
-            power_model=power_model,
-            thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=CELL_SIZE_MM),
-        )
-        controller = ThermosyphonController(
-            simulation, boundary_refresh_tol=0.01, adaptive_boundary_refresh=True
-        )
-        phases = (TracePhase(2.0, 1.0, 0.5), TracePhase(2.0, 0.95, 0.5))
-        controller.run_trace(
-            x264,
-            mapping,
-            QoSConstraint(2.0),
-            PhasedTrace("short", phases),
-            mode="transient",
-        )
-        assert simulation.session.boundary_refresh_tol == pytest.approx(0.01)
-        assert simulation.session.adaptive_boundary_refresh is True
-
-    def test_adaptive_mode_tightens_tolerance_mid_transient(
-        self, floorplan, power_model, x264
-    ):
-        """A large settle residual shrinks the effective refresh tolerance."""
-        mapping = _mapping(floorplan, x264)
-        session = SimulationSession(
-            floorplan,
-            power_model=power_model,
-            thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=CELL_SIZE_MM),
-            boundary_refresh_tol=0.15,
-            adaptive_boundary_refresh=True,
-            adaptive_residual_reference_c=0.5,
-        )
-        mapper = ThreadMapper(floorplan, orientation=session.design.orientation)
-        activities = mapper.activities(x264, mapping, activity_factor=0.4)
-        breakdown = session.power_model.evaluate(
-            activities, 3.2, memory_intensity=x264.memory_intensity
-        )
-        low_power = session.thermal_simulator.power_map(breakdown.component_power_w)
-        session.advance(low_power, dt_s=2.0)  # settled at the low point
-        assert session.effective_boundary_refresh_tol() == pytest.approx(0.15)
-        # A big power step leaves the field far from equilibrium...
-        session.advance(low_power * 2.0, dt_s=0.05)
-        # ...so the adaptive tolerance tightens below the static setting.
-        assert session.effective_boundary_refresh_tol() < 0.15
-
-    def test_static_mode_keeps_tolerance(self, floorplan, power_model, x264):
-        session = SimulationSession(
-            floorplan,
-            power_model=power_model,
-            thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=CELL_SIZE_MM),
-            boundary_refresh_tol=0.2,
-        )
-        assert session.effective_boundary_refresh_tol() == pytest.approx(0.2)
-
-    def test_zero_tolerance_accepted_by_controller(self, floorplan, power_model):
-        """tol=0.0 (refresh every period) is a legitimate ablation setting."""
-        simulation = CooledServerSimulation(
-            floorplan,
-            power_model=power_model,
-            thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=CELL_SIZE_MM),
-        )
-        controller = ThermosyphonController(simulation, boundary_refresh_tol=0.0)
-        assert controller.boundary_refresh_tol == 0.0
-
-
 class TestWarmSessionReuse:
     def test_supplied_rack_session_keeps_state_across_traces(
         self, floorplan, power_model, x264
