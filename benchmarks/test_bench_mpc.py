@@ -2,10 +2,14 @@
 
 Not a paper artefact: pins the cost of the model-predictive supervisory
 layer.  Each MPC decision snapshots the warm floor and rolls six candidate
-setpoint trajectories ``HORIZON`` windows forward through the real engine;
-because the rollouts reuse the shared factorization cache (and memoized
-operating points), a planning step should cost cached back-substitutions,
-not fresh factorizations.  ``test_mpc_overhead_vs_reactive`` is a hard
+setpoint trajectories ``HORIZON`` windows forward through the real engine.
+Every rollout period moves the setpoint or the load, so each server
+refreshes its cooling boundary and meets an operator it uses once.  A
+server alone on its boundary is solved by preconditioned conjugate
+gradients from the factor of the boundary it held in the planning
+snapshot — one factorization per server and plan, shared by all
+candidates; servers sharing a boundary still factor it.  Operating points
+are memoized floor-wide.  ``test_mpc_overhead_vs_reactive`` is a hard
 gate (also run by the CI ``--quick`` smoke step): the MPC run must stay
 within ``MAX_OVERHEAD`` x the reactive supervisory run's wall-clock — per
 supervisory decision, both runs take the same number — so the planner can
@@ -36,8 +40,9 @@ SUPERVISORY_PERIOD_S = 8.0
 HORIZON = 4
 #: The gate: MPC wall-clock per supervisory decision must stay within this
 #: multiple of the reactive loop's.  Six candidates x one simulated period
-#: per window through a warm cache land well under it; a regression to
-#: cold-cache rollouts blows straight past.
+#: per window, each refreshed server solved iteratively from its snapshot
+#: boundary's factor (or factored when it shares its boundary), land well
+#: under it; a regression to cold-cache rollouts blows straight past.
 MAX_OVERHEAD = 5.0
 BENCHMARKS = ("x264",)
 

@@ -56,6 +56,7 @@ from repro.core.rack_session import (
 )
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.obs.telemetry import get_telemetry
+from repro.thermal.boundary import CoolingBoundary
 from repro.thermal.rom import RomConfig, RomStats, build_reduced_operator
 from repro.thermosyphon.loop import BoundaryResult, LoopOperatingPoint
 
@@ -73,7 +74,11 @@ class FloorSnapshot:
     relationship, so a restored floor is *warm*: the next advance carries
     fields instead of re-solving steady state, and every cached
     factorization and memoized operating point survives (they live on the
-    shared simulators/engine, not in the snapshot).
+    shared simulators/engine, not in the snapshot).  A rollout still meets
+    a new operator for every boundary it refreshes; passed back to
+    :meth:`FloorEngine.advance` as ``reference``, the snapshot's held
+    boundaries precondition those single-use solves, so they need no
+    factorization of their own.
     """
 
     group_fields: tuple[np.ndarray | None, ...]
@@ -384,6 +389,7 @@ class FloorEngine:
         *,
         n_substeps: int = 1,
         force_boundary_refresh: Sequence[bool | Sequence[bool]] | None = None,
+        reference: FloorSnapshot | None = None,
     ) -> FloorAdvance:
         """Advance every server on the floor by ``dt_s``.
 
@@ -393,9 +399,22 @@ class FloorEngine:
         calling each rack session's own ``advance`` in rack order — the
         stacking only changes how many rows each factorized operator
         back-substitutes at once.
+
+        ``reference`` is the snapshot an MPC rollout started from.  With
+        it, a single-substep period solves a solve group iteratively
+        (within tier B of the exact step) when the group is one server
+        whose boundary differs from the one it held in ``reference``: the
+        solver cache's iterative lane, preconditioned by the factor of
+        that reference boundary.  Every other group factors as usual.  The
+        rule reads only the request and the snapshot, never the cache.
         """
         if n_substeps < 1:
             raise ValidationError(f"n_substeps must be >= 1, got {n_substeps}")
+        if reference is not None and len(reference.rack_snapshots) != self.n_racks:
+            raise ValidationError(
+                f"reference snapshot holds {len(reference.rack_snapshots)} "
+                f"racks, floor has {self.n_racks}"
+            )
         obs = get_telemetry()
         with obs.span("floor.advance", n_substeps=n_substeps):
             loads, breakdowns, power_maps, water_loops, refreshed, boundaries = (
@@ -420,6 +439,7 @@ class FloorEngine:
                         rack_advances,
                         dt_s,
                         n_substeps,
+                        reference,
                     )
 
             worst_peak = max(self._map_groups(run_group))
@@ -706,6 +726,7 @@ class FloorEngine:
         rack_advances: list[RackAdvance | None],
         dt_s: float,
         n_substeps: int,
+        reference: FloorSnapshot | None,
     ) -> float:
         simulator = group.simulator
         n_cells = simulator.grid.n_cells
@@ -722,6 +743,21 @@ class FloorEngine:
         for row, boundary in enumerate(group_boundaries):
             token_rows.setdefault(boundary.boundary.cache_token(), []).append(row)
         row_groups = list(token_rows.values())
+
+        # The iterative lane (see :meth:`advance`): a one-server solve group
+        # of a single-substep period whose boundary moved away from the one
+        # it held in ``reference`` is preconditioned by that boundary.
+        preconditioners: list[CoolingBoundary | None] = [None] * len(row_groups)
+        if reference is not None and n_substeps == 1:
+            held = self._reference_boundaries(group, reference)
+            for i, (token, rows) in enumerate(token_rows.items()):
+                before = held[rows[0]]
+                if (
+                    len(rows) == 1
+                    and before is not None
+                    and before.cache_token() != token
+                ):
+                    preconditioners[i] = before
 
         # Steady initialization of any cold rack, batched per operator
         # across the whole group; warm racks keep their carried fields.  A
@@ -757,12 +793,13 @@ class FloorEngine:
         peak_case = np.full(group.n_servers, float("-inf"), dtype=float)
         for _ in range(n_substeps):
             new_fields = np.empty_like(fields)
-            for rows in row_groups:
+            for rows, preconditioner in zip(row_groups, preconditioners):
                 new_fields[rows] = simulator.transient_step_many_from_maps(
                     fields[rows],
                     group_maps[rows],
                     group_boundaries[rows[0]].boundary,
                     sub_dt,
+                    reference=preconditioner,
                 )
             residuals = np.max(np.abs(new_fields - fields), axis=1)
             fields = new_fields
@@ -785,6 +822,18 @@ class FloorEngine:
                 n_substeps,
             )
         return float(peak_case.max())
+
+    def _reference_boundaries(
+        self, group: _HardwareGroup, reference: FloorSnapshot
+    ) -> list[CoolingBoundary | None]:
+        """Each group row's boundary in ``reference`` (rack-row order)."""
+        held: list[CoolingBoundary | None] = []
+        for r in group.rack_indices:
+            held.extend(
+                None if state is None else state.boundary_result.boundary
+                for state in reference.rack_snapshots[r].boundaries
+            )
+        return held
 
     # ------------------------------------------------------------------ #
     # Span marching of one hardware group (ROM lane + full fallback)

@@ -781,7 +781,11 @@ class DatacenterSession:
         self._coarse_state = None
 
     def advance_period(
-        self, time_s: float, *, n_substeps: int | None = None
+        self,
+        time_s: float,
+        *,
+        n_substeps: int | None = None,
+        reference: DatacenterSnapshot | None = None,
     ) -> DatacenterPeriod:
         """One floor-wide control period: floor physics + fast decisions.
 
@@ -796,6 +800,11 @@ class DatacenterSession:
         ``n_substeps`` overrides the model's backward-Euler substep count
         for this period only — MPC rollouts trade integration resolution
         for speed; the committed trace always runs the model's own.
+        ``reference`` is the snapshot an MPC rollout started from: it lets
+        the floor engine solve single-use rollout steps iteratively,
+        preconditioned by the boundaries held in it (see
+        :meth:`FloorEngine.advance`).  The committed trace never passes
+        one.
         """
         model = self.model
         substeps = n_substeps if n_substeps is not None else model.transient_substeps
@@ -826,6 +835,7 @@ class DatacenterSession:
             model.control_period_s,
             n_substeps=substeps,
             force_boundary_refresh=self._force_refresh,
+            reference=None if reference is None else reference.floor,
         )
         rack_decisions: list[tuple[ControllerDecision, ...]] = []
         rack_chiller_w: list[float] = []

@@ -8,10 +8,17 @@ Each planning step:
    (:meth:`~repro.datacenter.model.DatacenterSession.snapshot`): stacked
    group temperature arrays, held cooling boundaries, per-server actuator
    state.  Factorization caches and operating-point memos are *shared*,
-   not copied, so every rollout period costs only cached
-   back-substitutions (plus lane marches where a setpoint move refreshes
-   boundaries — and those operating points are memoized floor-wide, so the
-   committed trajectory replays them for free).
+   not copied.  Each rollout period moves the setpoint or the load, so
+   every server refreshes its boundary (a lane march; operating points
+   are memoized floor-wide, so the committed trajectory replays them for
+   free) and its new operator serves one single-column solve.  The
+   snapshot is passed down as every rollout period's ``reference``: a
+   server alone on its boundary is then solved by preconditioned
+   conjugate gradients from the factor of the boundary it held in the
+   snapshot — one factorization per snapshot boundary, which the cache
+   then serves to every candidate — instead of factoring each new
+   operator.  Rollouts are tier B (1e-9 degC) against exact ones; see
+   :mod:`repro.thermal.solver_cache`, "Iterative lane".
 2. **Roll out** every :class:`CandidateTrajectory` through the *real*
    engine over ``horizon`` supervisory windows, restoring the snapshot
    between candidates.  Fidelity is tunable: only the first
@@ -145,14 +152,17 @@ def rollout_trajectory(
     rollout_periods_per_window: int,
     rollout_substeps: int,
     duration_s: float | None = None,
+    reference=None,
 ) -> tuple[float, float]:
     """Simulate one setpoint trajectory forward; return (energy, peak).
 
     ``session`` is duck-typed: anything with ``set_setpoint``,
-    ``advance_period(time_s, n_substeps=...)`` returning an object with
-    ``plant_power_w`` / ``worst_period_peak_case_c``, and a
+    ``advance_period(time_s, n_substeps=..., reference=...)`` returning an
+    object with ``plant_power_w`` / ``worst_period_peak_case_c``, and a
     ``model.control_period_s``.  The caller owns snapshot/restore — this
-    function mutates the session.
+    function mutates the session.  ``reference`` is the snapshot the
+    rollout started from, handed to every period (``None`` solves every
+    step exactly).
 
     Each window sets its setpoint, simulates its first
     ``rollout_periods_per_window`` control periods and bills the whole
@@ -179,7 +189,9 @@ def rollout_trajectory(
         window_power_w = 0.0
         time_s = window_start
         for _ in range(n_simulated):
-            period = session.advance_period(time_s, n_substeps=rollout_substeps)
+            period = session.advance_period(
+                time_s, n_substeps=rollout_substeps, reference=reference
+            )
             window_power_w += period.plant_power_w
             worst_peak = max(worst_peak, period.worst_period_peak_case_c)
             time_s += control_period_s
@@ -230,6 +242,7 @@ def plan_setpoint(
                         ),
                         rollout_substeps=controller.rollout_substeps,
                         duration_s=duration_s,
+                        reference=snapshot,
                     )
                     feasible = worst_peak <= limit_c
                     rollout_span.set(

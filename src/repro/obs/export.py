@@ -15,19 +15,25 @@ Three interchange formats plus a run manifest:
   ``name value`` line format, for scraping long-lived worker fleets.
 
 The manifest (:func:`run_manifest`) pins what produced a stream: a
-config digest (stable hash of the model configuration's ``repr``), the
-scenario seed, and interpreter/library versions — enough to tell two
-JSONL artifacts apart without trusting filenames.
+config digest (stable hash of the configuration's values, the same in
+every process), the scenario seed, and interpreter/library versions —
+enough to tell two JSONL artifacts apart without trusting filenames.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import hashlib
 import json
 import platform
 import sys
+import types
 from typing import IO, Any
 
+import numpy as np
+
+from repro.exceptions import ValidationError
 from repro.obs.telemetry import Telemetry
 
 __all__ = [
@@ -41,15 +47,83 @@ __all__ = [
 ]
 
 
-def config_digest(config: Any) -> str:
-    """Stable short digest of a configuration object's ``repr``.
+#: Values with no configuration content of their own to encode.
+_UNENCODABLE = (
+    type,
+    types.FunctionType,
+    types.MethodType,
+    types.BuiltinFunctionType,
+    types.ModuleType,
+)
 
-    All engine configs (``CoarseningConfig``, ``RomConfig``,
-    ``RackSpec``, …) are dataclasses with value-complete ``repr``s, so
-    hashing the repr distinguishes any two materially different runs
-    without a serialization dependency.
+
+def _encode(value: Any, active: set[int]) -> bytes:
+    """Canonical bytes of a configuration value (see :func:`config_digest`).
+
+    ``active`` holds the ids of the containers being encoded, so a cycle
+    raises instead of recursing forever.
     """
-    return hashlib.blake2b(repr(config).encode(), digest_size=8).hexdigest()
+    if isinstance(value, enum.Enum):
+        return f"enum:{type(value).__qualname__}.{value.name};".encode()
+    if value is None or isinstance(value, (bool, int, str, bytes)):
+        return f"{type(value).__name__}:{value!r};".encode()
+    if isinstance(value, (float, np.floating)):
+        return f"float:{float(value)!r};".encode()
+    if isinstance(value, np.generic):
+        return _encode(value.item(), active)
+    if isinstance(value, np.ndarray):
+        if value.dtype.hasobject:
+            raise ValidationError("config_digest cannot encode an object array")
+        content = hashlib.blake2b(np.ascontiguousarray(value).tobytes()).hexdigest()
+        return f"ndarray:{value.dtype.str}:{value.shape}:{content};".encode()
+    if isinstance(value, _UNENCODABLE):
+        raise ValidationError(f"config_digest cannot encode {value!r}")
+    if id(value) in active:
+        raise ValidationError("config_digest cannot encode a cyclic value")
+    active.add(id(value))
+    try:
+        name = type(value).__qualname__
+        if isinstance(value, (list, tuple)):
+            parts = [_encode(item, active) for item in value]
+        elif isinstance(value, (set, frozenset)):
+            parts = sorted(_encode(item, active) for item in value)
+        elif isinstance(value, dict):
+            parts = sorted(
+                _encode(key, active) + b"=" + _encode(item, active)
+                for key, item in value.items()
+            )
+        elif dataclasses.is_dataclass(value):
+            parts = [
+                f"{field.name}=".encode() + _encode(getattr(value, field.name), active)
+                for field in dataclasses.fields(value)
+            ]
+        else:
+            try:
+                attributes = vars(value)
+            except TypeError:
+                raise ValidationError(
+                    f"config_digest cannot encode a {name} (no __dict__)"
+                ) from None
+            parts = [_encode(attributes, active)]
+    finally:
+        active.discard(id(value))
+    return f"{name}(".encode() + b",".join(parts) + b");"
+
+
+def config_digest(config: Any) -> str:
+    """Stable short digest of a configuration's values.
+
+    The digest hashes a value encoding, not ``repr``: dataclasses by their
+    fields, lists and tuples in order, sets and dicts sorted (dicts by
+    key), NumPy arrays by dtype, shape and a blake2b of their bytes, floats
+    by ``repr``, enum members by name, and any other object by its class
+    name and ``vars()``.  No memory address enters it, so the same
+    configuration gives the same digest in every process.  Values the
+    encoding cannot handle — callables, classes, modules, objects without
+    a ``__dict__``, object arrays and cycles — raise
+    :class:`~repro.exceptions.ValidationError`.
+    """
+    return hashlib.blake2b(_encode(config, set()), digest_size=8).hexdigest()
 
 
 def run_manifest(

@@ -10,7 +10,9 @@ renders, from the events exported by :func:`repro.obs.export.write_jsonl`:
   by the first dotted component of each span name (``floor``, ``rom``,
   ``cache``, ``session``, ``mpc``, ``warm_store``), so a layer is
   charged only for time not already attributed to a nested child span;
-* cache and warm-store hit rates from the published counters;
+* cache and warm-store hit rates from the published counters, with the
+  factorization count and the iterative lane's solves, cap fallbacks and
+  mean PCG steps beside them;
 * the ROM fallback cause histogram (error bound / guard band /
   projection residual);
 * coarsening efficiency — committed control periods per stacked solve;
@@ -75,6 +77,7 @@ def _thread_utilization(spans: list[dict]) -> dict[int, float]:
 def build_report(events: list[dict]) -> dict:
     """Aggregate a JSONL event list into the report's structured form."""
     counters = {e["name"]: e["value"] for e in events if e.get("type") == "counter"}
+    histograms = {e["name"]: e for e in events if e.get("type") == "histogram"}
     spans = [e for e in events if e.get("type") == "span"]
     manifest = next((e for e in events if e.get("type") == "manifest"), None)
     span_summary = next((e for e in events if e.get("type") == "span_summary"), None)
@@ -95,6 +98,7 @@ def build_report(events: list[dict]) -> dict:
         cause: counters.get(f"rom.fallback.{cause}", 0)
         for cause in ("error", "guard", "projection")
     }
+    steps = histograms.get("cache.iterative_steps")
     spans_committed = counters.get("session.spans", 0)
     periods_committed = counters.get("session.periods", 0)
     return {
@@ -105,6 +109,14 @@ def build_report(events: list[dict]) -> dict:
         "cache_hit_rate": rate(
             counters.get("cache.hits", 0), counters.get("cache.misses", 0)
         ),
+        "factorizations": counters.get("cache.misses", 0),
+        "iterative": {
+            "solves": counters.get("cache.iterative_solves", 0),
+            "fallbacks": counters.get("cache.iterative_fallbacks", 0),
+            "mean_steps": (
+                steps["sum"] / steps["total"] if steps and steps["total"] else None
+            ),
+        },
         "warm_store_hit_rate": rate(
             counters.get("warm_store.reduced_hits", 0)
             + counters.get("warm_store.system_hits", 0),
@@ -159,14 +171,29 @@ def render_report(events: list[dict]) -> str:
 
     lines.append("")
     lines.append("caches")
-    for label, key in (
-        ("factorization cache", "cache_hit_rate"),
-        ("warm store", "warm_store_hit_rate"),
-    ):
-        value = report[key]
-        lines.append(
-            f"  {label}: " + (f"{value:.1%} hit rate" if value is not None else "idle")
+    hit_rate = report["cache_hit_rate"]
+    lines.append(
+        "  factorization cache: "
+        + (
+            f"{hit_rate:.1%} hit rate, {report['factorizations']} factorizations"
+            if hit_rate is not None
+            else "idle"
         )
+    )
+    iterative = report["iterative"]
+    if iterative["solves"]:
+        line = (
+            f"  iterative lane: {iterative['solves']} solves, "
+            f"{iterative['fallbacks']} cap fallbacks"
+        )
+        if iterative["mean_steps"] is not None:
+            line += f", {iterative['mean_steps']:.1f} PCG steps per solve"
+        lines.append(line)
+    store_rate = report["warm_store_hit_rate"]
+    lines.append(
+        "  warm store: "
+        + (f"{store_rate:.1%} hit rate" if store_rate is not None else "idle")
+    )
 
     fallbacks = report["rom_fallbacks"]
     if any(fallbacks.values()):

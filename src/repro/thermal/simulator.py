@@ -231,19 +231,24 @@ class ThermalSimulator:
         power_maps_w: np.ndarray,
         cooling: CoolingBoundary,
         dt_s: float,
+        *,
+        reference: CoolingBoundary | None = None,
     ) -> np.ndarray:
         """One backward-Euler step for many fields at one shared boundary.
 
         The rack-engine counterpart of :meth:`transient_step_from_map`:
         ``temperatures`` is ``(k, n_cells)``, ``power_maps_w`` is
         ``(k, n_rows, n_columns)``, and all ``k`` fields advance through one
-        cached operator in a single multi-column back-substitution.
+        cached operator in a single multi-column back-substitution.  A
+        ``reference`` boundary routes the step through the solver cache's
+        iterative lane instead (see :meth:`TransientSolver.step_many`).
         """
         return self._transient_solver.step_many(
             np.asarray(temperatures, dtype=float),
             np.asarray(power_maps_w, dtype=float),
             cooling,
             dt_s,
+            reference=reference,
         )
 
     def transient_step_from_map(

@@ -48,6 +48,42 @@ Caching/invalidation contract
   and the recorded bulk band.
 * The cache is LRU-bounded (``max_entries`` per solver kind) so boundary
   sweeps cannot grow memory without limit.
+
+Iterative lane
+--------------
+An MPC rollout refreshes every server's boundary each period, and each new
+operator would be factored to serve one single-column back-substitution.
+:meth:`FactorizationCache.preconditioned_transient_operator` serves such a
+step without factoring it: preconditioned conjugate gradients (PCG) on
+``(bulk + diag(g) + diag(C/dt)) x = b``, preconditioned by the exact
+factor ``F`` of a *reference* boundary at the same ``dt`` (looked up
+through :meth:`~FactorizationCache.transient_operator`).  It starts from
+``x0 = F^-1 b`` and stops once ``||F^-1 r||_inf <= ITERATIVE_TOL_C``; past
+``ITERATIVE_MAX_STEPS`` steps it solves exactly through the cache instead.
+The bulk operator is recorded once per cache, beside its band, and
+:meth:`~FactorizationCache.invalidate` drops both.  Its contracts:
+
+* **Committed traces never take it.**  Only a caller that passes a
+  reference reaches the lane — the floor engine during MPC rollouts — so
+  committed traces run the exact path and stay bit-identical (tier A):
+  floor == standalone rack, hold-only MPC == fixed trace, snapshot
+  replay, telemetry on/off, serial == parallel groups.
+* **Rollouts are tier B against exact rollouts.**  Worst peaks agree
+  within 1e-9 degC, plant energies within 1e-9 relative, and the planner
+  chooses the same candidate.
+* **The reference is server state, never cache contents.**  The floor
+  passes each server's boundary from the snapshot the rollout started
+  from, and the lane's result is a function of (reference, boundary,
+  ``dt``, right-hand side) only: a factorization is deterministic, so a
+  reference factor found in the LRU and one factored afresh are the same
+  bits.  A rollout's result is therefore a function of the snapshot and
+  the candidate only, whatever the cache held.
+* **A cap fallback is the exact step, bit for bit.**  It back-substitutes
+  the same right-hand side through the operator's own cached factor.
+
+The lane publishes ``cache.iterative_solves`` (columns it served),
+``cache.iterative_fallbacks`` (columns that hit the cap) and the
+``cache.iterative_steps`` histogram to the active :mod:`repro.obs` hub.
 """
 
 from __future__ import annotations
@@ -72,6 +108,13 @@ _SINGULAR_MESSAGE = (
     "thermal system factorization failed (singular matrix); check that at "
     "least one boundary has a non-zero heat transfer coefficient"
 )
+
+#: The iterative lane stops once ``||F^-1 r||_inf`` is at most this (degC).
+ITERATIVE_TOL_C = 1e-12
+#: PCG steps after which the iterative lane solves exactly instead.
+ITERATIVE_MAX_STEPS = 40
+#: Bucket bounds of the ``cache.iterative_steps`` histogram.
+_STEP_BOUNDS = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 15.0, 20.0, 30.0, 40.0)
 
 
 @dataclass(frozen=True)
@@ -155,6 +198,64 @@ class BandedCholesky:
         # dpbtrs reports a non-zero info only for an illegal argument.
         solution, _ = dpbtrs(self.factor, permuted, overwrite_b=True)
         return solution[self.inverse]
+
+
+@dataclass(frozen=True)
+class PreconditionedSolve:
+    """PCG solve of ``(bulk + diags(diagonal)) x = rhs``, callable.
+
+    ``preconditioner`` is the factored solve of a nearby operator;
+    ``fallback`` is the operator's own exact solve, run only for a column
+    that reaches :data:`ITERATIVE_MAX_STEPS`.  Accepts one RHS vector or
+    an ``(n_cells, k)`` RHS, solved column by column.
+    """
+
+    bulk: sparse.csr_matrix
+    diagonal: np.ndarray
+    preconditioner: Callable[[np.ndarray], np.ndarray]
+    fallback: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, rhs: np.ndarray) -> np.ndarray:
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.ndim == 1:
+            return self._solve_column(rhs)
+        return np.stack([self._solve_column(column) for column in rhs.T], axis=1)
+
+    def _solve_column(self, rhs: np.ndarray) -> np.ndarray:
+        obs = get_telemetry()
+        obs.inc("cache.iterative_solves")
+        solution, steps = self._pcg(rhs)
+        obs.observe("cache.iterative_steps", steps, bounds=_STEP_BOUNDS)
+        if solution is None:
+            obs.inc("cache.iterative_fallbacks")
+            return self.fallback(rhs)
+        return solution
+
+    def _pcg(self, rhs: np.ndarray) -> tuple[np.ndarray | None, int]:
+        """``(x, steps)``, or ``(None, ITERATIVE_MAX_STEPS)`` at the cap."""
+
+        def apply(x: np.ndarray) -> np.ndarray:
+            return self.bulk @ x + self.diagonal * x
+
+        solution = self.preconditioner(rhs)
+        residual = rhs - apply(solution)
+        preconditioned = self.preconditioner(residual)
+        if np.max(np.abs(preconditioned)) <= ITERATIVE_TOL_C:
+            return solution, 0
+        direction = preconditioned
+        rz = residual @ preconditioned
+        for step in range(1, ITERATIVE_MAX_STEPS + 1):
+            image = apply(direction)
+            alpha = rz / (direction @ image)
+            solution += alpha * direction
+            residual -= alpha * image
+            preconditioned = self.preconditioner(residual)
+            if np.max(np.abs(preconditioned)) <= ITERATIVE_TOL_C:
+                return solution, step
+            rz_next = residual @ preconditioned
+            direction = preconditioned + (rz_next / rz) * direction
+            rz = rz_next
+        return None, ITERATIVE_MAX_STEPS
 
 
 class BandOrdering:
@@ -254,11 +355,14 @@ class SteadyOperator:
 
 @dataclass(frozen=True)
 class TransientOperator:
-    """Factorized backward-Euler operator for one (cooling, dt) pair.
+    """Backward-Euler operator for one (cooling, dt) pair.
 
     Like :class:`SteadyOperator`, ``solve`` accepts a single RHS vector or
-    an ``(n_cells, k)`` multi-column RHS, back-substituting all columns
-    through one factorization.
+    an ``(n_cells, k)`` multi-column RHS.  From
+    :meth:`FactorizationCache.transient_operator` it back-substitutes all
+    columns through one factorization; from
+    :meth:`FactorizationCache.preconditioned_transient_operator` it is a
+    :class:`PreconditionedSolve`.
     """
 
     boundary_rhs: np.ndarray
@@ -283,7 +387,9 @@ class FactorizationCache:
         self._transient: OrderedDict[tuple, TransientOperator] = OrderedDict()
         self._reduced: OrderedDict[tuple, object] = OrderedDict()
         self._ordering = BandOrdering(network.grid)
-        # The bulk operator's upper band, recorded on the first miss.
+        # The bulk operator and its upper band, recorded on first use
+        # (``ThermalNetwork.bulk_matrix`` copies on every access).
+        self._bulk_csr: sparse.csr_matrix | None = None
         self._bulk_band: tuple[np.ndarray, np.ndarray] | None = None
         self._warm_store = None
         self._network_key: str | None = None
@@ -329,10 +435,17 @@ class FactorizationCache:
     # ------------------------------------------------------------------ #
     # Operators
     # ------------------------------------------------------------------ #
+    def _bulk_operator(self) -> sparse.csr_matrix:
+        """The network's bulk operator, recorded once per cache."""
+        with self._lock:
+            if self._bulk_csr is None:
+                self._bulk_csr = self.network.bulk_matrix
+            return self._bulk_csr
+
     def _factorize(self, *diagonals: np.ndarray) -> BandedCholesky:
         """Factor the bulk operator plus ``diagonals`` (lock held)."""
         if self._bulk_band is None:
-            self._bulk_band = self._ordering.upper_band(self.network.bulk_matrix)
+            self._bulk_band = self._ordering.upper_band(self._bulk_operator())
         return self._ordering.factorize(self._bulk_band, *diagonals)
 
     def steady_operator(self, cooling: CoolingBoundary) -> SteadyOperator:
@@ -387,6 +500,37 @@ class FactorizationCache:
                 # key the cache already dropped under pressure.
                 self._reduced.pop(evicted_key, None)
             return entry
+
+    def preconditioned_transient_operator(
+        self, cooling: CoolingBoundary, reference: CoolingBoundary, dt_s: float
+    ) -> TransientOperator:
+        """``A + C/dt`` for ``cooling``, solved by PCG from ``reference``.
+
+        Nothing is factored for ``cooling``: the returned operator's
+        ``solve`` is a :class:`PreconditionedSolve` preconditioned by
+        :meth:`transient_operator` of ``(reference, dt_s)``, which falls
+        back to the exact factored solve of ``(cooling, dt_s)`` at the
+        step cap.  ``boundary_rhs`` and ``capacitance_over_dt`` are
+        computed exactly as :meth:`transient_operator` computes them, so
+        both operators see bit-identical right-hand sides.  See the
+        module docstring's "Iterative lane" for the contracts.
+        """
+        check_positive(dt_s, "dt_s")
+        preconditioner = self.transient_operator(reference, dt_s)
+        capacitance_over_dt = self.network.capacitance / float(dt_s)
+        top_conductance, boundary_rhs = self.network.boundary_terms(cooling)
+        return TransientOperator(
+            boundary_rhs=boundary_rhs,
+            capacitance_over_dt=capacitance_over_dt,
+            solve=PreconditionedSolve(
+                bulk=self._bulk_operator(),
+                diagonal=top_conductance + capacitance_over_dt,
+                preconditioner=preconditioner.solve,
+                fallback=lambda rhs: self.transient_operator(cooling, dt_s).solve(
+                    rhs
+                ),
+            ),
+        )
 
     # ------------------------------------------------------------------ #
     # Reduced-order operators (repro.thermal.rom)
@@ -481,8 +625,9 @@ class FactorizationCache:
         place; cooling-boundary changes invalidate implicitly through the
         content-based key.  Every lane drops together — steady and
         transient factors, the reduced-operator bases riding beside
-        them, the recorded bulk band (the next factorization re-reads the
-        network's bulk matrix), and the memoised warm-store network key
+        them, the recorded bulk operator and band (the next factorization
+        or iterative solve re-reads the network's bulk matrix), and the
+        memoised warm-store network key
         (the mutated network must re-hash, so stale disk entries under the
         old key can never be loaded again).
         """
@@ -490,6 +635,7 @@ class FactorizationCache:
             self._steady.clear()
             self._transient.clear()
             self._reduced.clear()
+            self._bulk_csr = None
             self._bulk_band = None
             self._network_key = None
             # The network memoises its own content key; a mutation-driven

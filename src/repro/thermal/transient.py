@@ -102,6 +102,8 @@ class TransientSolver:
         power_maps_w: np.ndarray,
         cooling: CoolingBoundary,
         dt_s: float,
+        *,
+        reference: CoolingBoundary | None = None,
     ) -> np.ndarray:
         """Advance many temperature fields one step at a shared boundary.
 
@@ -111,6 +113,13 @@ class TransientSolver:
         (one factorization through the cache) and are back-substituted as a
         multi-column RHS, with row ``i`` identical to
         ``step(temperatures[i], power_maps_w[i], cooling, dt_s)``.
+
+        With a ``reference`` boundary the operator is not factored: each
+        field is solved by the cache's iterative lane
+        (:meth:`FactorizationCache.preconditioned_transient_operator`),
+        preconditioned by the factor of ``(reference, dt_s)`` and within
+        tier B of the exact step.  Without a cache every step factors and
+        ``reference`` is not used.
         """
         check_positive(dt_s, "dt_s")
         grid = self.network.grid
@@ -133,7 +142,12 @@ class TransientSolver:
                     for field, power_map in zip(temperatures, power_maps_w)
                 ]
             )
-        operator = self.cache.transient_operator(cooling, dt_s)
+        if reference is None:
+            operator = self.cache.transient_operator(cooling, dt_s)
+        else:
+            operator = self.cache.preconditioned_transient_operator(
+                cooling, reference, dt_s
+            )
         rhs = (
             operator.boundary_rhs[:, np.newaxis]
             + self.network.power_vectors(power_maps_w).T

@@ -126,7 +126,7 @@ class _ScriptedSession:
     def set_setpoint(self, setpoint_c):
         self.setpoint_c = setpoint_c
 
-    def advance_period(self, time_s, *, n_substeps=None):
+    def advance_period(self, time_s, *, n_substeps=None, reference=None):
         self.n_advances += 1
         return types.SimpleNamespace(
             plant_power_w=200.0 - self.setpoint_c,
@@ -299,6 +299,7 @@ class TestMpcOnRealFloor:
                     rollout_periods_per_window=controller.rollout_periods_per_window,
                     rollout_substeps=controller.rollout_substeps,
                     duration_s=DURATION_S,
+                    reference=entry,
                 )
                 session.restore(entry)
                 expected.append((candidate.name, setpoints, energy, peak))

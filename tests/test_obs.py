@@ -12,18 +12,28 @@ The load-bearing guarantees:
   Prometheus text exposition renders every metric family;
 * the legacy stats surfaces behave exactly like the dataclasses they
   were: :class:`CacheStats` and :class:`WarmStoreStats` as *views* over
-  telemetry counter bags, :class:`RomStats` as a plain dataclass.
+  telemetry counter bags, :class:`RomStats` as a plain dataclass;
+* the solver cache's iterative lane publishes its solves, cap fallbacks
+  and PCG steps to the hub, and the report prints them;
+* ``config_digest`` encodes values, not ``repr``: the same configuration
+  digests the same in two processes, and a changed trace phase changes it.
 """
 
+import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 
 from repro import obs
+from repro.exceptions import ValidationError
 from repro.obs import (
     NULL_TELEMETRY,
     Counters,
@@ -31,6 +41,7 @@ from repro.obs import (
     Telemetry,
     Tracer,
     build_report,
+    config_digest,
     get_telemetry,
     prometheus_text,
     read_jsonl,
@@ -431,3 +442,106 @@ class TestInstrumentedEngine:
         latency = hub.histograms_snapshot()["floor.queue_latency_us"]
         assert latency["total"] == len(groups)
         assert hub.counters.get("session.periods") == 4
+
+
+class TestIterativeLaneTelemetry:
+    def test_counters_reach_the_hub_and_the_report(self, hub, floorplan):
+        from repro.thermal.boundary import CoolingBoundary, uniform_cooling_boundary
+        from repro.thermal.simulator import ThermalSimulator
+
+        simulator = ThermalSimulator(floorplan, cell_size_mm=2.5)
+        n_rows, n_columns = simulator.shape
+        moved = uniform_cooling_boundary(n_rows, n_columns, 2.1e4, 31.0)
+        near = uniform_cooling_boundary(n_rows, n_columns, 2.0e4, 30.0)
+        # A rough boundary a hundred times stronger: PCG hits the step cap.
+        far = CoolingBoundary(
+            htc_w_m2k=np.random.default_rng(0).uniform(2.0e5, 2.0e6, simulator.shape),
+            fluid_temperature_c=np.full(simulator.shape, 30.0),
+        )
+        fields = np.full((1, simulator.grid.n_cells), 45.0)
+        maps = simulator.power_map({f"core{i}": 8.0 for i in range(8)})[np.newaxis]
+        for reference in (near, far):
+            simulator.transient_step_many_from_maps(
+                fields, maps, moved, 2.0, reference=reference
+            )
+        assert hub.counters.get("cache.iterative_solves") == 2
+        assert hub.counters.get("cache.iterative_fallbacks") == 1
+        steps = hub.histograms_snapshot()["cache.iterative_steps"]
+        assert steps["total"] == 2
+        # A run publishes its factorizations as cache.misses.
+        misses = simulator.solver_cache.stats.misses
+        hub.inc("cache.misses", misses)
+        buffer = io.StringIO()
+        write_jsonl(hub, buffer)
+        buffer.seek(0)
+        text = render_report(read_jsonl(buffer))
+        assert f"0.0% hit rate, {misses} factorizations" in text
+        assert "iterative lane: 2 solves, 1 cap fallbacks" in text
+        assert f"{steps['sum'] / 2:.1f} PCG steps per solve" in text
+
+
+_DIGEST_SCRIPT = """
+from repro.datacenter.scenarios import build_scenario
+from repro.obs import config_digest
+rack = build_scenario(
+    "diurnal", n_racks=1, servers_per_rack=1, duration_s=8.0, seed=7
+).racks[0]
+print(config_digest(rack))
+"""
+
+
+class TestConfigDigest:
+    def _rack(self):
+        from repro.datacenter.scenarios import build_scenario
+
+        return build_scenario(
+            "diurnal", n_racks=1, servers_per_rack=1, duration_s=8.0, seed=7
+        ).racks[0]
+
+    def test_same_config_same_digest_in_two_processes(self):
+        # Regression: the digest hashed repr(), and a PhasedTrace's repr
+        # carries its memory address, so each process printed another one.
+        src = Path(__file__).resolve().parents[1] / "src"
+        digests = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+            result = subprocess.run(
+                [sys.executable, "-c", _DIGEST_SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            digests.add(result.stdout.strip())
+        assert digests == {config_digest(self._rack())}
+
+    def test_changed_trace_phase_changes_digest(self):
+        from repro.workloads.trace import PhasedTrace
+
+        rack = self._rack()
+        server = rack.servers[0]
+        phases = list(server.trace.phases)
+
+        def with_phases(new_phases):
+            trace = PhasedTrace(server.trace.name, tuple(new_phases))
+            return dataclasses.replace(
+                rack, servers=(dataclasses.replace(server, trace=trace),)
+            )
+
+        # A rebuilt trace with equal phases is the same configuration...
+        assert config_digest(with_phases(phases)) == config_digest(rack)
+        # ...and one changed phase is another.
+        phases[0] = dataclasses.replace(
+            phases[0], activity_factor=phases[0].activity_factor + 0.1
+        )
+        assert config_digest(with_phases(phases)) != config_digest(rack)
+
+    def test_unencodable_values_raise(self):
+        with pytest.raises(ValidationError):
+            config_digest({"callback": lambda: None})
+        with pytest.raises(ValidationError):
+            config_digest({"lock": threading.Lock()})
+        cyclic: list = []
+        cyclic.append(cyclic)
+        with pytest.raises(ValidationError):
+            config_digest(cyclic)
