@@ -1,12 +1,12 @@
 """Datacenter-engine benchmark: supervisory floor trace vs naive re-solve.
 
 Not a paper artefact: pins the cost of the fig10 study's hot path.  The
-supervisory datacenter engine advances every rack through warm-start
-transient :class:`~repro.core.rack_session.RackSession` steps on one
-shared factorization cache; the naive baseline is what a first
-implementation would do — re-solve every server to steady state every
-control period through cache-less simulators, refactorizing the operator
-for each solve.  ``test_fig10_supervisory_speedup_vs_naive`` is a hard
+supervisory datacenter engine advances every server through warm-start
+transient steps of the floor engine on one shared factorization cache;
+the naive baseline is what a first implementation would do — re-solve
+every server to steady state every control period
+(:meth:`CooledServerSimulation.simulate_mapping`) through cache-less
+simulators, refactorizing the operator for each solve.  ``test_fig10_supervisory_speedup_vs_naive`` is a hard
 gate (also run by the CI ``--quick`` smoke step) so the datacenter layer
 cannot silently regress to per-period re-solving.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 
 from repro.core.runtime_controller import DecisionPolicy, mapping_at_frequency
-from repro.core.session import SimulationSession
+from repro.core.pipeline import CooledServerSimulation
 from repro.datacenter.model import DatacenterModel
 from repro.datacenter.scenarios import build_scenario
 from repro.datacenter.supervisory import SupervisoryController
@@ -94,8 +94,8 @@ def _run_naive(floorplan, power_model, scenario, plant):
         racks.append(
             {
                 "spec": rack,
-                "sessions": [
-                    SimulationSession(
+                "simulations": [
+                    CooledServerSimulation(
                         floorplan,
                         power_model=power_model,
                         thermal_simulator=simulator,
@@ -124,7 +124,7 @@ def _run_naive(floorplan, power_model, scenario, plant):
                     server.mapping, state["frequencies"][index]
                 )
                 phase = spec.server_trace(index).phase_at(time_s)
-                result = state["sessions"][index].solve_steady_mapping(
+                result = state["simulations"][index].simulate_mapping(
                     server.benchmark,
                     mapping,
                     water_loop=state["loops"][index],

@@ -5,8 +5,9 @@ Plays the same phased workload trace through the runtime controller twice:
 * ``mode="steady"`` re-solves thermal equilibrium every control period —
   every power jitter re-keys the cooling boundary and costs an operator
   factorization;
-* ``mode="transient"`` carries the temperature field across periods in a
-  warm-start ``SimulationSession`` and advances it with cached
+* ``mode="transient"`` runs the trace on a one-server floor engine
+  (``FloorEngine``, the same engine rack and datacenter traces use): the
+  temperature field is carried across periods and advanced with cached
   backward-Euler steps — the boundary is held between actuator events, so
   the whole trace runs on a handful of factorizations.
 

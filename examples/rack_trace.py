@@ -1,17 +1,18 @@
 """Rack-scale runtime control: every server batched through one operator.
 
 Drives the flow-rate-first/DVFS-second runtime controller over a whole
-homogeneous rack at once.  The rack engine
-(:class:`repro.core.rack_session.RackSession`) stacks the per-server
+homogeneous rack at once.  The rack trace runs on a one-rack floor engine
+(:class:`repro.datacenter.floor.FloorEngine`), which stacks the per-server
 temperature fields into one ``(n_servers, n_cells)`` array and advances all
 servers holding the same cooling boundary through a single cached
 factorization per substep (multi-column back-substitution), so the rack
-trace costs roughly ``n_servers`` times fewer factorizations than the
-independent per-server traces it reproduces to round-off.
+trace costs roughly ``n_servers`` times fewer factorizations than
+independent per-server traces, with bit-identical decisions.
 
-For comparison the same trace is also run server-by-server through
-independent simulations — the golden path the batched engine is checked
-against in ``tests/test_rack_session.py``.
+For comparison the same trace is also run server-by-server as independent
+one-server traces, each on its own simulation and factorization cache.
+The per-server golden loop both are checked against lives in
+``tests/reference_session.py``.
 
 Run with::
 
@@ -67,7 +68,7 @@ def main() -> None:
     print(rack.summary())
     print()
 
-    # The golden path: the same servers as independent transient traces.
+    # The same servers as independent one-server transient traces.
     start = time.perf_counter()
     per_server_factorizations = 0
     for _ in range(N_SERVERS):

@@ -2,8 +2,8 @@
 
 QoS-aware configuration selection (Algorithm 1), thermal-aware workload
 mapping tailored to the two-phase thermosyphon, the runtime water-flow
-controller, the thermosyphon design-space optimiser, the end-to-end
-evaluation pipeline, and the rack-level model with a shared chiller.
+controller (single-server and rack traces), the thermosyphon design-space
+optimiser, and the end-to-end evaluation pipeline.
 """
 
 from repro.core.batch import BatchEvaluator, SweepPoint
@@ -16,7 +16,6 @@ from repro.core.mapping_policies import (
 )
 from repro.core.mapping import ThreadMapper, WorkloadMapping
 from repro.core.pipeline import CooledServerSimulation, EvaluationResult, ThermalAwarePipeline
-from repro.core.session import SessionAdvance, SimulationSession, TransientStepResult
 from repro.core.rack_session import RackAdvance, RackSession, ServerAdvance, ServerLoad
 from repro.core.runtime_controller import (
     ControllerDecision,
@@ -26,7 +25,6 @@ from repro.core.runtime_controller import (
     ThermosyphonController,
 )
 from repro.core.design_optimizer import DesignCandidateResult, ThermosyphonDesignOptimizer
-from repro.core.rack import RackModel, RackResult, ServerSlot
 
 __all__ = [
     "BatchEvaluator",
@@ -43,9 +41,6 @@ __all__ = [
     "CooledServerSimulation",
     "EvaluationResult",
     "ThermalAwarePipeline",
-    "SessionAdvance",
-    "SimulationSession",
-    "TransientStepResult",
     "RackAdvance",
     "RackSession",
     "ServerAdvance",
@@ -57,7 +52,4 @@ __all__ = [
     "ThermosyphonController",
     "DesignCandidateResult",
     "ThermosyphonDesignOptimizer",
-    "RackModel",
-    "RackResult",
-    "ServerSlot",
 ]

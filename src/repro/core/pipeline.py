@@ -1,15 +1,17 @@
 """End-to-end evaluation pipeline.
 
 ``CooledServerSimulation`` wires the four substrates together for one
-server: floorplan -> power model -> thermosyphon loop -> thermal simulator.
-Since the session refactor it is a thin facade over
-:class:`repro.core.session.SimulationSession`, which also owns the
-warm-start transient lane used by the runtime controller;
-``EvaluationResult`` and ``T_CASE_MAX_C`` live in that module and are
-re-exported here for backwards compatibility.  ``ThermalAwarePipeline``
-adds the paper's decision layer on top: QoS-aware configuration selection
-(Algorithm 1), C-state-aware thread mapping, and the resulting thermal
-evaluation.
+server: floorplan -> power model -> thermosyphon loop -> thermal simulator,
+and solves each evaluation to equilibrium (the quasi-static lane behind
+every sweep, design study and ``mode="steady"`` controller trace).  It
+holds no state between calls; time-stepped studies run on the floor
+engine (:class:`repro.datacenter.floor.FloorEngine`), which shares this
+simulation's substrates through a
+:class:`~repro.core.rack_session.RackSession`.  ``EvaluationResult`` and
+``T_CASE_MAX_C`` live in :mod:`repro.core.session` and are re-exported
+here.  ``ThermalAwarePipeline`` adds the paper's decision layer on top:
+QoS-aware configuration selection (Algorithm 1), C-state-aware thread
+mapping, and the resulting thermal evaluation.
 """
 
 from __future__ import annotations
@@ -19,14 +21,15 @@ from repro.core.mapping import ThreadMapper, WorkloadMapping
 from repro.core.mapping_policies import MappingPolicy, ProposedThermalAwareMapping
 from repro.core.session import (  # noqa: F401  (re-exported API)
     EvaluationResult,
-    SimulationSession,
     T_CASE_MAX_C,
-    TransientStepResult,
+    build_evaluation_result,
 )
 from repro.floorplan.floorplan import Floorplan
+from repro.floorplan.xeon_e5_v4 import build_xeon_e5_v4_floorplan
 from repro.power.power_model import CoreActivity, ServerPowerModel
 from repro.thermal.simulator import ThermalSimulator
 from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN, ThermosyphonDesign
+from repro.thermosyphon.loop import ThermosyphonLoop
 from repro.thermosyphon.water_loop import WaterLoop
 from repro.workloads.benchmark import BenchmarkCharacteristics
 from repro.workloads.configuration import Configuration
@@ -35,12 +38,11 @@ from repro.workloads.qos import QoSConstraint
 
 
 class CooledServerSimulation:
-    """One server CPU cooled by one thermosyphon.
+    """One server CPU cooled by one thermosyphon, solved to equilibrium.
 
-    A facade over :class:`SimulationSession`: the quasi-static
-    ``simulate_*`` methods delegate to the session's steady lane, and the
-    session itself (with its warm-start transient lane) is exposed as
-    :attr:`session` for time-stepped studies.
+    Every ``simulate_*`` call is independent: it converges the loop
+    operating point, marches the evaporator lanes and solves the steady
+    thermal field through the simulator's shared factorization cache.
     """
 
     def __init__(
@@ -52,45 +54,18 @@ class CooledServerSimulation:
         thermal_simulator: ThermalSimulator | None = None,
         cell_size_mm: float = 1.0,
     ) -> None:
-        self.session = SimulationSession(
-            floorplan,
-            design=design,
-            power_model=power_model,
-            thermal_simulator=thermal_simulator,
-            cell_size_mm=cell_size_mm,
+        self.floorplan = floorplan if floorplan is not None else build_xeon_e5_v4_floorplan()
+        self.design = design
+        self.power_model = (
+            power_model if power_model is not None else ServerPowerModel(self.floorplan)
         )
+        self.thermal_simulator = (
+            thermal_simulator
+            if thermal_simulator is not None
+            else ThermalSimulator(self.floorplan, cell_size_mm=cell_size_mm)
+        )
+        self.loop = ThermosyphonLoop(design)
 
-    # ------------------------------------------------------------------ #
-    # Substrate access (facade attributes)
-    # ------------------------------------------------------------------ #
-    @property
-    def floorplan(self) -> Floorplan:
-        """The die/package floorplan the session simulates."""
-        return self.session.floorplan
-
-    @property
-    def design(self) -> ThermosyphonDesign:
-        """The thermosyphon design attached to the CPU."""
-        return self.session.design
-
-    @property
-    def power_model(self) -> ServerPowerModel:
-        """The server power model."""
-        return self.session.power_model
-
-    @property
-    def thermal_simulator(self) -> ThermalSimulator:
-        """The shared thermal simulator (and its factorization cache)."""
-        return self.session.thermal_simulator
-
-    @property
-    def loop(self):
-        """The thermosyphon loop model."""
-        return self.session.loop
-
-    # ------------------------------------------------------------------ #
-    # Low-level evaluation (quasi-static lane)
-    # ------------------------------------------------------------------ #
     def simulate_activities(
         self,
         activities: list[CoreActivity],
@@ -103,14 +78,39 @@ class CooledServerSimulation:
         mapping: WorkloadMapping | None = None,
     ) -> EvaluationResult:
         """Evaluate an arbitrary per-core activity pattern."""
-        return self.session.solve_steady(
-            activities,
-            frequency_ghz,
-            memory_intensity=memory_intensity,
-            water_loop=water_loop,
+        if water_loop is None:
+            water_loop = self.design.water_loop()
+        breakdown = self.power_model.evaluate(
+            activities, frequency_ghz, memory_intensity=memory_intensity
+        )
+        power_map = self.thermal_simulator.power_map(breakdown.component_power_w)
+        operating_point = self.loop.operating_point(float(power_map.sum()), water_loop)
+        boundary_result = self.loop.cooling_boundary(
+            power_map, self.thermal_simulator.grid.cell_pitch_mm(), operating_point
+        )
+        thermal_result = self.thermal_simulator.steady_state_from_map(
+            power_map, boundary_result.boundary
+        )
+        if configuration is None:
+            n_active = sum(1 for activity in activities if activity.active)
+            threads = max(
+                (activity.threads_on_core for activity in activities if activity.active),
+                default=1,
+            )
+            configuration = Configuration(
+                n_cores=max(n_active, 1),
+                threads_per_core=threads,
+                frequency_ghz=frequency_ghz,
+            )
+        return build_evaluation_result(
             benchmark_name=benchmark_name,
             configuration=configuration,
             mapping=mapping,
+            breakdown=breakdown,
+            thermal_result=thermal_result,
+            operating_point=operating_point,
+            boundary_result=boundary_result,
+            water_loop=water_loop,
         )
 
     def simulate_mapping(
@@ -123,12 +123,17 @@ class CooledServerSimulation:
         activity_factor: float = 1.0,
     ) -> EvaluationResult:
         """Evaluate a resolved workload mapping."""
-        return self.session.solve_steady_mapping(
-            benchmark,
-            mapping,
-            mapper=mapper,
+        if mapper is None:
+            mapper = ThreadMapper(self.floorplan, orientation=self.design.orientation)
+        activities = mapper.activities(benchmark, mapping, activity_factor=activity_factor)
+        return self.simulate_activities(
+            activities,
+            mapping.configuration.frequency_ghz,
+            memory_intensity=benchmark.memory_intensity,
             water_loop=water_loop,
-            activity_factor=activity_factor,
+            benchmark_name=benchmark.name,
+            configuration=mapping.configuration,
+            mapping=mapping,
         )
 
 

@@ -1,38 +1,23 @@
-"""Rack-scale simulation engine: every server batched through one operator.
+"""Per-rack state of the floor engine: fields, held boundaries and stage methods.
 
 Section V evaluates whole racks — many thermosyphon-cooled servers behind
 one chiller — and rack hardware is homogeneous: every server carries the
 same CPU, the same thermosyphon design and therefore the *same thermal
-network*.  :class:`RackSession` exploits that: instead of running
-``n_servers`` independent :class:`~repro.core.session.SimulationSession`
-pipelines (each paying its own operator factorization, lane march and
-loop-convergence iteration), it owns the stacked per-server state —
+network*.  A :class:`RackSession` owns one rack's state —
 
 * the temperature fields as one ``(n_servers, n_cells)`` array, and
 * one held cooling-boundary state per server (operating point + per-cell
-  HTC/fluid maps), refreshed under the single-server session's drift test
+  HTC/fluid maps), refreshed under the drift test
   (:data:`~repro.core.session.BOUNDARY_REFRESH_TOL`) —
 
-and batches every layer of the evaluation:
-
-1. **Loop layer** — servers are grouped by ``(water loop, total power)``;
-   each group converges the thermosyphon operating point once.
-2. **Thermosyphon layer** — every server being refreshed marches its
-   evaporator lanes, at its own operating point, in one stacked
-   ``(n_servers * n_lanes, n_cells)`` array through
-   :meth:`ThermosyphonLoop.cooling_boundaries`.
-3. **Solver layer** — servers are grouped by cooling-boundary content
-   (:meth:`CoolingBoundary.cache_token`); each group is solved through one
-   cached factorization with a single multi-column back-substitution
-   (:meth:`ThermalSimulator.steady_state_many_from_maps` /
-   :meth:`~ThermalSimulator.transient_step_many_from_maps`).
-
-Because ``dpbtrs`` back-substitutes multi-column right-hand sides column
-by column and the lane march is elementwise across lanes, every batched
-result is identical (to the last bit) to the per-server path — the
-per-server session stays the golden model.  On a homogeneous rack the
-whole rack costs *one* factorization where independent sessions pay
-``n_servers``.
+and the stage methods :class:`repro.datacenter.floor.FloorEngine` drives
+each control period: power evaluation (:meth:`RackSession._evaluate_power`),
+refresh planning (:meth:`RackSession.plan_refresh`), holding a refreshed
+boundary (:meth:`RackSession.store_boundary`) and adopting the advanced
+fields as per-server results (:meth:`RackSession.finish_advance`).  The
+physics — loop convergence, lane marches, stacked solves — runs in the
+floor engine, the library's one transient loop; a standalone rack is a
+one-rack floor (see :meth:`ThermosyphonController.run_rack_trace`).
 """
 
 from __future__ import annotations
@@ -53,11 +38,9 @@ from repro.floorplan.floorplan import Floorplan
 from repro.floorplan.xeon_e5_v4 import build_xeon_e5_v4_floorplan
 from repro.power.power_model import PowerBreakdown, ServerPowerModel
 from repro.thermal.simulator import ThermalSimulator, case_cell_row_column
-from repro.thermal.solver_cache import CacheStats
 from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN, ThermosyphonDesign
 from repro.thermosyphon.loop import BoundaryResult, LoopOperatingPoint, ThermosyphonLoop
 from repro.thermosyphon.water_loop import WaterLoop
-from repro.utils.validation import check_positive
 from repro.workloads.benchmark import BenchmarkCharacteristics
 
 
@@ -90,8 +73,8 @@ class _HeldBoundary:
 class RackSessionSnapshot:
     """Frozen copy of a :class:`RackSession`'s mutable state.
 
-    Captures everything :meth:`RackSession.advance` evolves — the stacked
-    temperature fields and the held cooling boundaries.  The boundary
+    Captures everything a floor period evolves — the stacked temperature
+    fields and the held cooling boundaries.  The boundary
     entries are themselves frozen dataclasses, so only the field array
     needs a defensive copy; a snapshot/restore pair is two array copies,
     which is what makes speculative MPC rollouts cheap.
@@ -103,7 +86,7 @@ class RackSessionSnapshot:
 
 @dataclass(frozen=True)
 class ServerAdvance:
-    """Per-server outcome of one :meth:`RackSession.advance` call."""
+    """Per-server outcome of one transient control period."""
 
     result: EvaluationResult
     settle_residual_c: float
@@ -136,16 +119,16 @@ class RackAdvance:
 
 
 class RackSession:
-    """Many identical servers simulated through one shared thermal operator.
+    """One rack's transient state, advanced by the floor engine.
 
     Parameters
     ----------
     n_servers:
-        Number of servers in the rack.  Every :meth:`solve_steady` /
-        :meth:`advance` call must provide exactly this many loads.
+        Number of servers in the rack.  Every floor period must provide
+        exactly this many loads for it.
     floorplan, design, power_model, thermal_simulator, cell_size_mm:
         The shared hardware substrate, as for
-        :class:`~repro.core.session.SimulationSession`.  One thermal
+        :class:`~repro.core.pipeline.CooledServerSimulation`.  One thermal
         simulator (network + factorization cache) serves the whole rack.
     """
 
@@ -234,18 +217,6 @@ class RackSession:
         else:
             self._temperatures = snapshot.temperatures.copy()
 
-    def cache_stats(self) -> CacheStats:
-        """Factorization-cache counters of the shared thermal simulator.
-
-        :class:`CacheStats` is additive, so rack studies spanning several
-        sessions (for example the per-server golden loop next to this
-        engine) can merge their counters with ``sum(..., CacheStats.zero())``.
-        """
-        cache = self.thermal_simulator.solver_cache
-        if cache is None:
-            return CacheStats.zero()
-        return cache.stats
-
     def _resolve_case_cell_index(self) -> int:
         simulator = self.thermal_simulator
         grid = simulator.grid
@@ -256,7 +227,7 @@ class RackSession:
         return spreader * grid.cells_per_layer + row * grid.n_columns + column
 
     # ------------------------------------------------------------------ #
-    # Shared batched stages
+    # Stages the floor engine drives
     # ------------------------------------------------------------------ #
     def _check_loads(self, loads: Sequence[ServerLoad]) -> list[ServerLoad]:
         loads = list(loads)
@@ -311,119 +282,6 @@ class RackSession:
             )
         return breakdowns, np.stack(maps), water_loops
 
-    def _operating_points(
-        self,
-        power_maps: np.ndarray,
-        water_loops: Sequence[WaterLoop],
-        server_indices: Sequence[int],
-    ) -> dict[int, LoopOperatingPoint]:
-        """Converge the loop once per distinct (water loop, total power).
-
-        Identical hardware at the same heat load and water condition reaches
-        the same operating point, so a homogeneous rack converges the
-        condenser/circulation iteration once instead of ``n_servers`` times.
-        """
-        points: dict[int, LoopOperatingPoint] = {}
-        groups: dict[tuple, LoopOperatingPoint] = {}
-        for index in server_indices:
-            total_power = float(power_maps[index].sum())
-            key = (water_loops[index], total_power)
-            point = groups.get(key)
-            if point is None:
-                point = self.loop.operating_point(total_power, water_loops[index])
-                groups[key] = point
-            points[index] = point
-        return points
-
-    def _cooling_boundaries(
-        self,
-        power_maps: np.ndarray,
-        operating_points: dict[int, LoopOperatingPoint],
-    ) -> dict[int, BoundaryResult]:
-        """One lane march for every server in ``operating_points``."""
-        indices = list(operating_points)
-        results = self.loop.cooling_boundaries(
-            power_maps[indices],
-            self.thermal_simulator.grid.cell_pitch_mm(),
-            [operating_points[index] for index in indices],
-        )
-        return dict(zip(indices, results))
-
-    def _group_by_boundary(
-        self, boundaries: Sequence[BoundaryResult]
-    ) -> list[list[int]]:
-        """Server indices grouped by cooling-boundary content."""
-        groups: dict[tuple, list[int]] = {}
-        for index, boundary in enumerate(boundaries):
-            groups.setdefault(boundary.boundary.cache_token(), []).append(index)
-        return list(groups.values())
-
-    def _steady_fields(
-        self, power_maps: np.ndarray, boundaries: Sequence[BoundaryResult]
-    ) -> np.ndarray:
-        """Equilibrium fields for every server, one solve per boundary group."""
-        fields = np.empty(
-            (len(boundaries), self.thermal_simulator.grid.n_cells), dtype=float
-        )
-        for indices in self._group_by_boundary(boundaries):
-            fields[indices] = self.thermal_simulator.steady_state_many_from_maps(
-                power_maps[indices], boundaries[indices[0]].boundary
-            )
-        return fields
-
-    def _build_results(
-        self,
-        loads: Sequence[ServerLoad],
-        breakdowns: Sequence[PowerBreakdown],
-        fields: np.ndarray,
-        operating_points: dict[int, LoopOperatingPoint],
-        boundaries: Sequence[BoundaryResult],
-        water_loops: Sequence[WaterLoop],
-    ) -> list[EvaluationResult]:
-        results = []
-        for index, load in enumerate(loads):
-            results.append(
-                build_evaluation_result(
-                    benchmark_name=load.benchmark.name,
-                    configuration=load.mapping.configuration,
-                    mapping=load.mapping,
-                    breakdown=breakdowns[index],
-                    thermal_result=self.thermal_simulator.result_from_vector(
-                        fields[index]
-                    ),
-                    operating_point=operating_points[index],
-                    boundary_result=boundaries[index],
-                    water_loop=water_loops[index],
-                )
-            )
-        return results
-
-    # ------------------------------------------------------------------ #
-    # Quasi-static lane
-    # ------------------------------------------------------------------ #
-    def solve_steady(self, loads: Sequence[ServerLoad]) -> list[EvaluationResult]:
-        """Equilibrium evaluation of every server, batched per boundary.
-
-        Results are identical to running each load through a fresh
-        :meth:`SimulationSession.solve_steady_mapping`, but servers sharing a
-        cooling boundary (a homogeneous rack) cost one factorization and one
-        multi-column back-substitution for the whole group.
-        """
-        loads = self._check_loads(loads)
-        breakdowns, power_maps, water_loops = self._evaluate_power(loads)
-        operating_points = self._operating_points(
-            power_maps, water_loops, range(len(loads))
-        )
-        boundary_map = self._cooling_boundaries(power_maps, operating_points)
-        boundaries = [boundary_map[index] for index in range(len(loads))]
-        fields = self._steady_fields(power_maps, boundaries)
-        return self._build_results(
-            loads, breakdowns, fields, operating_points, boundaries, water_loops
-        )
-
-    # ------------------------------------------------------------------ #
-    # Transient lane
-    # ------------------------------------------------------------------ #
     def _needs_refresh(
         self, server: int, total_power: float, water_loop: WaterLoop, force: bool
     ) -> bool:
@@ -453,12 +311,10 @@ class RackSession:
     ) -> list[bool]:
         """Which servers must rebuild their cooling boundary this period.
 
-        Pure planning — nothing is rebuilt yet.  The standalone
-        :meth:`advance` refreshes the flagged servers rack-locally through
-        :meth:`refresh_boundaries`; the datacenter floor engine instead
-        collects every flagged server on the floor and batches the loop
-        convergence and lane marches across racks before handing each
-        boundary back through :meth:`store_boundary`.
+        Pure planning — nothing is rebuilt yet.  The floor engine collects
+        every flagged server on the floor and batches the loop convergence
+        and lane marches across racks before handing each boundary back
+        through :meth:`store_boundary`.
         """
         return [
             self._needs_refresh(
@@ -482,27 +338,6 @@ class RackSession:
             water_loop=water_loop,
             total_power_w=total_power_w,
         )
-
-    def refresh_boundaries(
-        self,
-        power_maps: np.ndarray,
-        water_loops: Sequence[WaterLoop],
-        refreshed: Sequence[bool],
-    ) -> None:
-        """Rebuild the flagged servers' boundaries, batched rack-locally."""
-        stale = [index for index in range(self.n_servers) if refreshed[index]]
-        if not stale:
-            return
-        operating_points = self._operating_points(power_maps, water_loops, stale)
-        boundary_map = self._cooling_boundaries(power_maps, operating_points)
-        for index in stale:
-            self.store_boundary(
-                index,
-                operating_points[index],
-                boundary_map[index],
-                water_loops[index],
-                float(power_maps[index].sum()),
-            )
 
     def held_boundaries(self) -> list[_HeldBoundary]:
         """Every server's held boundary state (raises before the first hold)."""
@@ -571,74 +406,3 @@ class RackSession:
                 )
             )
         return RackAdvance(servers=tuple(servers), dt_s=dt_s, n_substeps=n_substeps)
-
-    def advance(
-        self,
-        loads: Sequence[ServerLoad],
-        dt_s: float = 1.0,
-        *,
-        n_substeps: int = 1,
-        force_boundary_refresh: bool | Sequence[bool] = False,
-    ) -> RackAdvance:
-        """Advance every server's field by ``dt_s`` at its current load.
-
-        The rack-wide counterpart of :meth:`SimulationSession.advance`: the
-        first call initializes all fields from batched steady solves, later
-        calls take ``n_substeps`` backward-Euler steps in which servers
-        holding the same cooling boundary advance through one cached
-        operator per substep.  ``force_boundary_refresh`` is one flag for
-        the whole rack or one per server (per-server actuator events).
-
-        Composed of the same stages the datacenter floor engine drives —
-        power evaluation, refresh planning, boundary refresh, steady init,
-        substep marching, :meth:`finish_advance` — with the physics batched
-        rack-locally instead of floor-wide.
-        """
-        loads = self._check_loads(loads)
-        check_positive(dt_s, "dt_s")
-        if n_substeps < 1:
-            raise ValidationError(f"n_substeps must be >= 1, got {n_substeps}")
-        force = self.normalize_force_flags(force_boundary_refresh)
-
-        breakdowns, power_maps, water_loops = self._evaluate_power(loads)
-
-        # Refresh stale boundaries, batching the loop/evaporator work of the
-        # refreshing servers; the rest keep their held state.
-        refreshed = self.plan_refresh(power_maps, water_loops, force)
-        self.refresh_boundaries(power_maps, water_loops, refreshed)
-        boundaries = [state.boundary_result for state in self.held_boundaries()]
-
-        if self._temperatures is None:
-            self._temperatures = self._steady_fields(power_maps, boundaries)
-
-        fields = self._temperatures
-        sub_dt = dt_s / n_substeps
-        residuals = np.zeros(self.n_servers, dtype=float)
-        peak_case = np.full(self.n_servers, float("-inf"), dtype=float)
-        groups = self._group_by_boundary(boundaries)
-        for _ in range(n_substeps):
-            new_fields = np.empty_like(fields)
-            for indices in groups:
-                new_fields[indices] = (
-                    self.thermal_simulator.transient_step_many_from_maps(
-                        fields[indices],
-                        power_maps[indices],
-                        boundaries[indices[0]].boundary,
-                        sub_dt,
-                    )
-                )
-            residuals = np.max(np.abs(new_fields - fields), axis=1)
-            fields = new_fields
-            peak_case = np.maximum(peak_case, fields[:, self._case_cell_index])
-
-        return self.finish_advance(
-            loads,
-            breakdowns,
-            water_loops,
-            fields,
-            residuals,
-            peak_case,
-            refreshed,
-            dt_s,
-            n_substeps,
-        )

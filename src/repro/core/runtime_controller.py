@@ -17,15 +17,16 @@ Two execution modes are offered by :meth:`ThermosyphonController.run_trace`:
     new operator factorization.
 
 ``mode="transient"``
-    The time-domain study, closer to the paper's runtime claim: the
-    temperature field is carried across periods by the warm-start
-    :class:`~repro.core.session.SimulationSession` and advanced with
-    backward-Euler steps.  The cooling boundary is held between actuator
-    events (and refreshed on large power drift), so a whole trace runs on a
-    handful of factorizations — each period is a few cached
-    back-substitutions.  Decisions gain transient diagnostics: the settle
-    residual (how far from equilibrium the period ended) and the peak case
-    temperature observed *within* the period.
+    The time-domain study, closer to the paper's runtime claim: the trace
+    runs as a one-server :meth:`ThermosyphonController.run_rack_trace`,
+    i.e. on a one-server :class:`~repro.datacenter.floor.FloorEngine` —
+    the library's one transient loop.  The temperature field is carried
+    across periods and advanced with backward-Euler steps; the cooling
+    boundary is held between actuator events (and refreshed on large power
+    drift), so a whole trace runs on a handful of factorizations — each
+    period is a few cached back-substitutions.  Decisions gain transient
+    diagnostics: the settle residual (how far from equilibrium the period
+    ended) and the peak case temperature observed *within* the period.
 """
 
 from __future__ import annotations
@@ -321,7 +322,7 @@ class RackTrace:
     (entries may include operators from earlier studies on a shared
     simulator; both fields are None without a solver cache) — on a
     homogeneous rack the batched engine pays one factorization where
-    per-server sessions would pay ``n_servers``.
+    independent per-server traces would pay ``n_servers``.
     """
 
     periods: list[tuple[ControllerDecision, ...]] = field(default_factory=list)
@@ -430,9 +431,11 @@ def build_rack_loads(
 ) -> list[ServerLoad]:
     """Resolve one rack's :class:`ServerLoad` list for a control period.
 
-    The load-building half of :func:`run_rack_period`, split out so the
-    datacenter floor engine can assemble every rack's loads first and then
-    batch the physics of the whole floor in one pass.  ``current_mappings``
+    The load-building half of a transient period, shared by
+    :meth:`ThermosyphonController.run_rack_trace` and
+    :class:`repro.datacenter.model.DatacenterSession`: every rack's loads
+    are assembled first, then the floor engine batches the physics of the
+    whole floor in one pass.  ``current_mappings``
     is updated **in place** when a DVFS decision moved a server's frequency
     away from its mapping's.  ``mapping_memo`` optionally memoizes
     re-pinned mappings across servers and periods (keyed by the source
@@ -477,13 +480,16 @@ def apply_rack_decisions(
 ) -> tuple[tuple[ControllerDecision, ...], float]:
     """Apply the fast per-server rule to one rack's advanced physics.
 
-    The decision half of :func:`run_rack_period`: walks a
+    The decision half of a transient period, shared like
+    :func:`build_rack_loads`: walks a
     :class:`~repro.core.rack_session.RackAdvance`, charges the rack's
     chiller power and lets ``policy`` pick each server's next actuator
-    settings.  ``frequencies``, ``water_loops`` and ``force_refresh`` are
-    updated **in place**; returns the period's decisions and the rack
-    chiller electrical power, both evaluated at the settings the period
-    actually ran with.
+    settings.  ``policy`` is anything with the
+    :meth:`DecisionPolicy.decide` signature (the controller passes itself,
+    so subclass overrides of ``decide`` keep working).  ``frequencies``,
+    ``water_loops`` and ``force_refresh`` are updated **in place**; returns
+    the period's decisions and the rack chiller electrical power, both
+    evaluated at the settings the period actually ran with.
     """
     decisions = []
     period_chiller_w = 0.0
@@ -513,56 +519,6 @@ def apply_rack_decisions(
             )
         )
     return tuple(decisions), period_chiller_w
-
-
-def run_rack_period(
-    rack_session: RackSession,
-    servers: Sequence[RackServer],
-    traces: Sequence[PhasedTrace],
-    current_mappings: list[WorkloadMapping],
-    frequencies: list[float],
-    water_loops: list[WaterLoop],
-    force_refresh: list[bool],
-    time_s: float,
-    control_period_s: float,
-    transient_substeps: int,
-    policy,
-    chiller: ChillerModel,
-) -> tuple[tuple[ControllerDecision, ...], float]:
-    """One transient control period of one rack: physics + fast decisions.
-
-    The single source of the per-rack period step, shared by
-    :meth:`ThermosyphonController.run_rack_trace` and the datacenter layer
-    (:class:`repro.datacenter.model.DatacenterSession`), so the two lanes
-    cannot diverge — a fixed-setpoint datacenter run is bit-identical to
-    standalone rack traces *by construction*.  ``policy`` is anything with
-    the :meth:`DecisionPolicy.decide` signature (the controller passes
-    itself, so subclass overrides of ``decide`` keep working).
-
-    Composed of :func:`build_rack_loads` (actuator state -> loads), one
-    :meth:`RackSession.advance` (physics) and :func:`apply_rack_decisions`
-    (fast rule).  The datacenter floor engine runs the same two bookend
-    helpers but batches the middle physics stage across every rack on the
-    floor, which is why the split exists.
-
-    ``current_mappings``, ``frequencies``, ``water_loops`` and
-    ``force_refresh`` are the rack's per-server actuator state and are
-    updated **in place** with the decisions' outcomes.  Returns the
-    period's decisions and the rack chiller electrical power, both
-    evaluated at the settings the period actually ran with.
-    """
-    loads = build_rack_loads(
-        servers, traces, current_mappings, frequencies, water_loops, time_s
-    )
-    advance = rack_session.advance(
-        loads,
-        control_period_s,
-        n_substeps=transient_substeps,
-        force_boundary_refresh=force_refresh,
-    )
-    return apply_rack_decisions(
-        advance, servers, frequencies, water_loops, force_refresh, time_s, policy, chiller
-    )
 
 
 class ThermosyphonController:
@@ -648,64 +604,57 @@ class ThermosyphonController:
         """Run the controller over a phased workload trace.
 
         ``mode="steady"`` re-solves equilibrium each period (the original
-        quasi-static study); ``mode="transient"`` advances the simulation
-        session's warm-start temperature field with ``transient_substeps``
-        backward-Euler substeps per control period and populates the
-        transient diagnostics on every decision.  The decision rule itself
+        quasi-static study); ``mode="transient"`` runs the trace as a
+        one-server :meth:`run_rack_trace` — a warm-start temperature field
+        advanced with ``transient_substeps`` backward-Euler substeps per
+        control period on a one-server floor, with the transient
+        diagnostics populated on every decision.  The decision rule itself
         is identical in both modes.
         """
         if mode not in ("steady", "transient"):
             raise ConfigurationError(
                 f"mode must be 'steady' or 'transient', got {mode!r}"
             )
-        session = self.simulation.session
+        if mode == "transient":
+            rack = self.run_rack_trace(
+                [RackServer(benchmark, mapping, constraint)],
+                trace,
+                initial_water_loop=initial_water_loop,
+                transient_substeps=transient_substeps,
+            )
+            return ControllerTrace(
+                decisions=[period[0] for period in rack.periods],
+                mode="transient",
+                factorizations=rack.factorizations,
+            )
+        simulation = self.simulation
         mapper = ThreadMapper(
-            self.simulation.floorplan, orientation=self.simulation.design.orientation
+            simulation.floorplan, orientation=simulation.design.orientation
         )
         water_loop = (
             initial_water_loop
             if initial_water_loop is not None
-            else self.simulation.design.water_loop()
+            else simulation.design.water_loop()
         )
         frequency = mapping.configuration.frequency_ghz
         record = ControllerTrace(mode=mode)
-        if mode == "transient":
-            session.reset()
-        cache = self.simulation.thermal_simulator.solver_cache
+        cache = simulation.thermal_simulator.solver_cache
         misses_before = cache.stats.misses if cache is not None else None
 
-        current_mapping = mapping_at_frequency(mapping, frequency)
-        force_refresh = False
+        current_mapping = mapping
         time_s = 0.0
         while time_s < trace.duration_s:
             phase = trace.phase_at(time_s)
             if current_mapping.configuration.frequency_ghz != frequency:
                 # Only rebuild configuration/mapping when DVFS actually acted.
                 current_mapping = mapping_at_frequency(mapping, frequency)
-            settle_residual: float | None = None
-            period_peak: float | None = None
-            if mode == "steady":
-                result = session.solve_steady_mapping(
-                    benchmark,
-                    current_mapping,
-                    mapper=mapper,
-                    water_loop=water_loop,
-                    activity_factor=phase.activity_factor,
-                )
-            else:
-                step = session.advance_mapping(
-                    benchmark,
-                    current_mapping,
-                    self.control_period_s,
-                    mapper=mapper,
-                    water_loop=water_loop,
-                    activity_factor=phase.activity_factor,
-                    n_substeps=transient_substeps,
-                    force_boundary_refresh=force_refresh,
-                )
-                result = step.result
-                settle_residual = step.settle_residual_c
-                period_peak = step.period_peak_case_c
+            result = simulation.simulate_mapping(
+                benchmark,
+                current_mapping,
+                mapper=mapper,
+                water_loop=water_loop,
+                activity_factor=phase.activity_factor,
+            )
             # Capture the actuator settings this period actually ran with
             # before decide() computes the next period's settings.
             evaluated_flow_kg_h = water_loop.flow_rate_kg_h
@@ -713,7 +662,6 @@ class ThermosyphonController:
             action, water_loop, frequency = self.decide(
                 result, water_loop, benchmark, constraint
             )
-            force_refresh = action in ACTUATOR_ACTIONS
             record.decisions.append(
                 ControllerDecision(
                     time_s=time_s,
@@ -723,8 +671,6 @@ class ThermosyphonController:
                     water_flow_kg_h=evaluated_flow_kg_h,
                     frequency_ghz=evaluated_frequency_ghz,
                     action=action,
-                    settle_residual_c=settle_residual,
-                    period_peak_case_c=period_peak,
                 )
             )
             time_s += self.control_period_s
@@ -749,11 +695,12 @@ class ThermosyphonController:
 
         Every server follows the decision rule of :meth:`run_trace` in
         transient mode — flow first, DVFS second, per-server valve and
-        frequency state — but the thermal work of each control period goes
-        through one :class:`RackSession.advance`: servers holding the same
-        cooling boundary advance through a single cached operator per
-        substep, so a homogeneous rack trace costs roughly ``n_servers``
-        times fewer factorizations than independent per-server traces.
+        frequency state — while the thermal work of each control period is
+        one :meth:`~repro.datacenter.floor.FloorEngine.advance` of a
+        one-rack floor: servers holding the same cooling boundary advance
+        through a single cached operator per substep, so a homogeneous rack
+        trace costs roughly ``n_servers`` times fewer factorizations than
+        independent per-server traces.
 
         ``trace`` is the shared activity trace; servers carrying their own
         :attr:`RackServer.trace` follow it instead (the rack runs until the
@@ -766,6 +713,10 @@ class ThermosyphonController:
         factorization cache is shared with any single-server studies on the
         same simulation.
         """
+        # Imported here: repro.datacenter imports this module (through
+        # its model), so a module-level import would be circular.
+        from repro.datacenter.floor import FloorEngine
+
         servers = list(servers)
         if not servers:
             raise ConfigurationError("a rack trace needs at least one server")
@@ -775,7 +726,6 @@ class ThermosyphonController:
                 "every server needs a trace: pass a shared trace or give each "
                 "RackServer its own"
             )
-        owns_session = rack_session is None
         if rack_session is None:
             rack_session = RackSession(
                 len(servers),
@@ -798,34 +748,37 @@ class ThermosyphonController:
         )
         water_loops = [default_loop] * len(servers)
         frequencies = [server.mapping.configuration.frequency_ghz for server in servers]
-        current_mappings = [
-            mapping_at_frequency(server.mapping, frequencies[index])
-            for index, server in enumerate(servers)
-        ]
+        current_mappings = [server.mapping for server in servers]
         force_refresh = [False] * len(servers)
 
+        # A supplied session keeps its state: the floor seeds its group
+        # array from the session's carried fields on the first advance.
+        floor = FloorEngine([rack_session])
         record = RackTrace(control_period_s=self.control_period_s)
-        if owns_session:
-            rack_session.reset()
         cache = rack_session.thermal_simulator.solver_cache
         stats_before = cache.stats if cache is not None else None
 
         duration_s = max(t.duration_s for t in traces)
         time_s = 0.0
         while time_s < duration_s:
+            loads = build_rack_loads(
+                servers, traces, current_mappings, frequencies, water_loops, time_s
+            )
+            advance = floor.advance(
+                [loads],
+                self.control_period_s,
+                n_substeps=transient_substeps,
+                force_boundary_refresh=[force_refresh],
+            ).racks[0]
             # The controller itself is the policy argument, so a subclass
             # overriding decide() steers rack traces exactly like run_trace.
-            decisions, period_chiller_w = run_rack_period(
-                rack_session,
+            decisions, period_chiller_w = apply_rack_decisions(
+                advance,
                 servers,
-                traces,
-                current_mappings,
                 frequencies,
                 water_loops,
                 force_refresh,
                 time_s,
-                self.control_period_s,
-                transient_substeps,
                 self,
                 chiller,
             )

@@ -29,8 +29,8 @@ evaporator lane march per boundary refresh — rack sessions become
 row-block views over the floor's group arrays.  A homogeneous N-rack
 floor therefore costs roughly one rack's factorizations and solves, and
 a heterogeneous floor simply stacks fewer rows per group; both stay
-bit-identical to standalone per-rack traces because batching never
-changes the arithmetic.  The scenario engine
+bit-identical to the per-server golden loop (``tests/reference_session.py``)
+because batching never changes the arithmetic.  The scenario engine
 (:mod:`repro.datacenter.scenarios`) generates seeded, replayable
 floor-wide load shapes (diurnal, flash crowd, rolling batch, mixed) from
 the existing PARSEC phase traces, optionally cycling several thermosyphon

@@ -1,9 +1,13 @@
 """Floor engine: every server on the floor stacked through shared operators.
 
-Advancing racks one :class:`RackSession` at a time makes a homogeneous
-20-rack floor pay 20 multi-RHS back-substitutions per substep where the
-physics permits one.  :class:`FloorEngine` inverts the
-ownership of floor state: the *floor* holds one stacked
+:class:`FloorEngine` is the library's one transient physics loop.  The
+datacenter session (:class:`repro.datacenter.model.DatacenterSession`)
+drives a whole floor through it, and
+:meth:`ThermosyphonController.run_rack_trace` (and therefore
+``run_trace(mode="transient")``) drives a one-rack floor.  Advancing racks
+one at a time would make a homogeneous 20-rack floor pay 20 multi-RHS
+back-substitutions per substep where the physics permits one, so the
+engine owns floor state: the *floor* holds one stacked
 ``(n_servers_in_group, n_cells)`` temperature array per **hardware group**
 (racks sharing one thermal network, i.e. one
 :class:`~repro.thermal.simulator.ThermalSimulator`), and every rack
@@ -33,10 +37,11 @@ transient_step_many_from_maps` (or ``steady_state_many_from_maps``) per
 
 Because ``dpbtrs`` back-substitutes multi-column right-hand sides column
 by column and the lane march is elementwise across servers, stacking
-across racks changes *nothing numerically*: a fixed-setpoint floor run is
-bit-identical to standalone rack traces, which remain the golden model.
-Heterogeneous floors (mixed SKUs/designs) need no fallback — each
-hardware group simply stacks fewer rows.
+across racks changes *nothing numerically*: at a fixed setpoint every
+server of the floor is bit-identical to the per-server loop kept as the
+golden model in ``tests/reference_session.py``.  Heterogeneous floors
+(mixed SKUs/designs) need no fallback — each hardware group simply stacks
+fewer rows.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ from repro.obs.telemetry import get_telemetry
 from repro.thermal.boundary import CoolingBoundary
 from repro.thermal.rom import RomConfig, RomStats, build_reduced_operator
 from repro.thermosyphon.loop import BoundaryResult, LoopOperatingPoint
+from repro.utils.validation import check_positive
 
 __all__ = ["FloorAdvance", "FloorEngine", "FloorSnapshot", "FloorSpanAdvance"]
 
@@ -90,8 +96,8 @@ class FloorSnapshot:
 class FloorAdvance:
     """Outcome of one floor-wide control period of physics.
 
-    ``racks[r]`` is rack ``r``'s :class:`RackAdvance`, exactly as its
-    session's own :meth:`RackSession.advance` would have produced it.
+    ``racks[r]`` is rack ``r``'s :class:`RackAdvance` — its per-server
+    results, built by :meth:`RackSession.finish_advance`.
     ``worst_period_peak_case_c`` is the highest within-period case
     temperature across *every* server on the floor, computed vectorized
     from the stacked group arrays — the floor-level predicted-peak input
@@ -393,12 +399,14 @@ class FloorEngine:
     ) -> FloorAdvance:
         """Advance every server on the floor by ``dt_s``.
 
-        ``rack_loads[r]`` is rack ``r``'s per-server loads (as for
-        :meth:`RackSession.advance`); ``force_boundary_refresh[r]`` is that
-        rack's flag or per-server flags.  Results are bit-identical to
-        calling each rack session's own ``advance`` in rack order — the
-        stacking only changes how many rows each factorized operator
-        back-substitutes at once.
+        ``rack_loads[r]`` is rack ``r``'s per-server loads;
+        ``force_boundary_refresh[r]`` is that rack's flag or per-server
+        flags.  The first advance of a cold session initializes its fields
+        from a steady solve; later ones take ``n_substeps`` backward-Euler
+        steps of ``dt_s / n_substeps``.  Every server's result is
+        bit-identical to advancing it alone — the stacking only changes how
+        many rows each factorized operator back-substitutes at once.
+        Arguments are checked before any state changes.
 
         ``reference`` is the snapshot an MPC rollout started from.  With
         it, a single-substep period solves a solve group iteratively
@@ -408,6 +416,7 @@ class FloorEngine:
         that reference boundary.  Every other group factors as usual.  The
         rule reads only the request and the snapshot, never the cache.
         """
+        check_positive(dt_s, "dt_s")
         if n_substeps < 1:
             raise ValidationError(f"n_substeps must be >= 1, got {n_substeps}")
         if reference is not None and len(reference.rack_snapshots) != self.n_racks:
@@ -548,27 +557,27 @@ class FloorEngine:
         The ROM lane caches its bases beside the factorizations, so every
         hardware group's simulator must keep its solver cache.  Requires a
         warm floor (every session viewing its group array); cold starts
-        must go through :meth:`advance` first.
+        must go through :meth:`advance` first.  Arguments and warmth are
+        checked before any state changes.
         """
+        check_positive(dt_s, "dt_s")
         if span < 1:
             raise ValidationError(f"span must be >= 1, got {span}")
         if n_substeps < 1:
             raise ValidationError(f"n_substeps must be >= 1, got {n_substeps}")
+        # Warm check for every group before stage 2 stores any refreshed
+        # boundary, so a cold floor raises with its state untouched.
+        for group in self._groups:
+            if not self._group_is_warm(group):
+                raise ConfigurationError(
+                    "advance_span requires a warm floor; advance at least "
+                    "one fine control period first"
+                )
         obs = get_telemetry()
         with obs.span("floor.advance_span", span=span, n_substeps=n_substeps):
             loads, breakdowns, power_maps, water_loops, refreshed, boundaries = (
                 self._prepare_period(rack_loads, force_boundary_refresh)
             )
-
-            # Warm check for every group *before* dispatching workers, so a
-            # cold floor raises deterministically (and no worker has started
-            # mutating group state when it does).
-            for group in self._groups:
-                if not self._group_is_warm(group):
-                    raise ConfigurationError(
-                        "advance_span requires a warm floor; advance at least "
-                        "one fine control period first"
-                    )
 
             rack_advances: list[RackAdvance | None] = [None] * self.n_racks
             period_case: list[np.ndarray | None] = [None] * self.n_racks
@@ -761,16 +770,11 @@ class FloorEngine:
 
         # Steady initialization of any cold rack, batched per operator
         # across the whole group; warm racks keep their carried fields.  A
-        # session advanced standalone (or reset) between floor periods no
-        # longer views the group array, so its rows are re-seeded from its
-        # own state.
+        # session that a different floor advanced (a supplied session
+        # continuing a rack trace) or that was reset does not view this
+        # group array, so its rows are re-seeded from its own state.
         fields = group.fields
-        warm = fields is not None and all(
-            self.rack_sessions[r].fields is not None
-            and self.rack_sessions[r].fields.base is fields
-            for r in group.rack_indices
-        )
-        if not warm:
+        if not self._group_is_warm(group):
             fields = np.empty((group.n_servers, n_cells), dtype=float)
             cold_rows: list[int] = []
             for r in group.rack_indices:

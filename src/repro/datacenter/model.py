@@ -19,8 +19,9 @@ condenser water.  :class:`DatacenterSession` executes the floor over time:
   over its group array;
 * each server then runs the paper's fast flow-first/DVFS-second rule
   (:class:`~repro.core.runtime_controller.DecisionPolicy` — the exact rule
-  :meth:`ThermosyphonController.run_rack_trace` applies, so a fixed-setpoint
-  datacenter trace reproduces the standalone rack traces bit for bit);
+  :meth:`ThermosyphonController.run_rack_trace` applies on the same floor
+  engine, so at a fixed setpoint every server reproduces the per-server
+  golden loop of ``tests/reference_session.py`` bit for bit);
 * a :class:`~repro.datacenter.supervisory.SupervisoryController`, when
   given, closes the slow outer loop on the chiller water supply setpoint,
   reading the floor-level within-period peak straight off the stacked
@@ -615,10 +616,10 @@ class DatacenterSession:
     on its rack's resolved hardware), the :class:`FloorEngine` stacking
     those sessions into per-hardware-group state arrays, the per-server
     actuator settings (water valve and DVFS level) and the current chiller
-    supply setpoint.  The per-period logic mirrors
-    :meth:`ThermosyphonController.run_rack_trace` operation for operation,
-    so a fixed-setpoint datacenter run reproduces standalone rack traces
-    exactly; the supervisory loop only ever acts *between* periods by
+    supply setpoint.  :meth:`ThermosyphonController.run_rack_trace` runs
+    the same stages on a one-rack floor engine, so a fixed-setpoint
+    datacenter run reproduces standalone rack traces exactly; the
+    supervisory loop only ever acts *between* periods by
     re-issuing every server's water loop at a new inlet temperature (the
     rack sessions then refresh their cooling boundaries because the water
     condition changed — the same path a valve action takes).
@@ -791,11 +792,11 @@ class DatacenterSession:
 
         Loads are resolved per server through :func:`build_rack_loads` and
         decisions applied through :func:`apply_rack_decisions` — the exact
-        stages :meth:`ThermosyphonController.run_rack_trace` composes — so
-        fixed-setpoint parity with standalone rack traces holds by
-        construction, not by mirrored code.  Between them, the floor engine
-        advances every server through one stacked solve per (hardware
-        group, cooling boundary) per substep.
+        stages :meth:`ThermosyphonController.run_rack_trace` composes around
+        the same :meth:`FloorEngine.advance` — so fixed-setpoint parity with
+        standalone rack traces holds by construction, not by mirrored code.
+        Between them, the floor engine advances every server through one
+        stacked solve per (hardware group, cooling boundary) per substep.
 
         ``n_substeps`` overrides the model's backward-Euler substep count
         for this period only — MPC rollouts trade integration resolution

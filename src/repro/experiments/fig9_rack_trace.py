@@ -3,14 +3,15 @@
 The rack companion of the fig8 controller study and of Section V's
 rack-level evaluation: the same flow-rate-first/DVFS-second controller
 drives a homogeneous rack over a phased PARSEC trace twice — once as
-independent per-server transient traces (each server its own simulation,
-operator factorizations and lane marches), and once through the
-:class:`~repro.core.rack_session.RackSession` engine, where every server
-sharing a cooling boundary advances through one cached factorization per
-substep via multi-column back-substitution.  The decisions are identical by
-construction (the batched path reproduces the per-server path to round-off);
-the report compares the cost: operator factorizations, wall time, and the
-rack-wide chiller energy both paths agree on.
+independent per-server transient traces (each server a one-server floor
+on its own simulation, with its own operator factorizations and lane
+marches), and once as one rack trace on a one-rack floor, where every
+server sharing a cooling boundary advances through one cached
+factorization per substep via multi-column back-substitution.  Both run
+on the same floor engine (:class:`~repro.datacenter.floor.FloorEngine`),
+so the decisions are identical bit for bit; the report compares the cost:
+operator factorizations, wall time, and the rack-wide chiller energy both
+paths agree on.
 """
 
 from __future__ import annotations

@@ -15,12 +15,10 @@ See the README's "Observability" section for the full recipe.
 
 from repro.obs.export import (
     config_digest,
-    prometheus_text,
     read_jsonl,
     run_manifest,
     write_chrome_trace,
     write_jsonl,
-    write_prometheus,
 )
 from repro.obs.telemetry import (
     NULL_TELEMETRY,
@@ -58,12 +56,10 @@ __all__ = [
     "disable",
     "enable",
     "get_telemetry",
-    "prometheus_text",
     "read_jsonl",
     "render_report",
     "run_manifest",
     "set_telemetry",
     "write_chrome_trace",
     "write_jsonl",
-    "write_prometheus",
 ]

@@ -1,6 +1,6 @@
 """Exporters for a :class:`~repro.obs.telemetry.Telemetry` hub.
 
-Three interchange formats plus a run manifest:
+Two interchange formats plus a run manifest:
 
 * **JSON-lines** (:func:`write_jsonl` / :func:`read_jsonl`) — one event
   per line, self-describing via a ``type`` field (``manifest``,
@@ -10,9 +10,6 @@ Three interchange formats plus a run manifest:
 * **Chrome trace-event** (:func:`write_chrome_trace`) — ``"X"`` complete
   events with microsecond ``ts``/``dur``, loadable in Perfetto or
   ``chrome://tracing`` for a visual per-thread timeline of a run.
-* **Prometheus text exposition** (:func:`prometheus_text`) — counters,
-  gauges and cumulative histogram buckets in the ``# TYPE`` /
-  ``name value`` line format, for scraping long-lived worker fleets.
 
 The manifest (:func:`run_manifest`) pins what produced a stream: a
 config digest (stable hash of the configuration's values, the same in
@@ -38,12 +35,10 @@ from repro.obs.telemetry import Telemetry
 
 __all__ = [
     "config_digest",
-    "prometheus_text",
     "read_jsonl",
     "run_manifest",
     "write_chrome_trace",
     "write_jsonl",
-    "write_prometheus",
 ]
 
 
@@ -245,40 +240,3 @@ def write_chrome_trace(hub: Telemetry, path_or_file, *, process_name: str = "rep
         with open(path_or_file, "w", encoding="utf-8") as handle:
             json.dump(document, handle, default=str)
     return document
-
-
-def _metric_name(name: str) -> str:
-    """Map dotted metric names onto the Prometheus charset."""
-    return "repro_" + "".join(
-        char if char.isalnum() or char == "_" else "_" for char in name
-    )
-
-
-def prometheus_text(hub: Telemetry) -> str:
-    """Render counters/gauges/histograms as Prometheus text exposition."""
-    lines: list[str] = []
-    for name, value in sorted(hub.counters.snapshot().items()):
-        metric = _metric_name(name)
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {value}")
-    for name, value in sorted(hub.gauges_snapshot().items()):
-        metric = _metric_name(name)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {value}")
-    for name, snap in sorted(hub.histograms_snapshot().items()):
-        metric = _metric_name(name)
-        lines.append(f"# TYPE {metric} histogram")
-        cumulative = 0
-        for bound, count in zip(snap["bounds"], snap["counts"]):
-            cumulative += count
-            lines.append(f'{metric}_bucket{{le="{bound}"}} {cumulative}')
-        lines.append(f'{metric}_bucket{{le="+Inf"}} {snap["total"]}')
-        lines.append(f"{metric}_sum {snap['sum']}")
-        lines.append(f"{metric}_count {snap['total']}")
-    return "\n".join(lines) + "\n"
-
-
-def write_prometheus(hub: Telemetry, path) -> None:
-    """Write :func:`prometheus_text` output to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(prometheus_text(hub))

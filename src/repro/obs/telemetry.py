@@ -91,7 +91,7 @@ class Counters:
 
 
 class Histogram:
-    """Fixed-bucket histogram (Prometheus-style cumulative export).
+    """Fixed-bucket histogram of observed values.
 
     ``bounds`` are the inclusive upper bounds of the finite buckets; one
     implicit overflow bucket catches everything beyond the last bound.

@@ -261,10 +261,12 @@ class ThermalSimulator:
         """One backward-Euler step from an explicit temperature field.
 
         ``temperatures`` may be flat or shaped ``(n_layers, n_rows,
-        n_columns)``; the advanced field is returned flat.  Used by the
-        warm-start :class:`repro.core.session.SimulationSession` to carry
-        the field across control periods; at a fixed ``(cooling, dt_s)``
-        every call is a single cached back-substitution.
+        n_columns)``; the advanced field is returned flat.  At a fixed
+        ``(cooling, dt_s)`` every call is a single cached
+        back-substitution.  The engines step through
+        :meth:`transient_step_many_from_maps`; this single-column form
+        backs the per-server golden loop (``tests/reference_session.py``)
+        they are checked against.
         """
         flat = np.asarray(temperatures, dtype=float).ravel()
         return self._transient_solver.step(

@@ -66,7 +66,7 @@ The bulk operator is recorded once per cache, beside its band, and
 * **Committed traces never take it.**  Only a caller that passes a
   reference reaches the lane — the floor engine during MPC rollouts — so
   committed traces run the exact path and stay bit-identical (tier A):
-  floor == standalone rack, hold-only MPC == fixed trace, snapshot
+  floor == per-server golden loop, hold-only MPC == fixed trace, snapshot
   replay, telemetry on/off, serial == parallel groups.
 * **Rollouts are tier B against exact rollouts.**  Worst peaks agree
   within 1e-9 degC, plant energies within 1e-9 relative, and the planner

@@ -2,9 +2,9 @@
 
 The load-bearing guarantees:
 
-* a fixed-setpoint :class:`DatacenterModel` run reproduces standalone
-  :meth:`ThermosyphonController.run_rack_trace` results **bit for bit**
-  per rack (the floor engine adds sharing, never different physics);
+* a fixed-setpoint :class:`DatacenterModel` run reproduces the per-server
+  golden loop of ``tests/reference_session.py`` **bit for bit** (the floor
+  engine adds sharing, never different physics);
 * the supervisory setpoint loop saves chiller plant energy against the
   fixed-setpoint baseline at zero thermal violations;
 * racks share one factorization cache — a homogeneous floor pays what a
@@ -39,11 +39,13 @@ from repro.workloads.parsec import get_benchmark
 from repro.workloads.qos import QoSConstraint
 from repro.workloads.trace import generate_trace
 
+from reference_session import reference_rack_trace
+
 CELL_SIZE_MM = 2.5
 CONTROL_PERIOD_S = 2.0
 DURATION_S = 24.0
 
-#: All decision fields that must match the standalone rack trace exactly.
+#: All decision fields that must match the golden loop exactly.
 _DECISION_FIELDS = (
     "time_s",
     "case_temperature_c",
@@ -238,14 +240,14 @@ class TestDatacenterValidation:
 
 class TestFixedSetpointEquivalence:
     def test_bit_identical_to_standalone_rack_traces(self, floorplan, power_model):
-        """ISSUE acceptance: fixed-setpoint floor == per-rack run_rack_trace.
+        """Fixed-setpoint floor == the per-server golden loop, bit for bit.
 
         A heterogeneous 2-rack x 4-server floor at a fixed setpoint must
-        reproduce each rack's standalone transient trace bit for bit
-        (well inside the 1e-12 acceptance tolerance) — including the
+        reproduce every server's golden transient trace
+        (``tests/reference_session.py``) exactly — including the
         per-period rack chiller power at the plant's efficiency — even
-        though the floor engine runs both racks through one shared
-        factorization cache and the standalone traces use private ones.
+        though the floor engine stacks both racks through one shared
+        factorization cache and the golden steps each server alone.
         """
         scenario = _scenario(floorplan, kind="flash_crowd", seed=3)
         plant = ChillerPlant(free_cooling_outdoor_c=18.0)
@@ -264,20 +266,21 @@ class TestFixedSetpointEquivalence:
             controller = ThermosyphonController(
                 simulation, control_period_s=CONTROL_PERIOD_S
             )
-            standalone = controller.run_rack_trace(
-                list(rack.servers),
+            golden_periods, golden_chiller_w = reference_rack_trace(
+                controller,
+                rack.servers,
                 initial_water_loop=PAPER_OPTIMIZED_DESIGN.water_loop(),
                 chiller=plant.chiller_at(setpoint),
             )
             floor_rack = trace.racks[rack_index]
-            assert len(floor_rack.periods) == len(standalone.periods)
-            for ours, theirs in zip(floor_rack.periods, standalone.periods):
+            assert len(floor_rack.periods) == len(golden_periods)
+            for ours, theirs in zip(floor_rack.periods, golden_periods):
                 for decision_a, decision_b in zip(ours, theirs):
                     for field in _DECISION_FIELDS:
                         assert getattr(decision_a, field) == getattr(
                             decision_b, field
                         ), field
-            assert floor_rack.chiller_power_w == standalone.chiller_power_w
+            assert floor_rack.chiller_power_w == golden_chiller_w
 
 
 class TestSupervisorySavesPlantEnergy:

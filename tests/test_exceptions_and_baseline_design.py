@@ -10,7 +10,6 @@ from repro.baselines.seuret_design import uniform_heat_flux_boundary
 from repro.core.mapping import ThreadMapper
 from repro.core.mapping_policies import ProposedThermalAwareMapping
 from repro.core.rack_session import RackSession, ServerLoad
-from repro.core.session import SimulationSession
 from repro.datacenter.floor import FloorEngine
 from repro.datacenter.supervisory import MpcSupervisoryController, SupervisoryController
 from repro.obs.telemetry import Histogram
@@ -22,14 +21,12 @@ from repro.workloads.configuration import Configuration
 
 #: Every caller-input check, each given an input it must reject.
 CALLER_INPUT_SITES = {
-    "SimulationSession.advance n_substeps": lambda ctx: ctx.session.advance(
-        ctx.power_map, n_substeps=0
-    ),
-    "RackSession.advance n_substeps": lambda ctx: ctx.rack.advance(
-        [ctx.load], n_substeps=0
-    ),
+    "FloorEngine.advance dt_s": lambda ctx: ctx.floor.advance([[ctx.load]], 0.0),
     "FloorEngine.advance n_substeps": lambda ctx: ctx.floor.advance(
         [[ctx.load]], 2.0, n_substeps=0
+    ),
+    "FloorEngine.advance_span dt_s": lambda ctx: ctx.floor.advance_span(
+        [[ctx.load]], 0.0, 4, rom=RomConfig()
     ),
     "FloorEngine.advance_span span": lambda ctx: ctx.floor.advance_span(
         [[ctx.load]], 2.0, 0, rom=RomConfig()
@@ -65,11 +62,6 @@ def caller_input_context(floorplan, power_model, coarse_thermal_simulator, x264)
         1, floorplan=floorplan, power_model=power_model, thermal_simulator=simulator
     )
     return SimpleNamespace(
-        session=SimulationSession(
-            floorplan, power_model=power_model, thermal_simulator=simulator
-        ),
-        power_map=np.zeros(simulator.shape),
-        rack=rack,
         floor=FloorEngine([rack]),
         load=ServerLoad(benchmark=x264, mapping=mapping),
         result=simulator.result_from_vector(np.full(simulator.grid.n_cells, 40.0)),

@@ -3,10 +3,11 @@
 The load-bearing guarantees of :mod:`repro.datacenter.floor`:
 
 * a **mixed-SKU** fixed-setpoint floor (per-rack floorplans, designs and
-  power models) reproduces each rack's standalone
-  :meth:`ThermosyphonController.run_rack_trace` bit for bit — the floor
-  engine partitions its stacked solves by hardware group instead of
-  falling back to anything slower;
+  power models) reproduces the per-server golden loop of
+  ``tests/reference_session.py`` bit for bit — the floor engine
+  partitions its stacked solves by hardware group instead of falling back
+  to anything slower;
+* rejected input raises before the floor stores any refreshed boundary;
 * the solve partition (:meth:`FloorEngine.boundary_groups`) tracks
   actuator events: a valve action, a DVFS move and a setpoint change land
   servers in the right groups;
@@ -35,6 +36,7 @@ from repro.datacenter.scenarios import build_scenario
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.floorplan.xeon_e5_v4 import build_xeon_e5_v4_floorplan
 from repro.power.power_model import ServerPowerModel
+from repro.thermal.rom import RomConfig
 from repro.thermal.simulator import ThermalSimulator
 from repro.thermal.solver_cache import CacheStats
 from repro.thermosyphon.chiller import ChillerPlant
@@ -48,11 +50,13 @@ from repro.workloads.parsec import get_benchmark
 from repro.workloads.qos import QoSConstraint
 from repro.workloads.trace import generate_trace
 
+from reference_session import reference_rack_trace
+
 CELL_SIZE_MM = 2.5
 CONTROL_PERIOD_S = 2.0
 DURATION_S = 16.0
 
-#: All decision fields that must match the standalone rack trace exactly.
+#: All decision fields that must match the golden loop exactly.
 _DECISION_FIELDS = (
     "time_s",
     "case_temperature_c",
@@ -107,19 +111,51 @@ class TestFloorEngineValidation:
         with pytest.raises(ValidationError):
             engine.advance([[load], [load]], 2.0)
 
+    def test_rejected_periods_leave_held_boundaries_untouched(self, floorplan, x264):
+        """Bad input raises before stage 2 stores any refreshed boundary.
+
+        A rejected period must not leave a boundary behind: the next valid
+        period would then hold it and report no refresh.
+        """
+        session = RackSession(
+            1, floorplan=floorplan, thermal_simulator=_simulator(floorplan)
+        )
+        engine = FloorEngine([session])
+        mapping = _mapping(floorplan, x264)
+        full = ServerLoad(benchmark=x264, mapping=mapping)
+        light = ServerLoad(benchmark=x264, mapping=mapping, activity_factor=0.3)
+
+        # Cold floor: a span needs a warm floor.
+        with pytest.raises(ConfigurationError):
+            engine.advance_span([[full]], 2.0, 4, rom=RomConfig())
+        assert engine.snapshot().rack_snapshots[0].boundaries == (None,)
+        first = engine.advance([[full]], 2.0).racks[0].servers[0]
+        assert first.boundary_refreshed
+
+        # Warm floor, a load far beyond the drift tolerance, a bad dt_s.
+        before = engine.snapshot().rack_snapshots[0].boundaries
+        with pytest.raises(ValidationError):
+            engine.advance([[light]], 0.0)
+        with pytest.raises(ValidationError):
+            engine.advance_span([[light]], 0.0, 4, rom=RomConfig())
+        assert engine.snapshot().rack_snapshots[0].boundaries == before
+        step = engine.advance([[light]], 2.0).racks[0].servers[0]
+        assert step.boundary_refreshed
+
 
 class TestMixedSkuEquivalence:
     def test_bit_identical_to_standalone_rack_traces(
         self, floorplan, power_model, second_floorplan, x264, canneal
     ):
-        """ISSUE acceptance: mixed-SKU floor == per-rack golden path.
+        """Mixed-SKU floor == the per-server golden loop, bit for bit.
 
         Rack 0 runs the default floorplan with the paper-optimized design;
         rack 1 a different spreader footprint with the Seuret reference
         design and its own power model — two hardware groups, two
         factorization caches.  The fixed-setpoint floor must reproduce
-        each rack's standalone transient trace bit for bit (well inside
-        the 1e-12 acceptance tolerance) with **no** fallback path.
+        every server's golden transient trace
+        (``tests/reference_session.py``) and each rack's chiller power
+        exactly, with **no** fallback path.
         """
         power_model_b = ServerPowerModel(second_floorplan)
         trace_a = generate_trace(x264, total_duration_s=DURATION_S)
@@ -165,22 +201,23 @@ class TestMixedSkuEquivalence:
             controller = ThermosyphonController(
                 simulation, control_period_s=CONTROL_PERIOD_S
             )
-            standalone = controller.run_rack_trace(
-                list(racks[rack_index].servers),
+            golden_periods, golden_chiller_w = reference_rack_trace(
+                controller,
+                racks[rack_index].servers,
                 initial_water_loop=design.water_loop().with_inlet_temperature(
                     setpoint
                 ),
                 chiller=plant.chiller_at(setpoint),
             )
             floor_rack = trace.racks[rack_index]
-            assert len(floor_rack.periods) == len(standalone.periods)
-            for ours, theirs in zip(floor_rack.periods, standalone.periods):
+            assert len(floor_rack.periods) == len(golden_periods)
+            for ours, theirs in zip(floor_rack.periods, golden_periods):
                 for decision_a, decision_b in zip(ours, theirs):
                     for field in _DECISION_FIELDS:
                         assert getattr(decision_a, field) == getattr(
                             decision_b, field
                         ), field
-            assert floor_rack.chiller_power_w == standalone.chiller_power_w
+            assert floor_rack.chiller_power_w == golden_chiller_w
 
 
 class TestSharedPitchSkus:

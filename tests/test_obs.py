@@ -8,8 +8,8 @@ The load-bearing guarantees:
   mean concurrent spans carry their own thread id and depth, both from
   raw threads and from the thread-parallel floor engine;
 * exporters round-trip — a JSONL dump parses back and feeds the report
-  builder, the Chrome trace document is schema-valid (Perfetto-loadable),
-  Prometheus text exposition renders every metric family;
+  builder, and the Chrome trace document is schema-valid
+  (Perfetto-loadable);
 * the legacy stats surfaces behave exactly like the dataclasses they
   were: :class:`CacheStats` and :class:`WarmStoreStats` as *views* over
   telemetry counter bags, :class:`RomStats` as a plain dataclass;
@@ -43,7 +43,6 @@ from repro.obs import (
     build_report,
     config_digest,
     get_telemetry,
-    prometheus_text,
     read_jsonl,
     render_report,
     run_manifest,
@@ -303,14 +302,6 @@ class TestExporters:
         child = next(e for e in complete if e["name"] == "rom.march")
         assert parent["ts"] <= child["ts"]
         assert child["ts"] + child["dur"] <= parent["ts"] + parent["dur"] + 1e-6
-
-    def test_prometheus_text(self):
-        text = prometheus_text(self._populated())
-        assert "# TYPE repro_cache_hits counter" in text
-        assert "repro_cache_hits 7" in text
-        assert "# TYPE repro_pool_workers gauge" in text
-        assert 'repro_floor_queue_latency_us_bucket{le="+Inf"} 1' in text
-        assert "repro_floor_queue_latency_us_count 1" in text
 
     def test_report_cli(self, tmp_path, capsys):
         hub = self._populated()

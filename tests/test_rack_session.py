@@ -1,12 +1,16 @@
-"""RackSession tests: batched rack engine vs the per-server golden path.
+"""RackSession tests: per-rack state advanced by the floor engine.
 
-The load-bearing guarantees: every batched layer (grouped operating points,
-stacked lane march, multi-column back-substitution) reproduces the
-per-server :class:`SimulationSession` to <= 1e-12 across homogeneous and
-heterogeneous slots; the session-backed :class:`RackModel` matches the
-per-slot :class:`BatchEvaluator` exactly; and the batched engine actually pays
-fewer factorizations — one per distinct cooling boundary instead of one per
-server, asserted through merged :class:`CacheStats`.
+A rack is a one-rack :class:`FloorEngine`.  The load-bearing guarantees:
+a jittered rack trace reproduces the per-server golden loop
+(``tests/reference_session.py``) bit for bit; a cold period at constant
+load sits on the steady lane (:class:`CooledServerSimulation`) to
+<= 1e-12, across homogeneous and heterogeneous slots and at every water
+temperature; the boundary hold rule acts per server (jitter holds,
+per-server forced refreshes); the rack pays one factorization per distinct
+cooling boundary and operator instead of one per server, and a homogeneous
+rack trace pays fewer factorizations than independent per-server traces;
+:class:`CacheStats` merge across the caches involved; a supplied session
+continues a trace exactly where the last one stopped.
 """
 
 import numpy as np
@@ -15,20 +19,26 @@ import pytest
 from repro.core.batch import BatchEvaluator, SweepPoint
 from repro.core.mapping import ThreadMapper
 from repro.core.mapping_policies import ProposedThermalAwareMapping
-from repro.core.rack import RackModel, ServerSlot
 from repro.core.rack_session import RackSession, ServerLoad
-from repro.core.runtime_controller import RackServer, ThermosyphonController
-from repro.core.session import SimulationSession
+from repro.core.runtime_controller import (
+    ControllerAction,
+    RackServer,
+    ThermosyphonController,
+)
 from repro.core.pipeline import CooledServerSimulation
+from repro.datacenter.floor import FloorEngine
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.thermal.simulator import ThermalSimulator
 from repro.thermal.solver_cache import CacheStats
+from repro.thermosyphon.chiller import ChillerModel
 from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN
 from repro.thermosyphon.water_loop import WaterLoop
 from repro.workloads.configuration import Configuration
 from repro.workloads.parsec import get_benchmark
 from repro.workloads.qos import QoSConstraint
 from repro.workloads.trace import PhasedTrace, TracePhase
+
+from reference_session import ReferenceSession, reference_rack_trace
 
 CELL_SIZE_MM = 2.5
 
@@ -50,28 +60,50 @@ def _rack_session(floorplan, power_model, n_servers, **kwargs):
     )
 
 
-def _golden_session(floorplan, power_model):
-    """A fresh independent per-server pipeline (its own simulator and cache)."""
-    return SimulationSession(
+def _steady_lane(floorplan, power_model):
+    """A fresh independent steady evaluator (its own simulator and cache)."""
+    return CooledServerSimulation(
         floorplan,
         power_model=power_model,
         thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=CELL_SIZE_MM),
     )
 
 
+def _golden_session(floorplan, power_model):
+    """The per-server golden loop on a fresh simulator (its own cache)."""
+    return ReferenceSession(_steady_lane(floorplan, power_model))
+
+
+def _floor(rack):
+    return FloorEngine([rack])
+
+
+def _cold_period(rack, loads):
+    """One cold control period of a one-rack floor; returns the rack's advance.
+
+    A cold rack initializes every field from a steady solve and then takes
+    one backward-Euler step at the same power, so at constant load the
+    period ends on the steady answer up to rounding.
+    """
+    return _floor(rack).advance([loads], 2.0).racks[0]
+
+
+def _misses(rack):
+    return rack.thermal_simulator.solver_cache.stats.misses
+
+
 class TestSteadyEquivalence:
     def test_homogeneous_rack_matches_per_server_loop(self, floorplan, power_model, x264):
-        """Identical slots: batched fields equal the golden loop to 1e-12."""
+        """Identical slots: a cold rack period equals the steady lane to 1e-12."""
         mapping = _mapping(floorplan, x264)
         n_servers = 4
         rack = _rack_session(floorplan, power_model, n_servers)
         loads = [ServerLoad(benchmark=x264, mapping=mapping)] * n_servers
-        batched = rack.solve_steady(loads)
+        batched = _cold_period(rack, loads)
 
-        for result in batched:
-            golden = _golden_session(floorplan, power_model).solve_steady_mapping(
-                x264, mapping
-            )
+        for server in batched.servers:
+            result = server.result
+            golden = _steady_lane(floorplan, power_model).simulate_mapping(x264, mapping)
             scale = np.abs(golden.thermal_result.temperatures_c).max()
             assert (
                 np.abs(
@@ -96,16 +128,17 @@ class TestSteadyEquivalence:
     def test_heterogeneous_rack_matches_per_server_loop(
         self, floorplan, power_model, x264, canneal
     ):
-        """Mixed workloads split into groups but still match the golden loop."""
+        """Mixed workloads split into groups but still match the steady lane."""
         benchmarks = [x264, canneal, x264, canneal]
         rack = _rack_session(floorplan, power_model, len(benchmarks))
         loads = [
             ServerLoad(benchmark=benchmark, mapping=_mapping(floorplan, benchmark))
             for benchmark in benchmarks
         ]
-        batched = rack.solve_steady(loads)
-        for load, result in zip(loads, batched):
-            golden = _golden_session(floorplan, power_model).solve_steady_mapping(
+        batched = _cold_period(rack, loads)
+        for load, server in zip(loads, batched.servers):
+            result = server.result
+            golden = _steady_lane(floorplan, power_model).simulate_mapping(
                 load.benchmark, load.mapping
             )
             scale = np.abs(golden.thermal_result.temperatures_c).max()
@@ -127,8 +160,9 @@ class TestSteadyEquivalence:
             ServerLoad(benchmark=x264, mapping=_mapping(floorplan, x264, 3.2)),
             ServerLoad(benchmark=x264, mapping=_mapping(floorplan, x264, 2.6)),
         ]
-        results = rack.solve_steady(loads)
-        assert rack.cache_stats().misses == 2
+        results = [server.result for server in _cold_period(rack, loads).servers]
+        # A steady and a backward-Euler operator for each of the two boundaries.
+        assert _misses(rack) == 4
         assert (
             results[0].configuration.frequency_ghz
             != results[1].configuration.frequency_ghz
@@ -138,28 +172,30 @@ class TestSteadyEquivalence:
 
 class TestFactorizationSharing:
     def test_homogeneous_rack_pays_one_factorization(self, floorplan, power_model, x264):
-        """ISSUE acceptance: 8 identical servers, one factorization.
+        """8 identical servers pay one factorization per operator.
 
-        The per-server golden loop with independent sessions pays one per
-        server; merged CacheStats assert the >= 8x reduction.
+        A cold period factors a steady (initialization) and a
+        backward-Euler operator.  The per-server golden loop with
+        independent caches pays both once per server; merged CacheStats
+        assert the >= 8x reduction.
         """
         mapping = _mapping(floorplan, x264)
         n_servers = 8
         rack = _rack_session(floorplan, power_model, n_servers)
-        rack.solve_steady([ServerLoad(benchmark=x264, mapping=mapping)] * n_servers)
-        assert rack.cache_stats().misses == 1
+        _cold_period(rack, [ServerLoad(benchmark=x264, mapping=mapping)] * n_servers)
+        assert _misses(rack) == 2
 
         golden_sessions = [
             _golden_session(floorplan, power_model) for _ in range(n_servers)
         ]
         for session in golden_sessions:
-            session.solve_steady_mapping(x264, mapping)
+            session.advance_mapping(x264, mapping, 2.0)
         golden_stats = sum(
             (session.thermal_simulator.solver_cache.stats for session in golden_sessions),
             CacheStats.zero(),
         )
-        assert golden_stats.misses == n_servers
-        assert golden_stats.misses >= 8 * rack.cache_stats().misses
+        assert golden_stats.misses == 2 * n_servers
+        assert golden_stats.misses >= 8 * _misses(rack)
 
     def test_heterogeneous_rack_pays_one_per_distinct_boundary(
         self, floorplan, power_model, x264, canneal
@@ -169,17 +205,19 @@ class TestFactorizationSharing:
             ServerLoad(benchmark=bench, mapping=_mapping(floorplan, bench))
             for bench in (x264, x264, x264, canneal, canneal, canneal)
         ]
-        rack.solve_steady(loads)
-        assert rack.cache_stats().misses == 2  # one per distinct workload
+        _cold_period(rack, loads)
+        # One steady and one backward-Euler operator per distinct workload.
+        assert _misses(rack) == 4
 
     def test_repeated_solves_reuse_operators(self, floorplan, power_model, x264):
         mapping = _mapping(floorplan, x264)
         rack = _rack_session(floorplan, power_model, 4)
+        floor = _floor(rack)
         loads = [ServerLoad(benchmark=x264, mapping=mapping)] * 4
-        rack.solve_steady(loads)
-        misses = rack.cache_stats().misses
-        rack.solve_steady(loads)
-        assert rack.cache_stats().misses == misses
+        floor.advance([loads], 2.0)
+        misses = _misses(rack)
+        floor.advance([loads], 2.0)
+        assert _misses(rack) == misses
 
 
 class TestCacheStatsMerge:
@@ -205,26 +243,19 @@ class TestCacheStatsMerge:
         assert sum(stats) == merged
 
 
-class TestRackModelParity:
-    """``RackModel.evaluate`` (rack session) == the per-slot batch evaluator.
+class TestWaterTemperatureParity:
+    """A cold one-rack floor period == the per-slot batch evaluator.
 
-    The probe temperatures are the first ones the two water-temperature
-    searches visit (15-40 C for the warmest feasible water, 10-30 C for
-    the hot-spot target), so the searches built on ``evaluate`` land where
-    per-slot evaluation would.
+    Every server runs at the probed inlet water temperature; the batch
+    evaluator selects (Algorithm 1) and maps each slot on the steady lane,
+    and the floor advances the mappings it chose.  The probes span 10-40
+    degC inlet water, including the midpoints a bisection over 15-40 or
+    10-30 degC visits first.
     """
 
     @pytest.fixture(scope="class")
     def slots(self):
-        return [
-            ServerSlot(get_benchmark("x264"), QoSConstraint(2.0)),
-            ServerSlot(get_benchmark("x264"), QoSConstraint(2.0)),
-            ServerSlot(get_benchmark("canneal"), QoSConstraint(2.0)),
-        ]
-
-    @pytest.fixture(scope="class")
-    def rack(self, slots):
-        return RackModel(slots, cell_size_mm=CELL_SIZE_MM)
+        return [get_benchmark("x264"), get_benchmark("x264"), get_benchmark("canneal")]
 
     @pytest.fixture(scope="class")
     def evaluator(self):
@@ -233,30 +264,44 @@ class TestRackModelParity:
     @pytest.mark.parametrize(
         "water_c", [10.0, 15.0, 20.0, 21.25, 27.5, 30.0, 33.75, 40.0]
     )
-    def test_evaluate_matches_batch_evaluator(self, rack, evaluator, slots, water_c):
-        ours = rack.evaluate(water_c)
+    def test_one_rack_floor_matches_batch_evaluator(
+        self, floorplan, power_model, evaluator, slots, water_c
+    ):
         water_loop = WaterLoop(
             inlet_temperature_c=water_c,
-            flow_rate_kg_h=rack.design.water_flow_rate_kg_h,
+            flow_rate_kg_h=PAPER_OPTIMIZED_DESIGN.water_flow_rate_kg_h,
         )
         theirs = evaluator.evaluate_many(
             [
                 SweepPoint(
-                    benchmark=slot.benchmark,
-                    constraint=slot.constraint,
+                    benchmark=benchmark,
+                    constraint=QoSConstraint(2.0),
                     water_loop=water_loop,
                 )
-                for slot in slots
+                for benchmark in slots
             ]
         )
-        assert ours.chiller_power_w == pytest.approx(
-            sum(
-                rack.chiller.cooling_power_w(r.water_loop, r.package_power_w)
-                for r in theirs
-            ),
+        rack = _rack_session(floorplan, power_model, len(slots))
+        ours = _cold_period(
+            rack,
+            [
+                ServerLoad(
+                    benchmark=benchmark, mapping=result.mapping, water_loop=water_loop
+                )
+                for benchmark, result in zip(slots, theirs)
+            ],
+        )
+        chiller = ChillerModel()
+        assert chiller.rack_cooling_power_w(
+            (server.result.water_loop, server.result.package_power_w)
+            for server in ours.servers
+        ) == pytest.approx(
+            sum(chiller.cooling_power_w(r.water_loop, r.package_power_w) for r in theirs),
             abs=1e-9,
         )
-        for a, b in zip(ours.server_results, theirs):
+        for server, b in zip(ours.servers, theirs):
+            a = server.result
+            assert a.water_loop == water_loop
             assert a.case_temperature_c == pytest.approx(b.case_temperature_c, abs=1e-12)
             assert a.die_metrics.theta_max_c == pytest.approx(
                 b.die_metrics.theta_max_c, abs=1e-12
@@ -266,10 +311,10 @@ class TestRackModelParity:
 
 class TestTransientLane:
     def test_advance_matches_per_server_sessions(self, floorplan, power_model, x264, canneal):
-        """A short jittered rack trace advances exactly like golden sessions."""
+        """A short jittered rack trace on a one-rack floor == the golden loop."""
         benchmarks = [x264, x264, canneal]
         mappings = [_mapping(floorplan, bench) for bench in benchmarks]
-        rack = _rack_session(floorplan, power_model, 3)
+        floor = _floor(_rack_session(floorplan, power_model, 3))
         golden = [_golden_session(floorplan, power_model) for _ in benchmarks]
 
         for activity in (1.0, 0.97, 1.02, 0.95):
@@ -277,46 +322,40 @@ class TestTransientLane:
                 ServerLoad(benchmark=bench, mapping=mapping, activity_factor=activity)
                 for bench, mapping in zip(benchmarks, mappings)
             ]
-            advance = rack.advance(loads, dt_s=2.0, n_substeps=3)
+            advance = floor.advance([loads], 2.0, n_substeps=3).racks[0]
             for index, (bench, mapping) in enumerate(zip(benchmarks, mappings)):
                 step = golden[index].advance_mapping(
                     bench, mapping, 2.0, activity_factor=activity, n_substeps=3
                 )
                 ours = advance.servers[index]
-                scale = np.abs(step.result.thermal_result.temperatures_c).max()
-                assert (
-                    np.abs(
-                        ours.result.thermal_result.temperatures_c
-                        - step.result.thermal_result.temperatures_c
-                    ).max()
-                    <= 1e-12 * scale
+                assert np.array_equal(
+                    ours.result.thermal_result.temperatures_c,
+                    step.result.thermal_result.temperatures_c,
                 )
-                assert ours.settle_residual_c == pytest.approx(
-                    step.settle_residual_c, abs=1e-12
-                )
-                assert ours.period_peak_case_c == pytest.approx(
-                    step.period_peak_case_c, abs=1e-12
-                )
+                assert ours.settle_residual_c == step.settle_residual_c
+                assert ours.period_peak_case_c == step.period_peak_case_c
                 assert ours.boundary_refreshed == step.boundary_refreshed
 
     def test_small_jitter_holds_boundaries(self, floorplan, power_model, x264):
         mapping = _mapping(floorplan, x264)
-        rack = _rack_session(floorplan, power_model, 2)
+        floor = _floor(_rack_session(floorplan, power_model, 2))
         loads = [ServerLoad(benchmark=x264, mapping=mapping)] * 2
-        first = rack.advance(loads, dt_s=2.0)
+        first = floor.advance([loads], 2.0).racks[0]
         assert first.boundary_refreshes == 2
         jittered = [
             ServerLoad(benchmark=x264, mapping=mapping, activity_factor=1.02)
         ] * 2
-        second = rack.advance(jittered, dt_s=2.0)
+        second = floor.advance([jittered], 2.0).racks[0]
         assert second.boundary_refreshes == 0
 
     def test_per_server_force_refresh(self, floorplan, power_model, x264):
         mapping = _mapping(floorplan, x264)
-        rack = _rack_session(floorplan, power_model, 3)
+        floor = _floor(_rack_session(floorplan, power_model, 3))
         loads = [ServerLoad(benchmark=x264, mapping=mapping)] * 3
-        rack.advance(loads, dt_s=2.0)
-        step = rack.advance(loads, dt_s=2.0, force_boundary_refresh=[False, True, False])
+        floor.advance([loads], 2.0)
+        step = floor.advance(
+            [loads], 2.0, force_boundary_refresh=[[False, True, False]]
+        ).racks[0]
         assert [server.boundary_refreshed for server in step.servers] == [
             False,
             True,
@@ -326,21 +365,22 @@ class TestTransientLane:
     def test_reset_forgets_state(self, floorplan, power_model, x264):
         mapping = _mapping(floorplan, x264)
         rack = _rack_session(floorplan, power_model, 2)
-        rack.advance([ServerLoad(benchmark=x264, mapping=mapping)] * 2, dt_s=2.0)
+        floor = _floor(rack)
+        floor.advance([[ServerLoad(benchmark=x264, mapping=mapping)] * 2], 2.0)
         assert rack.temperatures is not None
         rack.reset()
         assert rack.temperatures is None
 
     def test_load_count_validated(self, floorplan, power_model, x264):
         mapping = _mapping(floorplan, x264)
-        rack = _rack_session(floorplan, power_model, 3)
+        floor = _floor(_rack_session(floorplan, power_model, 3))
         with pytest.raises(ValidationError):
-            rack.solve_steady([ServerLoad(benchmark=x264, mapping=mapping)] * 2)
+            floor.advance([[ServerLoad(benchmark=x264, mapping=mapping)] * 2], 2.0)
         with pytest.raises(ValidationError):
-            rack.advance(
-                [ServerLoad(benchmark=x264, mapping=mapping)] * 3,
-                dt_s=2.0,
-                force_boundary_refresh=[True],
+            floor.advance(
+                [[ServerLoad(benchmark=x264, mapping=mapping)] * 3],
+                2.0,
+                force_boundary_refresh=[[True]],
             )
 
     def test_rejects_empty_rack(self, floorplan, power_model):
@@ -474,3 +514,65 @@ class TestWarmSessionReuse:
         controller.run_rack_trace(servers, trace, rack_session=session)
         # The second trace advanced the same fields instead of resetting.
         assert session.temperatures is not None
+
+    def test_continued_trace_matches_uninterrupted_golden(
+        self, floorplan, power_model, x264, canneal
+    ):
+        """Two traces on one supplied session == the golden over both.
+
+        Each :meth:`run_rack_trace` builds a new floor; the second one must
+        re-seed from the fields and held boundaries the first left in the
+        session (not re-initialize from a steady solve).  The second
+        trace opens at a small drift from the first's last phase, so a
+        dropped boundary would refresh and diverge.  A passive policy keeps
+        the actuators fixed, so the two runs carry no controller state.
+        """
+
+        class PassiveController(ThermosyphonController):
+            def decide(self, result, water_loop, benchmark, constraint):
+                return (
+                    ControllerAction.NONE,
+                    water_loop,
+                    result.configuration.frequency_ghz,
+                )
+
+        def controller():
+            return PassiveController(
+                _steady_lane(floorplan, power_model), control_period_s=2.0
+            )
+
+        servers = [
+            RackServer(bench, _mapping(floorplan, bench), QoSConstraint(2.0))
+            for bench in (x264, canneal)
+        ]
+        first = PhasedTrace(
+            "first", (TracePhase(2.0, 1.0, 0.5), TracePhase(2.0, 0.6, 0.5))
+        )
+        second = PhasedTrace(
+            "second", (TracePhase(2.0, 0.61, 0.5), TracePhase(2.0, 1.0, 0.5))
+        )
+        ours = controller()
+        session = RackSession(
+            len(servers),
+            floorplan=floorplan,
+            power_model=power_model,
+            thermal_simulator=ours.simulation.thermal_simulator,
+        )
+        periods = []
+        for trace in (first, second):
+            periods.extend(
+                ours.run_rack_trace(servers, trace, rack_session=session).periods
+            )
+
+        golden, _ = reference_rack_trace(
+            controller(), servers, PhasedTrace("both", first.phases + second.phases)
+        )
+        assert len(periods) == len(golden) == 4
+        for period, golden_period in zip(periods, golden):
+            for a, b in zip(period, golden_period):
+                # time_s restarts with each trace; every other field carries.
+                assert a.case_temperature_c == b.case_temperature_c
+                assert a.die_hot_spot_c == b.die_hot_spot_c
+                assert a.package_power_w == b.package_power_w
+                assert a.settle_residual_c == b.settle_residual_c
+                assert a.period_peak_case_c == b.period_peak_case_c

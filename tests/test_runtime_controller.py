@@ -12,8 +12,11 @@ from repro.core.runtime_controller import (
 from repro.thermal.simulator import ThermalSimulator
 from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN
 from repro.workloads.configuration import Configuration
+from repro.workloads.parsec import get_benchmark
 from repro.workloads.qos import QoSConstraint
-from repro.workloads.trace import PhasedTrace, TracePhase
+from repro.workloads.trace import PhasedTrace, TracePhase, generate_trace
+
+from reference_session import reference_run_trace
 
 
 @pytest.fixture(scope="module")
@@ -161,13 +164,13 @@ class TestTraceExecution:
     ):
         """Without DVFS actions the controller must not rebuild mappings."""
         seen = []
-        original = simulation.session.solve_steady_mapping
+        original = simulation.simulate_mapping
 
         def spy(benchmark, current_mapping, **kwargs):
             seen.append(current_mapping)
             return original(benchmark, current_mapping, **kwargs)
 
-        monkeypatch.setattr(simulation.session, "solve_steady_mapping", spy)
+        monkeypatch.setattr(simulation, "simulate_mapping", spy)
         controller = ThermosyphonController(
             simulation, control_period_s=5.0, relax_margin_c=100.0
         )
@@ -282,6 +285,66 @@ class TestTransientMode:
         assert steady.factorizations >= 25
         # ...while the transient path runs on a handful of operators.
         assert transient.factorizations * 10 <= steady.factorizations
+
+
+#: Every field of a transient decision.
+_DECISION_FIELDS = (
+    "time_s",
+    "case_temperature_c",
+    "die_hot_spot_c",
+    "package_power_w",
+    "water_flow_kg_h",
+    "frequency_ghz",
+    "action",
+    "settle_residual_c",
+    "period_peak_case_c",
+)
+
+
+class TestTransientMatchesGolden:
+    """``run_trace(mode="transient")`` == the per-server golden loop.
+
+    Tier A: the one-server floor the trace runs on must reproduce the old
+    single-server session (``tests/reference_session.py``) bit for bit on
+    every decision field, at the same factorization count, over a fig8-style
+    30-period trace at 2.0 mm.
+    """
+
+    @pytest.mark.parametrize(
+        ("benchmark_name", "qos_factor", "configuration"),
+        [
+            ("x264", 2.0, Configuration(8, 2, 3.2)),
+            ("canneal", 1.0, Configuration(8, 2, 3.2)),
+            ("fluidanimate", 3.0, Configuration(4, 2, 2.6)),
+        ],
+        ids=["x264-2x", "canneal-1x", "fluidanimate-3x"],
+    )
+    def test_decisions_and_factorizations_equal(
+        self, floorplan, power_model, benchmark_name, qos_factor, configuration
+    ):
+        benchmark = get_benchmark(benchmark_name)
+        mapper = ThreadMapper(floorplan, orientation=PAPER_OPTIMIZED_DESIGN.orientation)
+        mapping = mapper.map(benchmark, configuration, ProposedThermalAwareMapping())
+        trace = generate_trace(benchmark, n_steady_phases=10, total_duration_s=60.0)
+        constraint = QoSConstraint(qos_factor)
+
+        def controller():
+            simulation = CooledServerSimulation(
+                floorplan,
+                power_model=power_model,
+                thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=2.0),
+            )
+            return ThermosyphonController(simulation, control_period_s=2.0)
+
+        record = controller().run_trace(
+            benchmark, mapping, constraint, trace, mode="transient"
+        )
+        golden = reference_run_trace(controller(), benchmark, mapping, constraint, trace)
+        assert len(record.decisions) == len(golden.decisions) == 30
+        for ours, theirs in zip(record.decisions, golden.decisions):
+            for name in _DECISION_FIELDS:
+                assert getattr(ours, name) == getattr(theirs, name), name
+        assert record.factorizations == golden.factorizations
 
 
 class TestDecisionDispatch:
