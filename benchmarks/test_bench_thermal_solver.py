@@ -3,10 +3,12 @@
 Not a paper artefact: measures the cost of one steady-state solve and of one
 full cooled-server evaluation so regressions in the numerical core are
 visible in the benchmark history.  The cached/uncached pairs measure the
-factorization-cache win directly: the transient path at a fixed cooling
-boundary must be several times faster with the cache than without.
+factorization-cache win directly: the uncached variant invalidates the
+cache before every step, so the transient path at a fixed cooling boundary
+pays one banded factorization per step instead of one per run.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.batch import BatchEvaluator, SweepPoint
@@ -35,17 +37,21 @@ def test_bench_steady_state_solve(benchmark, floorplan_module, cell_size_mm):
 @pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
 def test_bench_transient_run(benchmark, floorplan_module, cached):
     """20 backward-Euler steps at a fixed boundary; the cached variant
-    factorizes once, the uncached variant once per step."""
+    factorizes once, the uncached variant invalidates the cache before
+    every step and so factorizes once per step."""
     simulator = ThermalSimulator(floorplan_module, cell_size_mm=1.5)
     rows, columns = simulator.shape
     boundary = uniform_cooling_boundary(rows, columns, 2.0e4, 40.0)
     powers = {f"core{i}": 7.0 for i in range(8)}
     power_maps = [simulator.power_map(powers)] * 20
-    solver = TransientSolver(simulator.network, use_cache=cached)
+    solver = TransientSolver(simulator.network)
 
     def march():
-        for state in solver.run(45.0, power_maps, boundary, dt_s=0.5):
-            pass
+        state = np.full(simulator.grid.n_cells, 45.0)
+        for power_map in power_maps:
+            if not cached:
+                solver.cache.invalidate()
+            state = solver.step(state, power_map, boundary, 0.5)
         return state
 
     final = benchmark(march)

@@ -76,14 +76,14 @@ def main() -> None:
         record = solo.run_trace(
             benchmark, mapping, constraint, trace, mode="transient"
         )
-        per_server_factorizations += record.factorizations or 0
+        per_server_factorizations += record.factorizations
     per_server_s = time.perf_counter() - start
     print(f"=== independent per-server traces ({per_server_s:.2f} s) ===")
     print(f"  total factorizations  : {per_server_factorizations}")
     print()
     print(
         f"batched rack engine: "
-        f"{per_server_factorizations / max(rack.factorizations or 0, 1):.1f}x fewer "
+        f"{per_server_factorizations / max(rack.factorizations, 1):.1f}x fewer "
         f"factorizations, {per_server_s / max(rack_s, 1e-9):.1f}x faster"
     )
     print()

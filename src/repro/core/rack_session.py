@@ -3,7 +3,7 @@
 Section V evaluates whole racks — many thermosyphon-cooled servers behind
 one chiller — and rack hardware is homogeneous: every server carries the
 same CPU, the same thermosyphon design and therefore the *same thermal
-network*.  A :class:`RackSession` owns one rack's state —
+network*.  A :class:`RackSession` is the only owner of one rack's state —
 
 * the temperature fields as one ``(n_servers, n_cells)`` array, and
 * one held cooling-boundary state per server (operating point + per-cell
@@ -74,10 +74,10 @@ class RackSessionSnapshot:
     """Frozen copy of a :class:`RackSession`'s mutable state.
 
     Captures everything a floor period evolves — the stacked temperature
-    fields and the held cooling boundaries.  The boundary
-    entries are themselves frozen dataclasses, so only the field array
-    needs a defensive copy; a snapshot/restore pair is two array copies,
-    which is what makes speculative MPC rollouts cheap.
+    fields and the held cooling boundaries.  The boundary entries are
+    themselves frozen dataclasses, so only the field array needs a
+    defensive copy; a snapshot/restore pair is two array copies, which is
+    what makes speculative MPC rollouts cheap.
     """
 
     temperatures: np.ndarray | None
@@ -193,29 +193,30 @@ class RackSession:
             boundaries=tuple(self._boundaries),
         )
 
-    def restore(
-        self, snapshot: RackSessionSnapshot, *, fields: np.ndarray | None = None
-    ) -> None:
-        """Rewind the session to a :meth:`snapshot`'s state.
-
-        ``fields`` optionally rebinds the temperature state onto an
-        externally restored array — the floor engine passes the row-block
-        view into its restored group array, preserving the view
-        relationship :meth:`finish_advance` established; standalone callers
-        omit it and re-adopt a private copy of the snapshot's array.
-        """
+    def check_snapshot(self, snapshot: RackSessionSnapshot) -> None:
+        """Raise :class:`ValidationError` unless ``snapshot`` fits this rack."""
         if len(snapshot.boundaries) != self.n_servers:
             raise ValidationError(
                 f"snapshot holds {len(snapshot.boundaries)} servers, "
                 f"session has {self.n_servers}"
             )
+        shape = (self.n_servers, self.thermal_simulator.grid.n_cells)
+        fields = snapshot.temperatures
+        if fields is not None and fields.shape != shape:
+            raise ValidationError(
+                f"snapshot fields have shape {fields.shape}, session needs {shape}"
+            )
+
+    def restore(self, snapshot: RackSessionSnapshot) -> None:
+        """Rewind the session to a private copy of a :meth:`snapshot`'s state.
+
+        A snapshot that fails :meth:`check_snapshot` leaves it untouched.
+        """
+        self.check_snapshot(snapshot)
         self._boundaries = list(snapshot.boundaries)
-        if fields is not None:
-            self._temperatures = fields
-        elif snapshot.temperatures is None:
-            self._temperatures = None
-        else:
-            self._temperatures = snapshot.temperatures.copy()
+        self._temperatures = (
+            None if snapshot.temperatures is None else snapshot.temperatures.copy()
+        )
 
     def _resolve_case_cell_index(self) -> int:
         simulator = self.thermal_simulator
@@ -357,9 +358,10 @@ class RackSession:
     def fields(self) -> np.ndarray | None:
         """The live stacked state array (no copy; None before a trace).
 
-        The floor engine reads this to seed its group arrays and rebinds it
-        through :meth:`finish_advance` — ordinary callers should use the
-        copying :attr:`temperatures` instead.
+        The floor engine stacks it into its group solve every period and
+        hands the advanced rows back through :meth:`finish_advance` —
+        ordinary callers should use the copying :attr:`temperatures`
+        instead.
         """
         return self._temperatures
 
@@ -377,10 +379,9 @@ class RackSession:
     ) -> RackAdvance:
         """Adopt advanced fields and build the per-server results.
 
-        ``fields`` becomes the session's state — when the floor engine
-        calls this, it is a row-block **view** of the floor's stacked group
-        array, which is exactly how a rack session participates in a floor:
-        same API, state owned one level up.
+        ``fields`` becomes the session's state.  The floor engine passes
+        this rack's rows of the group stack it just advanced; it never
+        writes that stack again, so the session is the state's only owner.
         """
         self._temperatures = fields
         held = self.held_boundaries()

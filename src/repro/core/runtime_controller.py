@@ -225,8 +225,8 @@ class ControllerTrace:
     ``mode`` records how the trace was produced ("steady" re-solves
     equilibrium each period; "transient" advances a warm-start temperature
     field).  ``factorizations`` counts the thermal-operator factorizations
-    the trace cost (None when the simulation runs without a solver cache) —
-    the headline difference between the modes.
+    the trace cost (:meth:`ThermosyphonController.run_trace` always sets
+    it) — the headline difference between the modes.
     """
 
     decisions: list[ControllerDecision] = field(default_factory=list)
@@ -320,8 +320,8 @@ class RackTrace:
     the whole rack trace cost, and ``cache_stats`` carries this trace's
     hit/miss activity together with the cache's entry counts *at trace end*
     (entries may include operators from earlier studies on a shared
-    simulator; both fields are None without a solver cache) — on a
-    homogeneous rack the batched engine pays one factorization where
+    simulator; a datacenter run counts floor-wide and leaves both None) — on
+    a homogeneous rack the batched engine pays one factorization where
     independent per-server traces would pay ``n_servers``.
     """
 
@@ -639,7 +639,7 @@ class ThermosyphonController:
         frequency = mapping.configuration.frequency_ghz
         record = ControllerTrace(mode=mode)
         cache = simulation.thermal_simulator.solver_cache
-        misses_before = cache.stats.misses if cache is not None else None
+        misses_before = cache.stats.misses
 
         current_mapping = mapping
         time_s = 0.0
@@ -674,8 +674,7 @@ class ThermosyphonController:
                 )
             )
             time_s += self.control_period_s
-        if misses_before is not None and cache is not None:
-            record.factorizations = cache.stats.misses - misses_before
+        record.factorizations = cache.stats.misses - misses_before
         return record
 
     # ------------------------------------------------------------------ #
@@ -751,12 +750,12 @@ class ThermosyphonController:
         current_mappings = [server.mapping for server in servers]
         force_refresh = [False] * len(servers)
 
-        # A supplied session keeps its state: the floor seeds its group
-        # array from the session's carried fields on the first advance.
+        # A supplied session keeps its state: the floor stacks the
+        # session's carried fields on every advance.
         floor = FloorEngine([rack_session])
         record = RackTrace(control_period_s=self.control_period_s)
         cache = rack_session.thermal_simulator.solver_cache
-        stats_before = cache.stats if cache is not None else None
+        stats_before = cache.stats
 
         duration_s = max(t.duration_s for t in traces)
         time_s = 0.0
@@ -785,7 +784,6 @@ class ThermosyphonController:
             record.periods.append(decisions)
             record.chiller_power_w.append(period_chiller_w)
             time_s += self.control_period_s
-        if stats_before is not None and cache is not None:
-            record.cache_stats = cache.stats.delta(stats_before)
-            record.factorizations = record.cache_stats.misses
+        record.cache_stats = cache.stats.delta(stats_before)
+        record.factorizations = record.cache_stats.misses
         return record

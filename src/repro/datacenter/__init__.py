@@ -25,10 +25,10 @@ floor are grouped by hardware (one
 :class:`~repro.thermal.simulator.ThermalSimulator` per distinct
 floorplan) and by cooling-boundary content, and each group advances
 through **one** stacked multi-RHS back-substitution per substep and one
-evaporator lane march per boundary refresh — rack sessions become
-row-block views over the floor's group arrays.  A homogeneous N-rack
-floor therefore costs roughly one rack's factorizations and solves, and
-a heterogeneous floor simply stacks fewer rows per group; both stay
+evaporator lane march per boundary refresh, stacked from the rack
+sessions, which stay the only owners of per-server state.  A homogeneous
+N-rack floor therefore costs roughly one rack's factorizations and solves,
+and a heterogeneous floor simply stacks fewer rows per group; both stay
 bit-identical to the per-server golden loop (``tests/reference_session.py``)
 because batching never changes the arithmetic.  The scenario engine
 (:mod:`repro.datacenter.scenarios`) generates seeded, replayable

@@ -6,13 +6,14 @@ drives a whole floor through it, and
 :meth:`ThermosyphonController.run_rack_trace` (and therefore
 ``run_trace(mode="transient")``) drives a one-rack floor.  Advancing racks
 one at a time would make a homogeneous 20-rack floor pay 20 multi-RHS
-back-substitutions per substep where the physics permits one, so the
-engine owns floor state: the *floor* holds one stacked
-``(n_servers_in_group, n_cells)`` temperature array per **hardware group**
-(racks sharing one thermal network, i.e. one
-:class:`~repro.thermal.simulator.ThermalSimulator`), and every rack
-session's state becomes a row-block view into its group's array.  Each
-control period runs four floor-wide batched stages:
+back-substitutions per substep where the physics permits one, so every
+period the engine stacks the fields of each **hardware group** (racks
+sharing one thermal network, i.e. one
+:class:`~repro.thermal.simulator.ThermalSimulator`) into one
+``(n_servers_in_group, n_cells)`` array and advances it as a whole.  The
+rack sessions stay the only owners of per-server state: the floor keeps no
+field arrays between periods.  Each control period runs four floor-wide
+batched stages:
 
 1. **Power** — per-server power models, memoized per hardware group:
    servers carrying the same (benchmark, mapping, activity) triple share
@@ -25,15 +26,16 @@ control period runs four floor-wide batched stages:
    :meth:`~repro.thermosyphon.loop.ThermosyphonLoop.cooling_boundaries`
    call per (design, hardware group), each server at its own operating
    point — across racks and operating points, not per rack or per point.
-3. **Solve** — steady initialization and every backward-Euler substep run
+3. **Solve** — stacked from the rack sessions, the group's fields (steady
+   initialization of cold ones, then every backward-Euler substep) run
    one :meth:`~repro.thermal.simulator.ThermalSimulator.\
 transient_step_many_from_maps` (or ``steady_state_many_from_maps``) per
    (hardware group, cooling-boundary content) — one factorization and one
    multi-RHS back-substitution for *all* servers sharing an operator,
    whatever rack they sit in.
-4. **Finish** — each rack session adopts its row-block view of the group
-   array through :meth:`RackSession.finish_advance`, so the rack-level API
-   (results, settle residuals, boundary hold policy) is unchanged.
+4. **Finish** — each rack session takes its rows of the advanced group
+   stack back through :meth:`RackSession.finish_advance`, so the rack-level
+   API (results, settle residuals, boundary hold policy) is unchanged.
 
 Because ``dpbtrs`` back-substitutes multi-column right-hand sides column
 by column and the lane march is elementwise across servers, stacking
@@ -73,23 +75,18 @@ __all__ = ["FloorAdvance", "FloorEngine", "FloorSnapshot", "FloorSpanAdvance"]
 class FloorSnapshot:
     """Frozen copy of the floor's warm state for speculative rollouts.
 
-    Captures the stacked group temperature arrays plus every rack session's
-    :class:`RackSessionSnapshot` (fields and held boundaries) and
-    whether each session's field was a row-block view of its group array —
-    :meth:`FloorEngine.restore` re-establishes exactly that view
-    relationship, so a restored floor is *warm*: the next advance carries
-    fields instead of re-solving steady state, and every cached
-    factorization and memoized operating point survives (they live on the
-    shared simulators/engine, not in the snapshot).  A rollout still meets
-    a new operator for every boundary it refreshes; passed back to
-    :meth:`FloorEngine.advance` as ``reference``, the snapshot's held
-    boundaries precondition those single-use solves, so they need no
-    factorization of their own.
+    Every rack session's :class:`RackSessionSnapshot` (fields and held
+    boundaries) — the sessions are the floor's only per-server state, so a
+    restored floor is *warm*: the next advance carries fields instead of
+    re-solving steady state, and every cached factorization and memoized
+    operating point survives (they live on the shared simulators/engine,
+    not in the snapshot).  A rollout still meets a new operator for every
+    boundary it refreshes; passed back to :meth:`FloorEngine.advance` as
+    ``reference``, the snapshot's held boundaries precondition those
+    single-use solves, so they need no factorization of their own.
     """
 
-    group_fields: tuple[np.ndarray | None, ...]
     rack_snapshots: tuple[RackSessionSnapshot, ...]
-    rack_viewed_group: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -100,7 +97,7 @@ class FloorAdvance:
     results, built by :meth:`RackSession.finish_advance`.
     ``worst_period_peak_case_c`` is the highest within-period case
     temperature across *every* server on the floor, computed vectorized
-    from the stacked group arrays — the floor-level predicted-peak input
+    over the stacked group fields — the floor-level predicted-peak input
     of the supervisory setpoint loop.
     """
 
@@ -164,7 +161,6 @@ class _HardwareGroup:
         for r in rack_indices:
             self.rack_rows[r] = slice(offset, offset + sessions[r].n_servers)
             offset += sessions[r].n_servers
-        self.fields: np.ndarray | None = None
 
 
 class FloorEngine:
@@ -184,7 +180,7 @@ class FloorEngine:
         the per-group solves of :meth:`advance` / :meth:`advance_span`
         over a persistent thread pool.  Every hardware group owns a
         disjoint slice of floor state (its own simulator, factorization
-        cache, stacked field array and rack sessions).  The banded
+        cache and rack sessions).  The banded
         Cholesky factorizations and back-substitutions that dominate a
         group's step hold the GIL, so groups overlap only their NumPy work
         that releases it; the factor and solve calls themselves take turns.
@@ -295,7 +291,7 @@ class FloorEngine:
 
     @property
     def n_hardware_groups(self) -> int:
-        """Number of distinct thermal networks (stacked state arrays)."""
+        """Number of distinct thermal networks (stacked solve groups)."""
         return len(self._groups)
 
     def boundary_groups(self) -> list[list[tuple[int, int]]]:
@@ -321,9 +317,7 @@ class FloorEngine:
         return list(partition.values())
 
     def reset(self) -> None:
-        """Cold-start the floor: group arrays and every rack session."""
-        for group in self._groups:
-            group.fields = None
+        """Cold-start the floor: reset every rack session."""
         for session in self.rack_sessions:
             session.reset()
 
@@ -333,57 +327,39 @@ class FloorEngine:
     def snapshot(self) -> FloorSnapshot:
         """Copy the floor's warm mutable state for a later :meth:`restore`.
 
-        One array copy per hardware group plus each session's (frozen)
-        boundary tuple — no simulator, cache or network state is
-        copied, which is what keeps an MPC rollout's cost down to the
-        back-substitutions the rollout itself performs.
+        One field copy per rack session plus its (frozen) boundary tuple —
+        no simulator, cache or network state is copied, which is what keeps
+        an MPC rollout's cost down to the back-substitutions the rollout
+        itself performs.
         """
         return FloorSnapshot(
-            group_fields=tuple(
-                None if group.fields is None else group.fields.copy()
-                for group in self._groups
-            ),
-            rack_snapshots=tuple(
-                session.snapshot() for session in self.rack_sessions
-            ),
-            rack_viewed_group=tuple(
-                session.fields is not None
-                and self._group_of_rack[r].fields is not None
-                and session.fields.base is self._group_of_rack[r].fields
-                for r, session in enumerate(self.rack_sessions)
-            ),
+            rack_snapshots=tuple(session.snapshot() for session in self.rack_sessions)
         )
 
     def restore(self, snapshot: FloorSnapshot) -> None:
         """Rewind the floor to a :meth:`snapshot`'s state, still warm.
 
-        Group arrays are reinstalled from copies (the snapshot stays valid
-        for further restores — one snapshot serves every candidate of an
-        MPC planning step) and each rack session is rebound to its
-        row-block view when it held one at snapshot time, so the next
-        advance passes the warm check and carries fields bit-identically.
+        All or nothing: every rack session checks its snapshot before any
+        is restored, so a snapshot that does not fit raises
+        :class:`ValidationError` with the floor untouched.  Each session
+        restores a private copy of its fields (the snapshot stays valid for
+        further restores — one snapshot serves every candidate of an MPC
+        planning step), so the next advance carries fields bit-identically.
         """
         if len(snapshot.rack_snapshots) != self.n_racks:
             raise ValidationError(
                 f"snapshot holds {len(snapshot.rack_snapshots)} racks, "
                 f"floor has {self.n_racks}"
             )
-        if len(snapshot.group_fields) != len(self._groups):
-            raise ValidationError(
-                f"snapshot holds {len(snapshot.group_fields)} hardware groups, "
-                f"floor has {len(self._groups)}"
-            )
-        for group, saved in zip(self._groups, snapshot.group_fields):
-            group.fields = None if saved is None else saved.copy()
-        for r, session in enumerate(self.rack_sessions):
-            group = self._group_of_rack[r]
-            if snapshot.rack_viewed_group[r]:
-                session.restore(
-                    snapshot.rack_snapshots[r],
-                    fields=group.fields[group.rack_rows[r]],
-                )
-            else:
-                session.restore(snapshot.rack_snapshots[r])
+        for r, (session, saved) in enumerate(
+            zip(self.rack_sessions, snapshot.rack_snapshots)
+        ):
+            try:
+                session.check_snapshot(saved)
+            except ValidationError as error:
+                raise ValidationError(f"rack {r}: {error}") from None
+        for session, saved in zip(self.rack_sessions, snapshot.rack_snapshots):
+            session.restore(saved)
 
     # ------------------------------------------------------------------ #
     # The floor-wide period step
@@ -554,25 +530,22 @@ class FloorEngine:
           (identical physics to ``span`` calls of :meth:`advance`); the
           :class:`~repro.thermal.rom.RomStats` counters record why.
 
-        The ROM lane caches its bases beside the factorizations, so every
-        hardware group's simulator must keep its solver cache.  Requires a
-        warm floor (every session viewing its group array); cold starts
-        must go through :meth:`advance` first.  Arguments and warmth are
-        checked before any state changes.
+        Requires a warm floor (every rack session carrying a field); cold
+        starts must go through :meth:`advance` first.  Arguments and
+        warmth are checked before any state changes.
         """
         check_positive(dt_s, "dt_s")
         if span < 1:
             raise ValidationError(f"span must be >= 1, got {span}")
         if n_substeps < 1:
             raise ValidationError(f"n_substeps must be >= 1, got {n_substeps}")
-        # Warm check for every group before stage 2 stores any refreshed
-        # boundary, so a cold floor raises with its state untouched.
-        for group in self._groups:
-            if not self._group_is_warm(group):
-                raise ConfigurationError(
-                    "advance_span requires a warm floor; advance at least "
-                    "one fine control period first"
-                )
+        # Warm check before stage 2 stores any refreshed boundary, so a
+        # cold floor raises with its state untouched.
+        if any(session.fields is None for session in self.rack_sessions):
+            raise ConfigurationError(
+                "advance_span requires a warm floor; advance at least "
+                "one fine control period first"
+            )
         obs = get_telemetry()
         with obs.span("floor.advance_span", span=span, n_substeps=n_substeps):
             loads, breakdowns, power_maps, water_loops, refreshed, boundaries = (
@@ -639,15 +612,6 @@ class FloorEngine:
                 period_peak_case_c=tuple(period_peak),  # type: ignore[arg-type]
                 period_worst_peak_c=period_worst,
             )
-
-    def _group_is_warm(self, group: _HardwareGroup) -> bool:
-        """True when every session of the group views the group array."""
-        fields = group.fields
-        return fields is not None and all(
-            self.rack_sessions[r].fields is not None
-            and self.rack_sessions[r].fields.base is fields
-            for r in group.rack_indices
-        )
 
     # ------------------------------------------------------------------ #
     # Stage 2: floor-wide boundary refresh
@@ -768,29 +732,24 @@ class FloorEngine:
                 ):
                     preconditioners[i] = before
 
-        # Steady initialization of any cold rack, batched per operator
-        # across the whole group; warm racks keep their carried fields.  A
-        # session that a different floor advanced (a supplied session
-        # continuing a rack trace) or that was reset does not view this
-        # group array, so its rows are re-seeded from its own state.
-        fields = group.fields
-        if not self._group_is_warm(group):
-            fields = np.empty((group.n_servers, n_cells), dtype=float)
-            cold_rows: list[int] = []
-            for r in group.rack_indices:
-                rows = group.rack_rows[r]
-                carried = self.rack_sessions[r].fields
-                if carried is None:
-                    cold_rows.extend(range(rows.start, rows.stop))
-                else:
-                    fields[rows] = carried
-            cold = set(cold_rows)
-            for rows in row_groups:
-                init_rows = [row for row in rows if row in cold]
-                if init_rows:
-                    fields[init_rows] = simulator.steady_state_many_from_maps(
-                        group_maps[init_rows], group_boundaries[init_rows[0]].boundary
-                    )
+        # Stack the group's carried fields from its rack sessions; a cold
+        # session (first advance, or reset) is steady-initialized, batched
+        # per operator across the whole group.
+        fields = np.empty((group.n_servers, n_cells), dtype=float)
+        cold: set[int] = set()
+        for r in group.rack_indices:
+            rows = group.rack_rows[r]
+            carried = self.rack_sessions[r].fields
+            if carried is None:
+                cold.update(range(rows.start, rows.stop))
+            else:
+                fields[rows] = carried
+        for rows in row_groups:
+            init_rows = [row for row in rows if row in cold]
+            if init_rows:
+                fields[init_rows] = simulator.steady_state_many_from_maps(
+                    group_maps[init_rows], group_boundaries[init_rows[0]].boundary
+                )
 
         sub_dt = dt_s / n_substeps
         residuals = np.zeros(group.n_servers, dtype=float)
@@ -808,10 +767,9 @@ class FloorEngine:
             residuals = np.max(np.abs(new_fields - fields), axis=1)
             fields = new_fields
             peak_case = np.maximum(peak_case, fields[:, group.case_cell_index])
-        group.fields = fields
 
-        # Stage 5: every rack session adopts its row-block view and builds
-        # its per-server results — the rack is now a view over floor state.
+        # Stage 4: every rack session takes its rows of the advanced stack
+        # back and builds its per-server results.
         for r in group.rack_indices:
             rows = group.rack_rows[r]
             rack_advances[r] = self.rack_sessions[r].finish_advance(
@@ -874,7 +832,9 @@ class FloorEngine:
 
         # Warmth was verified for every group by :meth:`advance_span`
         # before dispatch.
-        fields = group.fields
+        fields = np.concatenate(
+            [self.rack_sessions[r].fields for r in group.rack_indices]
+        )
         sub_dt = dt_s / n_substeps
         n = group.n_servers
         new_fields = np.empty_like(fields)
@@ -930,8 +890,6 @@ class FloorEngine:
                 case_hist[:, fallback] = f_cases
                 peak_hist[:, fallback] = f_peaks
                 residuals[fallback] = f_res
-
-        group.fields = new_fields
 
         for r in group.rack_indices:
             rows = group.rack_rows[r]

@@ -10,13 +10,13 @@ condenser water.  :class:`DatacenterSession` executes the floor over time:
 
 * every control period, the
   :class:`~repro.datacenter.floor.FloorEngine` advances **every server on
-  the floor** through stacked per-hardware-group state arrays — one
+  the floor** through per-hardware-group stacked solves — one
   :class:`~repro.thermal.simulator.ThermalSimulator` (and factorization
   cache) per distinct floorplan, one multi-RHS back-substitution per
   (hardware group, cooling boundary) per substep, one lane march per
   (design, hardware group) across racks and operating points.  Each rack's
-  :class:`~repro.core.rack_session.RackSession` becomes a row-block view
-  over its group array;
+  :class:`~repro.core.rack_session.RackSession` owns its servers' fields
+  and held boundaries; the engine stacks them per period;
 * each server then runs the paper's fast flow-first/DVFS-second rule
   (:class:`~repro.core.runtime_controller.DecisionPolicy` — the exact rule
   :meth:`ThermosyphonController.run_rack_trace` applies on the same floor
@@ -25,7 +25,7 @@ condenser water.  :class:`DatacenterSession` executes the floor over time:
 * a :class:`~repro.datacenter.supervisory.SupervisoryController`, when
   given, closes the slow outer loop on the chiller water supply setpoint,
   reading the floor-level within-period peak straight off the stacked
-  group arrays and trading thermal headroom for plant electrical power.
+  group fields and trading thermal headroom for plant electrical power.
 
 The result is a :class:`DatacenterTrace`: per-rack
 :class:`~repro.core.runtime_controller.RackTrace` series, the setpoint
@@ -60,7 +60,7 @@ from repro.datacenter.supervisory import (
     SupervisoryController,
     SupervisoryDecision,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ValidationError
 from repro.floorplan.floorplan import Floorplan
 from repro.obs.telemetry import get_telemetry
 from repro.floorplan.xeon_e5_v4 import build_xeon_e5_v4_floorplan
@@ -437,10 +437,8 @@ class DatacenterModel:
         coarsening: quasi-steady stretches advance in dyadic multi-period
         spans through the reduced-order Krylov lane, and any actuator
         event, residual growth, envelope step or constraint proximity
-        drops back to single-period stepping.  The lane reads the
-        factorization cache, so every thermal simulator must keep its
-        solver cache.  ``None`` (default) keeps every period at full
-        resolution.
+        drops back to single-period stepping.  ``None`` (default) keeps
+        every period at full resolution.
     parallel_groups:
         Worker-thread budget handed to the
         :class:`~repro.datacenter.floor.FloorEngine`: ``>= 2`` advances
@@ -542,14 +540,6 @@ class DatacenterModel:
             if supply_setpoint_c is not None
             else design.water_inlet_temperature_c
         )
-        if coarsening is not None and any(
-            simulator.solver_cache is None for simulator in self.rack_simulators
-        ):
-            raise ConfigurationError(
-                "control-period coarsening steps spans through the "
-                "reduced-order lane, which needs the solver cache: build the "
-                "thermal simulator with use_solver_cache=True"
-            )
         self.coarsening = coarsening
         if parallel_groups < 0:
             raise ConfigurationError(
@@ -565,8 +555,7 @@ class DatacenterModel:
         self.warm_store = warm_store
         if self.warm_store is not None:
             for simulator in simulators.values():
-                if simulator.solver_cache is not None:
-                    simulator.solver_cache.attach_warm_store(self.warm_store)
+                simulator.solver_cache.attach_warm_store(self.warm_store)
 
     @property
     def n_racks(self) -> int:
@@ -613,10 +602,10 @@ class DatacenterSession:
     """Executes a :class:`DatacenterModel` period by period.
 
     Owns the mutable floor state: one :class:`RackSession` per rack (each
-    on its rack's resolved hardware), the :class:`FloorEngine` stacking
-    those sessions into per-hardware-group state arrays, the per-server
-    actuator settings (water valve and DVFS level) and the current chiller
-    supply setpoint.  :meth:`ThermosyphonController.run_rack_trace` runs
+    on its rack's resolved hardware, and the only owner of its servers'
+    fields), the :class:`FloorEngine` stacking those sessions per hardware
+    group every period, the per-server actuator settings (water valve and
+    DVFS level) and the current chiller supply setpoint.  :meth:`ThermosyphonController.run_rack_trace` runs
     the same stages on a one-rack floor engine, so a fixed-setpoint
     datacenter run reproduces standalone rack traces exactly; the
     supervisory loop only ever acts *between* periods by
@@ -700,7 +689,7 @@ class DatacenterSession:
         return resolved
 
     def reset(self) -> None:
-        """Cold-start the floor (group arrays, fields, held boundaries)."""
+        """Cold-start the floor (every rack's fields and held boundaries)."""
         self.floor_engine.reset()
         self._coarse_state = None
 
@@ -713,8 +702,8 @@ class DatacenterSession:
 
         Cheap by design: the actuator state is a few tuples of frozen
         values and the physics state copies one temperature array per
-        hardware group — no simulator, factorization cache or memo is
-        duplicated, so a restored session replays through warm caches.
+        rack — no simulator, factorization cache or memo is duplicated, so
+        a restored session replays through warm caches.
         """
         return DatacenterSnapshot(
             setpoint_c=self.setpoint_c,
@@ -729,16 +718,29 @@ class DatacenterSession:
     def restore(self, snapshot: DatacenterSnapshot) -> None:
         """Rewind the session to a :meth:`snapshot`'s state.
 
-        The snapshot stays valid — one snapshot serves every candidate
-        rollout of an MPC planning step.
+        All or nothing: a snapshot whose rack count, per-rack server counts
+        or field shapes do not fit this floor raises
+        :class:`ValidationError` before any state changes (the actuator
+        tuples are checked here, then :meth:`FloorEngine.restore` checks
+        the physics state before it restores any rack).  The snapshot
+        stays valid — one snapshot serves every candidate rollout of an
+        MPC planning step.
         """
+        sizes = [rack.n_servers for rack in self.model.racks]
+        for name in ("water_loops", "frequencies", "mappings", "force_refresh"):
+            held = [len(entries) for entries in getattr(snapshot, name)]
+            if held != sizes:
+                raise ValidationError(
+                    f"snapshot {name} cover racks of {held} servers, "
+                    f"floor has {sizes}"
+                )
+        self.floor_engine.restore(snapshot.floor)
         self.setpoint_c = snapshot.setpoint_c
         self._water_loops = [list(loops) for loops in snapshot.water_loops]
         self._frequencies = [list(f) for f in snapshot.frequencies]
         self._mappings = [list(m) for m in snapshot.mappings]
         self._force_refresh = [list(f) for f in snapshot.force_refresh]
         self._coarse_state = snapshot.coarse_state
-        self.floor_engine.restore(snapshot.floor)
 
     def _distinct_caches(self) -> list:
         """The floor's factorization caches, each exactly once.
@@ -748,11 +750,7 @@ class DatacenterSession:
         merged floor-wide stats neither double-count a shared cache nor
         drop a per-SKU one.
         """
-        caches: dict[int, object] = {}
-        for simulator in self.model.rack_simulators:
-            cache = simulator.solver_cache
-            if cache is not None:
-                caches.setdefault(id(cache), cache)
+        caches = {id(s.solver_cache): s.solver_cache for s in self.model.rack_simulators}
         return list(caches.values())
 
     def cache_stats(self) -> CacheStats:
@@ -1240,22 +1238,17 @@ MpcSupervisoryController`) is handed the live session for receding-horizon
                 window_peak = float("-inf")
         if rom_before is not None:
             trace.rom_stats = self.floor_engine.rom_stats.delta(rom_before)
-        if caches:
-            trace.cache_stats = sum(
-                (
-                    cache.stats.delta(before)
-                    for cache, before in zip(caches, stats_before)
-                ),
-                CacheStats.zero(),
-            )
-            trace.factorizations = trace.cache_stats.misses
+        trace.cache_stats = sum(
+            (cache.stats.delta(before) for cache, before in zip(caches, stats_before)),
+            CacheStats.zero(),
+        )
+        trace.factorizations = trace.cache_stats.misses
         if obs.enabled:
             # Publish this run's cache and warm-store *deltas* to the hub
             # once, at the end — the live per-instance bags keep counting
             # across runs, the hub records what this run contributed.
-            if trace.cache_stats is not None:
-                obs.inc("cache.hits", trace.cache_stats.hits)
-                obs.inc("cache.misses", trace.cache_stats.misses)
+            obs.inc("cache.hits", trace.cache_stats.hits)
+            obs.inc("cache.misses", trace.cache_stats.misses)
             for key, store in stores.items():
                 before = store_stats_before[key]
                 after = store.stats

@@ -5,13 +5,13 @@ run?* — is answered here by simulation instead of by a worst-case bound.
 Each planning step:
 
 1. **Snapshot** the warm floor once
-   (:meth:`~repro.datacenter.model.DatacenterSession.snapshot`): stacked
-   group temperature arrays, held cooling boundaries, per-server actuator
-   state.  Factorization caches and operating-point memos are *shared*,
-   not copied.  Each rollout period moves the setpoint or the load, so
-   every server refreshes its boundary (a lane march; operating points
-   are memoized floor-wide, so the committed trajectory replays them for
-   free) and its new operator serves one single-column solve.  The
+   (:meth:`~repro.datacenter.model.DatacenterSession.snapshot`): each rack
+   session's temperature fields and held cooling boundaries, per-server
+   actuator state.  Factorization caches and operating-point memos are
+   *shared*, not copied.  Each rollout period moves the setpoint or the
+   load, so every server refreshes its boundary (a lane march; operating
+   points are memoized floor-wide, so the committed trajectory replays
+   them for free) and its new operator serves one single-column solve.  The
    snapshot is passed down as every rollout period's ``reference``: a
    server alone on its boundary is then solved by preconditioned
    conjugate gradients from the factor of the boundary it held in the

@@ -128,7 +128,7 @@ model.DatacenterTrace.summary` — including the telemetry footer when a
                 f"{label:>12} {first:>5.1f} -> {last:>4.1f} C "
                 f"{trace.plant_energy_j / 1e3:>13.2f} {trace.thermal_violations:>6} "
                 f"{trace.peak_period_case_temperature_c:>11.1f}C "
-                f"{trace.factorizations if trace.factorizations is not None else 0:>8} "
+                f"{trace.factorizations:>8} "
                 f"{wall:>9.2f}"
             )
         footer = [

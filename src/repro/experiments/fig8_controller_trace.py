@@ -57,9 +57,9 @@ class Fig8Result:
     @property
     def factorization_ratio(self) -> float:
         """Steady-mode factorizations per transient-mode factorization."""
-        steady = self.steady.trace.factorizations or 0
-        transient = self.transient.trace.factorizations or 0
-        return steady / max(transient, 1)
+        return self.steady.trace.factorizations / max(
+            self.transient.trace.factorizations, 1
+        )
 
     @property
     def speedup(self) -> float:
@@ -79,11 +79,8 @@ class Fig8Result:
         rows = []
         for case in (self.steady, self.transient):
             trace = case.trace
-            factorizations = (
-                f"{trace.factorizations}" if trace.factorizations is not None else "-"
-            )
             rows.append(
-                f"{case.mode:>10} {case.periods:>8} {factorizations:>8} "
+                f"{case.mode:>10} {case.periods:>8} {trace.factorizations:>8} "
                 f"{trace.flow_increases:>6} {trace.frequency_reductions:>6} "
                 f"{trace.emergencies:>7} {trace.peak_case_temperature_c:>11.1f}C "
                 f"{case.wall_time_s:>9.2f}"

@@ -53,12 +53,12 @@ class Fig9Result:
     @property
     def per_server_factorizations(self) -> int:
         """Total factorizations of the independent per-server traces."""
-        return sum(trace.factorizations or 0 for trace in self.per_server)
+        return sum(trace.factorizations for trace in self.per_server)
 
     @property
     def factorization_ratio(self) -> float:
         """Per-server factorizations per batched-rack factorization."""
-        return self.per_server_factorizations / max(self.rack.factorizations or 0, 1)
+        return self.per_server_factorizations / max(self.rack.factorizations, 1)
 
     @property
     def speedup(self) -> float:
@@ -85,7 +85,7 @@ class Fig9Result:
             f"{'per-server':>12} {periods:>8} {self.per_server_factorizations:>8} "
             f"{per_server_flow:>6} {per_server_emergencies:>7} "
             f"{per_server_peak:>11.1f}C {self.per_server_wall_time_s:>9.2f}",
-            f"{'rack-batched':>12} {periods:>8} {self.rack.factorizations or 0:>8} "
+            f"{'rack-batched':>12} {periods:>8} {self.rack.factorizations:>8} "
             f"{self.rack.flow_increases:>6} {self.rack.emergencies:>7} "
             f"{self.rack.peak_case_temperature_c:>11.1f}C {self.rack_wall_time_s:>9.2f}",
         ]

@@ -120,13 +120,13 @@ class ThermalSimulator:
         divided by the nearest integer cell count.
     bottom_boundary:
         Heat path from the package bottom to the server ambient.
-    use_solver_cache:
-        Share a :class:`FactorizationCache` between the steady-state and
-        transient solvers (the default).  Repeated solves at an unchanged
-        cooling boundary then reuse one factorization; a boundary change
-        re-keys the cache automatically.  Call
-        :meth:`invalidate_solver_cache` if the network is ever mutated in
-        place.
+
+    The steady-state and transient solvers share one
+    :class:`FactorizationCache` (:attr:`solver_cache`).  Repeated solves at
+    an unchanged cooling boundary reuse one factorization; a boundary
+    change re-keys the cache automatically.  Call
+    :meth:`invalidate_solver_cache` if the network is ever mutated in
+    place.
     """
 
     def __init__(
@@ -136,7 +136,6 @@ class ThermalSimulator:
         stack: LayerStack | None = None,
         cell_size_mm: float = 1.0,
         bottom_boundary: BottomBoundary | None = None,
-        use_solver_cache: bool = True,
     ) -> None:
         check_positive(cell_size_mm, "cell_size_mm")
         self.floorplan = floorplan
@@ -149,20 +148,15 @@ class ThermalSimulator:
         self.grid_mapper = GridMapper(floorplan, outline, n_rows, n_columns)
         self.die_mask = self.grid_mapper.die_mask()
         self.network = ThermalNetwork(self.grid, self.die_mask, bottom_boundary)
-        self.solver_cache = (
-            FactorizationCache(self.network) if use_solver_cache else None
-        )
-        self._steady_solver = SteadyStateSolver(
-            self.network, cache=self.solver_cache, use_cache=use_solver_cache
-        )
+        self.solver_cache = FactorizationCache(self.network)
+        self._steady_solver = SteadyStateSolver(self.network, cache=self.solver_cache)
         self._transient_solver = TransientSolver(
-            self.network, cache=self.solver_cache, use_cache=use_solver_cache
+            self.network, cache=self.solver_cache
         )
 
     def invalidate_solver_cache(self) -> None:
-        """Drop cached factorizations (no-op when caching is disabled)."""
-        if self.solver_cache is not None:
-            self.solver_cache.invalidate()
+        """Drop cached factorizations."""
+        self.solver_cache.invalidate()
 
     # ------------------------------------------------------------------ #
     # Shapes and helpers

@@ -1,20 +1,18 @@
 """Steady-state solution of the thermal network.
 
-By default the solver runs through a :class:`FactorizationCache`: the
-operator is factorized once per distinct cooling boundary and every further
-solve (different power map, same cooling) is a single back-substitution.
-Pass ``use_cache=False`` to recover the direct ``spsolve`` path.
+The solver runs through a :class:`FactorizationCache`: the operator is
+factorized once per distinct cooling boundary and every further solve
+(different power map, same cooling) is a single back-substitution.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.linalg import spsolve
 
-from repro.exceptions import ConfigurationError, ConvergenceError
+from repro.exceptions import ConvergenceError
 from repro.thermal.boundary import CoolingBoundary
 from repro.thermal.network import ThermalNetwork
-from repro.thermal.solver_cache import FactorizationCache, check_steady_solvable
+from repro.thermal.solver_cache import FactorizationCache
 
 
 class SteadyStateSolver:
@@ -27,28 +25,14 @@ class SteadyStateSolver:
     cache:
         A factorization cache to draw operators from; share one instance
         between solvers of the same network to share factorizations.  When
-        ``None`` and ``use_cache`` is true, a private cache is created.
-    use_cache:
-        Set to ``False`` to disable factorization reuse entirely (one
-        ``spsolve`` per call; useful for benchmarking the cache itself).
+        ``None``, a private cache is created.
     """
 
     def __init__(
-        self,
-        network: ThermalNetwork,
-        *,
-        cache: FactorizationCache | None = None,
-        use_cache: bool = True,
+        self, network: ThermalNetwork, *, cache: FactorizationCache | None = None
     ) -> None:
         self.network = network
-        if cache is not None and not use_cache:
-            raise ConfigurationError(
-                "use_cache=False contradicts an explicit cache; pass one or the other"
-            )
-        if cache is not None:
-            self.cache: FactorizationCache | None = cache
-        else:
-            self.cache = FactorizationCache(network) if use_cache else None
+        self.cache = cache if cache is not None else FactorizationCache(network)
 
     def solve(self, power_map_w: np.ndarray, cooling: CoolingBoundary) -> np.ndarray:
         """Return the flat temperature vector (degrees Celsius).
@@ -60,14 +44,9 @@ class SteadyStateSolver:
             boundary everywhere with no bottom path), the operator cannot
             be factorized, or the linear solve produces non-finite values.
         """
-        if self.cache is not None:
-            operator = self.cache.steady_operator(cooling)
-            rhs = operator.boundary_rhs + self.network.power_vector(power_map_w)
-            temperatures = operator.solve(rhs)
-        else:
-            check_steady_solvable(self.network, cooling)
-            matrix, rhs = self.network.system(power_map_w, cooling)
-            temperatures = spsolve(matrix, rhs)
+        operator = self.cache.steady_operator(cooling)
+        rhs = operator.boundary_rhs + self.network.power_vector(power_map_w)
+        temperatures = operator.solve(rhs)
         if not np.all(np.isfinite(temperatures)):
             raise ConvergenceError(
                 "steady-state solve produced non-finite temperatures; "
@@ -81,24 +60,19 @@ class SteadyStateSolver:
         """Solve many power maps at one cooling boundary in a single call.
 
         ``power_maps_w`` has shape ``(k, n_rows, n_columns)``; the result has
-        shape ``(k, n_cells)``.  Through the cache this is one factorization
-        plus one multi-column back-substitution — ``dpbtrs`` back-substitutes
-        each column independently, so row ``i`` is identical to
+        shape ``(k, n_cells)``.  This is one factorization plus one
+        multi-column back-substitution — ``dpbtrs`` back-substitutes each
+        column independently, so row ``i`` is identical to
         ``solve(power_maps_w[i], cooling)``.  This is what lets a rack of
         servers sharing one boundary pay a single operator for all of them.
         """
         power_maps_w = np.asarray(power_maps_w, dtype=float)
-        if self.cache is not None:
-            operator = self.cache.steady_operator(cooling)
-            rhs = (
-                operator.boundary_rhs[:, np.newaxis]
-                + self.network.power_vectors(power_maps_w).T
-            )
-            temperatures = np.asarray(operator.solve(rhs), dtype=float).T
-        else:
-            temperatures = np.stack(
-                [self.solve(power_map, cooling) for power_map in power_maps_w]
-            )
+        operator = self.cache.steady_operator(cooling)
+        rhs = (
+            operator.boundary_rhs[:, np.newaxis]
+            + self.network.power_vectors(power_maps_w).T
+        )
+        temperatures = np.asarray(operator.solve(rhs), dtype=float).T
         if not np.all(np.isfinite(temperatures)):
             raise ConvergenceError(
                 "steady-state solve produced non-finite temperatures; "

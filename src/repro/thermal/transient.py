@@ -5,10 +5,9 @@ controller studies can take steps of hundreds of milliseconds without the
 millikelvin-scale time constants of the thin TIM layers forcing tiny steps.
 
 The backward-Euler operator ``A + C/dt`` depends only on the cooling
-boundary and the step size, so by default the solver draws it from a
+boundary and the step size, so the solver draws it from a
 :class:`FactorizationCache`: a whole trace at a fixed boundary factorizes
-once and every step is a single back-substitution.  Pass ``use_cache=False``
-to recover the factorize-per-step path.
+once and every step is a single back-substitution.
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import factorized
 
-from repro.exceptions import ConfigurationError, ValidationError
+from repro.exceptions import ValidationError
 from repro.thermal.boundary import CoolingBoundary
 from repro.thermal.network import ThermalNetwork
 from repro.thermal.solver_cache import FactorizationCache
@@ -41,31 +38,18 @@ class SettleResult:
     converged: bool
     residual_c: float
 
-    def __iter__(self):
-        """Unpack as ``(temperatures, steps)`` for legacy call sites."""
-        yield self.temperatures
-        yield self.steps
-
 
 class TransientSolver:
-    """Backward-Euler time integration of ``C dT/dt = -A T + b``."""
+    """Backward-Euler time integration of ``C dT/dt = -A T + b``.
+
+    ``cache`` as for :class:`~repro.thermal.steady_state.SteadyStateSolver`.
+    """
 
     def __init__(
-        self,
-        network: ThermalNetwork,
-        *,
-        cache: FactorizationCache | None = None,
-        use_cache: bool = True,
+        self, network: ThermalNetwork, *, cache: FactorizationCache | None = None
     ) -> None:
         self.network = network
-        if cache is not None and not use_cache:
-            raise ConfigurationError(
-                "use_cache=False contradicts an explicit cache; pass one or the other"
-            )
-        if cache is not None:
-            self.cache: FactorizationCache | None = cache
-        else:
-            self.cache = FactorizationCache(network) if use_cache else None
+        self.cache = cache if cache is not None else FactorizationCache(network)
 
     def step(
         self,
@@ -82,19 +66,13 @@ class TransientSolver:
             raise ValidationError(
                 f"temperature vector has {temperatures.size} entries, expected {grid.n_cells}"
             )
-        if self.cache is not None:
-            operator = self.cache.transient_operator(cooling, dt_s)
-            rhs = (
-                operator.boundary_rhs
-                + self.network.power_vector(power_map_w)
-                + operator.capacitance_over_dt * temperatures
-            )
-            return np.asarray(operator.solve(rhs), dtype=float)
-        matrix, rhs = self.network.system(power_map_w, cooling)
-        capacitance = self.network.capacitance / dt_s
-        system = matrix + sparse.diags(capacitance)
-        solve = factorized(system.tocsc())
-        return np.asarray(solve(rhs + capacitance * temperatures), dtype=float)
+        operator = self.cache.transient_operator(cooling, dt_s)
+        rhs = (
+            operator.boundary_rhs
+            + self.network.power_vector(power_map_w)
+            + operator.capacitance_over_dt * temperatures
+        )
+        return np.asarray(operator.solve(rhs), dtype=float)
 
     def step_many(
         self,
@@ -110,16 +88,15 @@ class TransientSolver:
         ``temperatures`` has shape ``(k, n_cells)`` and ``power_maps_w``
         shape ``(k, n_rows, n_columns)``; the advanced fields come back as
         ``(k, n_cells)``.  All ``k`` fields share one backward-Euler operator
-        (one factorization through the cache) and are back-substituted as a
-        multi-column RHS, with row ``i`` identical to
+        (one factorization) and are back-substituted as a multi-column RHS,
+        with row ``i`` identical to
         ``step(temperatures[i], power_maps_w[i], cooling, dt_s)``.
 
         With a ``reference`` boundary the operator is not factored: each
         field is solved by the cache's iterative lane
         (:meth:`FactorizationCache.preconditioned_transient_operator`),
         preconditioned by the factor of ``(reference, dt_s)`` and within
-        tier B of the exact step.  Without a cache every step factors and
-        ``reference`` is not used.
+        tier B of the exact step.
         """
         check_positive(dt_s, "dt_s")
         grid = self.network.grid
@@ -134,13 +111,6 @@ class TransientSolver:
             raise ValidationError(
                 "temperature stack and power map stack disagree on the number "
                 f"of fields ({temperatures.shape[0]} vs {power_maps_w.shape[0]})"
-            )
-        if self.cache is None:
-            return np.stack(
-                [
-                    self.step(field, power_map, cooling, dt_s)
-                    for field, power_map in zip(temperatures, power_maps_w)
-                ]
             )
         if reference is None:
             operator = self.cache.transient_operator(cooling, dt_s)

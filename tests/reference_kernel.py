@@ -11,6 +11,8 @@
   is a general sparse LU that assumes nothing about the operator's
   symmetry or band structure.  The banded Cholesky kernel of
   :mod:`repro.thermal.solver_cache` is held to it at contract tier B.
+  :func:`golden_steady` and :func:`golden_transient_step` solve the fully
+  assembled system through it, one factorization per solve, with no cache.
 """
 
 from __future__ import annotations
@@ -29,6 +31,24 @@ TIER_B_C = 1e-9
 def golden_solve(matrix: sparse.spmatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` through COLAMD-ordered SuperLU."""
     return splu(matrix.tocsc(), permc_spec="COLAMD").solve(rhs)
+
+
+def golden_steady(network, power_map_w: np.ndarray, cooling) -> np.ndarray:
+    """Steady field of ``network.system(power_map_w, cooling)`` by SuperLU."""
+    matrix, rhs = network.system(power_map_w, cooling)
+    return golden_solve(matrix, rhs)
+
+
+def golden_transient_step(
+    network, temperatures: np.ndarray, power_map_w: np.ndarray, cooling, dt_s: float
+) -> np.ndarray:
+    """One backward-Euler step, ``(A + C/dt) T' = b + C/dt T``, by SuperLU."""
+    matrix, rhs = network.system(power_map_w, cooling)
+    capacitance_over_dt = network.capacitance / float(dt_s)
+    return golden_solve(
+        matrix + sparse.diags(capacitance_over_dt),
+        rhs + capacitance_over_dt * np.asarray(temperatures, dtype=float).ravel(),
+    )
 
 
 def golden_factor(network, cooling, dt_s: float | None = None):

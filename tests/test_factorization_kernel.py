@@ -14,7 +14,8 @@
   which the floor engine's cross-rack stacking relies on.
 * The factor does not depend on the BLAS thread count.
 * A steady operator that no boundary ties to a temperature raises
-  :class:`ConvergenceError`, cached or not, instead of returning nonsense.
+  :class:`ConvergenceError`, single or stacked, instead of returning
+  nonsense.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from repro.thermal.layers import standard_thermosyphon_stack
 from repro.thermal.network import ThermalNetwork
 from repro.thermal.simulator import ThermalSimulator
 from repro.thermal.solver_cache import BandOrdering, FactorizationCache
-from repro.thermal.steady_state import SteadyStateSolver
 
 CELL_SIZES_MM = (2.0, 1.5, 1.0)
 #: Substeps of the MPC floor's transient lane.
@@ -285,12 +285,6 @@ class TestUngroundedSteadyOperator:
         maps = np.stack([simulator.power_map(CORE_POWER)] * 3)
         with pytest.raises(ConvergenceError, match="non-zero heat transfer coefficient"):
             simulator.steady_state_many_from_maps(maps, cooling)
-
-    def test_uncached_solver_raises(self, ungrounded):
-        simulator, cooling = ungrounded
-        solver = SteadyStateSolver(simulator.network, use_cache=False)
-        with pytest.raises(ConvergenceError, match="non-zero heat transfer coefficient"):
-            solver.solve(simulator.power_map(CORE_POWER), cooling)
 
     def test_transient_step_stays_finite(self, ungrounded):
         """``C/dt > 0`` keeps the backward-Euler operator definite."""

@@ -221,18 +221,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             CoarseningConfig(rom=None)
 
-    def test_coarsening_requires_solver_cache(self, scenario, floorplan, power_model):
-        with pytest.raises(ConfigurationError, match="solver cache"):
-            DatacenterModel(
-                scenario.racks,
-                floorplan=floorplan,
-                power_model=power_model,
-                thermal_simulator=ThermalSimulator(
-                    floorplan, cell_size_mm=CELL_SIZE_MM, use_solver_cache=False
-                ),
-                coarsening=CoarseningConfig(),
-            )
-
     def test_advance_span_requires_coarsening(
         self, scenario, floorplan, power_model
     ):

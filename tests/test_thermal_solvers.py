@@ -147,9 +147,9 @@ class TestTransient:
         power = mapper.power_map({f"core{i}": 5.0 for i in range(8)})
         boundary = uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1.5e4, 40.0)
         steady_field = steady.solve(power, boundary)
-        settled, steps = transient.settle(power, boundary, dt_s=1.0, max_steps=400, tolerance_c=0.001)
-        assert steps < 400
-        assert np.max(np.abs(settled - steady_field)) < 0.2
+        settled = transient.settle(power, boundary, dt_s=1.0, max_steps=400, tolerance_c=0.001)
+        assert settled.steps < 400
+        assert np.max(np.abs(settled.temperatures - steady_field)) < 0.2
 
     def test_settle_reports_non_convergence(self, small_setup):
         grid, mapper, _, network = small_setup
@@ -163,10 +163,6 @@ class TestTransient:
         assert not result.converged
         assert result.steps == 2
         assert result.residual_c > 1e-9
-        # Legacy two-value unpacking keeps working.
-        temperatures, steps = result
-        assert steps == 2
-        assert temperatures is result.temperatures
 
     def test_step_moves_towards_equilibrium(self, small_setup):
         grid, mapper, _, network = small_setup
