@@ -445,7 +445,12 @@ class DatacenterModel:
         the floor's hardware groups on worker threads (the banded Cholesky
         factor and solve calls hold the GIL, so only the groups' other
         NumPy work overlaps); ``0`` (default) and ``1`` keep the serial
-        loop.  Results are bit-identical either way.
+        loop.  Results are bit-identical either way.  On a 2-vCPU host
+        threads cost time: the two-SKU perfbench ``coarse_2sku`` floor
+        (seed 7, warm store filled, 9 runs each) took a median 2.96 s
+        serial and 3.44 s with ``parallel_groups=2``, because a serial run
+        already keeps both vCPUs busy (4.95 s of CPU, the bundled
+        OpenBLAS's worker thread spinning on the second).
     warm_store:
         A :class:`~repro.thermal.warm_store.WarmStore` (or a directory
         path for one) attached to every hardware group's factorization

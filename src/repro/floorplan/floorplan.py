@@ -34,6 +34,16 @@ class Floorplan:
         self.spreader_outline = spreader_outline
         self._by_name = {component.name: component for component in self.components}
         self._validate()
+        # The components are frozen, so the core topology is computed once.
+        #: All core components sorted by ``core_index``.
+        self.cores: tuple[Component, ...] = tuple(
+            sorted(
+                (c for c in self.components if c.is_core), key=lambda c: c.core_index
+            )
+        )
+        self._core_by_index = {core.core_index: core for core in self.cores}
+        self._core_rows = self._core_bands(axis=1)
+        self._core_columns = self._core_bands(axis=0)
 
     # ------------------------------------------------------------------ #
     # Validation
@@ -78,7 +88,7 @@ class Floorplan:
                         f"components {first.name!r} and {second.name!r} overlap"
                     )
 
-        core_indices = [c.core_index for c in self.cores]
+        core_indices = [c.core_index for c in self.components if c.is_core]
         if len(set(core_indices)) != len(core_indices) or None in core_indices:
             raise FloorplanError("every core must carry a unique, non-None core_index")
 
@@ -102,22 +112,16 @@ class Floorplan:
         return len(self.components)
 
     @property
-    def cores(self) -> tuple[Component, ...]:
-        """All core components sorted by ``core_index``."""
-        cores = [c for c in self.components if c.is_core]
-        return tuple(sorted(cores, key=lambda c: c.core_index))
-
-    @property
     def n_cores(self) -> int:
         """Number of schedulable cores."""
         return len(self.cores)
 
     def core(self, core_index: int) -> Component:
         """Return the core with logical index ``core_index``."""
-        for component in self.cores:
-            if component.core_index == core_index:
-                return component
-        raise FloorplanError(f"no core with index {core_index}")
+        try:
+            return self._core_by_index[core_index]
+        except KeyError:
+            raise FloorplanError(f"no core with index {core_index}") from None
 
     def components_of_kind(self, kind: ComponentKind) -> tuple[Component, ...]:
         """All components of the given kind, in declaration order."""
@@ -171,25 +175,7 @@ class Floorplan:
         group of east-west micro-channels.  For the Xeon E5 v4 floorplan
         this yields four rows of two cores (one from each core column).
         """
-        cores = list(self.cores)
-        if not cores:
-            return ()
-        tolerance = min(core.rect.height for core in cores) / 2.0
-        remaining = sorted(cores, key=lambda c: c.rect.center[1])
-        rows: list[list[int]] = []
-        row_centres: list[float] = []
-        for core in remaining:
-            _, cy = core.rect.center
-            placed = False
-            for row, centre in zip(rows, row_centres):
-                if abs(cy - centre) <= tolerance:
-                    row.append(core.core_index)
-                    placed = True
-                    break
-            if not placed:
-                rows.append([core.core_index])
-                row_centres.append(cy)
-        return tuple(tuple(sorted(row)) for row in rows)
+        return self._core_rows
 
     def core_row_of(self, core_index: int) -> int:
         """Physical row index (0 = southernmost) of a core; see :meth:`core_rows`."""
@@ -200,25 +186,32 @@ class Floorplan:
 
     def core_columns(self) -> tuple[tuple[int, ...], ...]:
         """Cores grouped by physical column (west to east)."""
-        cores = list(self.cores)
-        if not cores:
+        return self._core_columns
+
+    def _core_bands(self, axis: int) -> tuple[tuple[int, ...], ...]:
+        """Cores grouped by centre position along ``axis`` (0 = x, 1 = y).
+
+        Cores are visited in ascending centre position; each joins the first
+        band whose founding centre lies within half the smallest core extent
+        along ``axis``, or founds a new band.
+        """
+        if not self.cores:
             return ()
-        tolerance = min(core.rect.width for core in cores) / 2.0
-        remaining = sorted(cores, key=lambda c: c.rect.center[0])
-        columns: list[list[int]] = []
-        column_centres: list[float] = []
-        for core in remaining:
-            cx, _ = core.rect.center
-            placed = False
-            for column, centre in zip(columns, column_centres):
-                if abs(cx - centre) <= tolerance:
-                    column.append(core.core_index)
-                    placed = True
+        tolerance = (
+            min((core.rect.width, core.rect.height)[axis] for core in self.cores) / 2.0
+        )
+        bands: list[list[int]] = []
+        band_centres: list[float] = []
+        for core in sorted(self.cores, key=lambda c: c.rect.center[axis]):
+            position = core.rect.center[axis]
+            for band, centre in zip(bands, band_centres):
+                if abs(position - centre) <= tolerance:
+                    band.append(core.core_index)
                     break
-            if not placed:
-                columns.append([core.core_index])
-                column_centres.append(cx)
-        return tuple(tuple(sorted(column)) for column in columns)
+            else:
+                bands.append([core.core_index])
+                band_centres.append(position)
+        return tuple(tuple(sorted(band)) for band in bands)
 
     def core_column_of(self, core_index: int) -> int:
         """Physical column index (0 = westernmost) of a core."""

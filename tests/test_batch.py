@@ -127,6 +127,26 @@ class TestEvaluateMany:
             assert a.case_temperature_c == b.case_temperature_c
             assert a.operating_point == b.operating_point
 
+    def test_threads_filling_the_profile_store_match_serial(
+        self, simulation, x264, canneal
+    ):
+        """Threads racing to profile the same benchmarks through one cold
+        profiler select exactly what a serial sweep selects."""
+        points = [
+            SweepPoint(benchmark=benchmark, constraint=QoSConstraint(factor))
+            for factor in (1.0, 2.0, 3.0, 2.0)
+            for benchmark in (x264, canneal)
+        ]
+        threaded = BatchEvaluator(simulation).evaluate_many(points, max_workers=4)
+        serial = BatchEvaluator(simulation).evaluate_many(points)
+        for a, b in zip(serial, threaded):
+            assert a.configuration == b.configuration
+            assert a.mapping.active_cores == b.mapping.active_cores
+            assert a.package_power_w == b.package_power_w
+            assert a.die_metrics == b.die_metrics
+            assert a.package_metrics == b.package_metrics
+            assert a.case_temperature_c == b.case_temperature_c
+
     def test_threads_share_one_cache(self, floorplan, power_model, x264, canneal):
         """A threaded sweep pays exactly the serial sweep's factorizations."""
 

@@ -12,8 +12,9 @@ from repro.experiments.fig7_thermal_maps import run_fig7
 from repro.experiments.fig8_controller_trace import run_fig8
 from repro.experiments.table1_cstates import run_table1
 from repro.experiments.table2_hotspots import run_table2
-from repro.experiments.common import paper_approaches
+from repro.experiments.common import build_platform, paper_approaches
 from repro.power.cstates import CState
+from repro.power.power_model import ServerPowerModel
 
 QUICK = ("x264", "swaptions", "canneal")
 
@@ -118,6 +119,32 @@ class TestTable2:
         for key, values in summary.items():
             if "2x" in key:
                 assert values["die_theta_max_reduction_c"] > 0.0
+
+    def test_each_benchmark_profiled_once_per_platform(self, monkeypatch):
+        """One power evaluation per sweep point plus one per profile record:
+        the 3 x 48 records are computed by the first sweep only, and a
+        second sweep on the same platform reuses every one of them."""
+        calls = 0
+        evaluate = ServerPowerModel.evaluate
+
+        def counting_evaluate(self, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(ServerPowerModel, "evaluate", counting_evaluate)
+        platform = build_platform(cell_size_mm=2.0)
+        names = ("x264", "canneal", "ferret")
+        first = run_table2(platform, benchmark_names=names)
+        assert calls == 27 + 3 * 48
+        calls = 0
+        second = run_table2(platform, benchmark_names=names[::-1])
+        assert calls == 27
+
+        def key(cell):
+            return (cell.approach, cell.qos_label, cell.benchmark)
+
+        assert sorted(second.cells, key=key) == sorted(first.cells, key=key)
 
 
 class TestFig7:

@@ -77,6 +77,18 @@ class TestFloorplanValidation:
                 ],
             )
 
+    def test_core_without_index_rejected(self):
+        die = Rect(0.0, 0.0, 10.0, 10.0)
+        with pytest.raises(FloorplanError, match="core_index"):
+            Floorplan(
+                "bad",
+                die,
+                [
+                    Component("a", ComponentKind.CORE, Rect(0.0, 0.0, 2.0, 2.0), core_index=0),
+                    Component("b", ComponentKind.CORE, Rect(4.0, 4.0, 2.0, 2.0)),
+                ],
+            )
+
     def test_lookup_unknown_component(self):
         with pytest.raises(FloorplanError):
             _simple_floorplan().component("nonexistent")

@@ -15,11 +15,14 @@ floor for every engine lane:
 * snapshot()/restore() mid-run under the threaded engine;
 
 plus the lifecycle edges: single-group floors never build an executor,
-``close()`` is idempotent, negative budgets are rejected, and the
+``close()`` is idempotent, negative budgets are rejected, the
 cold-floor guard of ``advance_span`` raises on the calling thread before
-any worker is involved.
+any worker is involved, and a failing group raises only once every
+other group's worker has finished writing its state.
 """
 
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -288,3 +291,73 @@ class TestLifecycle:
                 session.advance_span(0.0, 4)
         finally:
             session.close()
+
+
+class TestFailureContainment:
+    def test_failed_group_joins_every_worker_before_raising(
+        self, sku_floorplans, monkeypatch
+    ):
+        """Group 0 fails while group 1 is still solving: the advance must
+        not raise until group 1 has finished, or group 1 would overwrite
+        the state the caller restores after catching the exception."""
+        racks = _mixed_racks(sku_floorplans, FIXED_DURATION_S)
+        threads_before = set(threading.enumerate())
+        model = _model(racks, sku_floorplans, 2)
+        session = model.session()
+        twin = _model(racks, sku_floorplans, 2).session()
+        try:
+            time_s = 0.0
+            for _ in range(2):
+                session.advance_period(time_s)
+                twin.advance_period(time_s)
+                time_s += CONTROL_PERIOD_S
+            snapshot = session.snapshot()
+
+            failing, slow = model.rack_simulators
+
+            def fail(*args, **kwargs):
+                raise RuntimeError("group 0 failed")
+
+            step = slow.transient_step_many_from_maps
+            delayed = threading.Event()
+
+            def late_step(*args, **kwargs):
+                # Hold group 1 back once, so group 0 fails while it runs.
+                if not delayed.is_set():
+                    delayed.set()
+                    time.sleep(0.3)
+                return step(*args, **kwargs)
+
+            monkeypatch.setattr(failing, "transient_step_many_from_maps", fail)
+            monkeypatch.setattr(slow, "transient_step_many_from_maps", late_step)
+            with pytest.raises(RuntimeError, match="group 0 failed"):
+                session.advance_period(time_s)
+            session.restore(snapshot)
+            time.sleep(1.5)
+            monkeypatch.undo()
+
+            restored = session.snapshot().floor.rack_snapshots
+            for saved, now in zip(snapshot.floor.rack_snapshots, restored):
+                assert np.array_equal(now.temperatures, saved.temperatures)
+                assert all(a is b for a, b in zip(now.boundaries, saved.boundaries))
+
+            period = session.advance_period(time_s)
+            expected = twin.advance_period(time_s)
+            assert period.worst_period_peak_case_c == expected.worst_period_peak_case_c
+            for rack_a, rack_b in zip(expected.rack_decisions, period.rack_decisions):
+                for decision_a, decision_b in zip(rack_a, rack_b):
+                    for field in _DECISION_FIELDS:
+                        assert getattr(decision_b, field) == getattr(
+                            decision_a, field
+                        ), field
+        finally:
+            session.close()
+            twin.close()
+        leftover = [
+            thread
+            for thread in threading.enumerate()
+            if thread not in threads_before
+            and thread.name.startswith("floor-group")
+            and thread.is_alive()
+        ]
+        assert not leftover

@@ -1,5 +1,8 @@
 """Workload profiler tests (the P and Q vectors of Algorithm 1)."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.power.cstates import CState
@@ -37,6 +40,44 @@ class TestProfileRecords:
             poll_profiler.profile_configuration(x264, configuration).package_power_w
             > c1e_profiler.profile_configuration(x264, configuration).package_power_w
         )
+
+
+class TestProfileOnce:
+    def test_records_are_computed_once_per_profiler(self, power_model, x264):
+        profiler = WorkloadProfiler(power_model)
+        configuration = Configuration(4, 2, 2.9)
+        first = profiler.profile_configuration(x264, configuration)
+        assert profiler.profile_configuration(x264, configuration) is first
+        assert profiler.profile(x264, (configuration,))[0] is first
+
+    def test_stored_subset_matches_fresh_profiles_in_order(self, power_model, x264):
+        profiler = WorkloadProfiler(power_model)
+        space = default_configuration_space()
+        profiler.profile(x264, space)
+        subset = space[::-5]
+        records = profiler.profile(x264, subset)
+        assert [record.configuration for record in records] == list(subset)
+        assert records == tuple(
+            WorkloadProfiler(power_model).profile_configuration(x264, configuration)
+            for configuration in subset
+        )
+
+    def test_racing_threads_all_get_the_first_stored_record(self, power_model, x264):
+        profiler = WorkloadProfiler(power_model)
+        space = default_configuration_space()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as executor:
+                futures = [
+                    executor.submit(profiler.profile, x264, space) for _ in range(8)
+                ]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        results.append(profiler.profile(x264, space))
+        for records in results[1:]:
+            assert all(a is b for a, b in zip(records, results[0]))
 
 
 class TestSortingAndFiltering:
