@@ -26,13 +26,17 @@ batched stages:
    :meth:`~repro.thermosyphon.loop.ThermosyphonLoop.cooling_boundaries`
    call per (design, hardware group), each server at its own operating
    point — across racks and operating points, not per rack or per point.
-3. **Solve** — stacked from the rack sessions, the group's fields (steady
-   initialization of cold ones, then every backward-Euler substep) run
-   one :meth:`~repro.thermal.simulator.ThermalSimulator.\
-transient_step_many_from_maps` (or ``steady_state_many_from_maps``) per
-   (hardware group, cooling-boundary content) — one factorization and one
+3. **Solve** — stacked from the rack sessions, the group's fields are
+   partitioned by cooling-boundary content; cold rows are
+   steady-initialized (``steady_state_many_from_maps``), then each solve
+   group marches all its backward-Euler substeps through one
+   :meth:`~repro.thermal.simulator.ThermalSimulator.\
+transient_step_many_from_maps` per substep — one factorization and one
    multi-RHS back-substitution for *all* servers sharing an operator,
-   whatever rack they sit in.
+   whatever rack they sit in.  That march is the engine's only substep
+   loop: a fine period (:meth:`FloorEngine.advance`) is a span of one,
+   and a coarse span (:meth:`FloorEngine.advance_span`) runs it only for
+   the rows its reduced-order lane hands back.
 4. **Finish** — each rack session takes its rows of the advanced group
    stack back through :meth:`RackSession.finish_advance`, so the rack-level
    API (results, settle residuals, boundary hold policy) is unchanged.
@@ -68,7 +72,7 @@ from repro.thermal.rom import RomConfig, RomStats, build_reduced_operator
 from repro.thermosyphon.loop import BoundaryResult, LoopOperatingPoint
 from repro.utils.validation import check_positive
 
-__all__ = ["FloorAdvance", "FloorEngine", "FloorSnapshot", "FloorSpanAdvance"]
+__all__ = ["FloorAdvance", "FloorEngine", "FloorSnapshot"]
 
 
 @dataclass(frozen=True)
@@ -91,38 +95,20 @@ class FloorSnapshot:
 
 @dataclass(frozen=True)
 class FloorAdvance:
-    """Outcome of one floor-wide control period of physics.
+    """Outcome of ``span`` floor-wide control periods of physics.
 
-    ``racks[r]`` is rack ``r``'s :class:`RackAdvance` — its per-server
-    results, built by :meth:`RackSession.finish_advance`.
-    ``worst_period_peak_case_c`` is the highest within-period case
-    temperature across *every* server on the floor, computed vectorized
-    over the stacked group fields — the floor-level predicted-peak input
-    of the supervisory setpoint loop.
-    """
-
-    racks: tuple[RackAdvance, ...]
-    worst_period_peak_case_c: float
-
-    @property
-    def n_racks(self) -> int:
-        """Number of racks advanced."""
-        return len(self.racks)
-
-
-@dataclass(frozen=True)
-class FloorSpanAdvance:
-    """Outcome of one quasi-steady span of several periods.
-
-    ``racks[r]`` is rack ``r``'s :class:`RackAdvance` *for the final
-    control period of the span* (the one the controller's decision rule
-    evaluates).  ``period_case_c[r]`` / ``period_peak_case_c[r]`` are
-    ``(span, n_servers)`` arrays of per-period-end case temperatures and
-    within-period peaks, read off the reduced-order lane (ROM rows) or the
-    full substep march (fallback rows) — the per-period observability that
-    lets a coarse trace keep the fine lane's record shape.
-    ``period_worst_peak_c[j]`` is the floor-wide worst within-period peak
-    of period ``j``.
+    A fine control period is a span of one.  ``racks[r]`` is rack ``r``'s
+    :class:`RackAdvance` *for the final period of the span* (the one the
+    controller's decision rule evaluates), built by
+    :meth:`RackSession.finish_advance`.  ``period_case_c[r]`` /
+    ``period_peak_case_c[r]`` are ``(span, n_servers)`` arrays of
+    per-period-end case temperatures and within-period peaks, read off the
+    full substep march or, in a coarse span, the reduced-order lane — the
+    per-period observability that lets a coarse trace keep the fine lane's
+    record shape.  ``period_worst_peak_c[j]`` is the floor-wide worst
+    within-period peak of period ``j``, and ``worst_period_peak_case_c``
+    the span's — the floor-level predicted-peak input of the supervisory
+    setpoint loop.
     """
 
     racks: tuple[RackAdvance, ...]
@@ -357,9 +343,15 @@ class FloorEngine:
         further restores — one snapshot serves every candidate of an MPC
         planning step), so the next advance carries fields bit-identically.
         """
+        self._check_snapshot(snapshot, "snapshot")
+        for session, saved in zip(self.rack_sessions, snapshot.rack_snapshots):
+            session.restore(saved)
+
+    def _check_snapshot(self, snapshot: FloorSnapshot, name: str) -> None:
+        """Raise :class:`ValidationError` unless every rack of it fits."""
         if len(snapshot.rack_snapshots) != self.n_racks:
             raise ValidationError(
-                f"snapshot holds {len(snapshot.rack_snapshots)} racks, "
+                f"{name} holds {len(snapshot.rack_snapshots)} racks, "
                 f"floor has {self.n_racks}"
             )
         for r, (session, saved) in enumerate(
@@ -368,12 +360,10 @@ class FloorEngine:
             try:
                 session.check_snapshot(saved)
             except ValidationError as error:
-                raise ValidationError(f"rack {r}: {error}") from None
-        for session, saved in zip(self.rack_sessions, snapshot.rack_snapshots):
-            session.restore(saved)
+                raise ValidationError(f"{name} rack {r}: {error}") from None
 
     # ------------------------------------------------------------------ #
-    # The floor-wide period step
+    # The floor-wide step: a fine period is a span of one
     # ------------------------------------------------------------------ #
     def advance(
         self,
@@ -393,10 +383,12 @@ class FloorEngine:
         steps of ``dt_s / n_substeps``.  Every server's result is
         bit-identical to advancing it alone — the stacking only changes how
         many rows each factorized operator back-substitutes at once.
-        Arguments are checked before any state changes.
+        Arguments, ``reference`` included, are checked before any state
+        changes.
 
-        ``reference`` is the snapshot an MPC rollout started from.  With
-        it, a single-substep period solves a solve group iteratively
+        ``reference`` is the snapshot an MPC rollout started from, and must
+        fit the floor as a :meth:`restore` argument would.  With it, a
+        single-substep period solves a solve group iteratively
         (within tier B of the exact step) when the group is one server
         whose boundary differs from the one it held in ``reference``: the
         solver cache's iterative lane, preconditioned by the factor of
@@ -406,46 +398,144 @@ class FloorEngine:
         check_positive(dt_s, "dt_s")
         if n_substeps < 1:
             raise ValidationError(f"n_substeps must be >= 1, got {n_substeps}")
-        if reference is not None and len(reference.rack_snapshots) != self.n_racks:
-            raise ValidationError(
-                f"reference snapshot holds {len(reference.rack_snapshots)} "
-                f"racks, floor has {self.n_racks}"
+        if reference is not None:
+            self._check_snapshot(reference, "reference snapshot")
+        with get_telemetry().span("floor.advance", n_substeps=n_substeps):
+            return self._advance(
+                rack_loads, dt_s, 1, n_substeps, force_boundary_refresh,
+                reference=reference,
             )
+
+    def advance_span(
+        self,
+        rack_loads: Sequence[Sequence[ServerLoad]],
+        dt_s: float,
+        span: int,
+        *,
+        rom: RomConfig,
+        n_substeps: int = 1,
+        force_boundary_refresh: Sequence[bool | Sequence[bool]] | None = None,
+        t_case_max_c: float | None = None,
+    ) -> FloorAdvance:
+        """Advance every server by ``span`` control periods of ``dt_s`` each.
+
+        The caller (the datacenter session's coarsening planner) guarantees
+        the span is quasi-steady: loads are held, no actuator fired last
+        period and every settle residual is below tolerance.  Under that
+        contract the floor advances the whole span without per-period
+        decision evaluation, every solve group through two lanes:
+
+        * **ROM lane** (configured by ``rom``): step in the cached Krylov
+          subspace at the fine substep size — ``O(k^2)`` per substep plus
+          two ``(n, k)`` mat-vecs for the rigorous a-posteriori error
+          bound — lifting only the case-cell readout per substep and the
+          full field once at span end.
+        * **Full fallback lane**: rows whose projection/error bound trips
+          or whose lifted case temperature enters the ``t_case_max_c``
+          guard band rerun the *entire* span through the substep march
+          every :meth:`advance` runs (identical physics to ``span`` calls
+          of it); the :class:`~repro.thermal.rom.RomStats` counters
+          record why.
+
+        Only the lanes differ from :meth:`advance`: stages 1, 2 and 4 and
+        the result type are shared, and a span of one still runs the ROM
+        lane.  Requires a warm floor (every rack session carrying a
+        field); cold starts must go through :meth:`advance` first.
+        Arguments and warmth are checked before any state changes.
+        """
+        check_positive(dt_s, "dt_s")
+        if span < 1:
+            raise ValidationError(f"span must be >= 1, got {span}")
+        if n_substeps < 1:
+            raise ValidationError(f"n_substeps must be >= 1, got {n_substeps}")
+        # Warm check before stage 2 stores any refreshed boundary, so a
+        # cold floor raises with its state untouched.
+        if any(session.fields is None for session in self.rack_sessions):
+            raise ConfigurationError(
+                "advance_span requires a warm floor; advance at least "
+                "one fine control period first"
+            )
+        with get_telemetry().span(
+            "floor.advance_span", span=span, n_substeps=n_substeps
+        ):
+            return self._advance(
+                rack_loads, dt_s, span, n_substeps, force_boundary_refresh,
+                rom=rom, t_case_max_c=t_case_max_c,
+            )
+
+    def _advance(
+        self,
+        rack_loads: Sequence[Sequence[ServerLoad]],
+        dt_s: float,
+        span: int,
+        n_substeps: int,
+        force_boundary_refresh: Sequence[bool | Sequence[bool]] | None,
+        *,
+        rom: RomConfig | None = None,
+        t_case_max_c: float | None = None,
+        reference: FloorSnapshot | None = None,
+    ) -> FloorAdvance:
+        """Stages 1-4 for ``span`` periods of the whole floor.
+
+        Stages 1-2 run once floor-wide; stages 3-4 run per hardware group
+        on the stacked arrays — concurrently when ``parallel_groups``
+        allows, since each group's state is disjoint.  ``rom`` (only from
+        :meth:`advance_span`) puts every solve group on the reduced-order
+        lane with full fallback; without it every group marches at full
+        resolution.
+        """
         obs = get_telemetry()
-        with obs.span("floor.advance", n_substeps=n_substeps):
-            loads, breakdowns, power_maps, water_loops, refreshed, boundaries = (
-                self._prepare_period(rack_loads, force_boundary_refresh)
-            )
+        loads, breakdowns, power_maps, water_loops, refreshed, boundaries = (
+            self._prepare_period(rack_loads, force_boundary_refresh)
+        )
+        rack_advances: list[RackAdvance | None] = [None] * self.n_racks
+        period_case: list[np.ndarray | None] = [None] * self.n_racks
+        period_peak: list[np.ndarray | None] = [None] * self.n_racks
+        if rom is None:
+            group_span, span_attrs = "floor.advance_group", {}
+        else:
+            group_span, span_attrs = "floor.advance_group_span", {"span": span}
 
-            # Stages 3-4 run per hardware group on the stacked arrays —
-            # concurrently when ``parallel_groups`` allows, since each
-            # group's state is disjoint.
-            rack_advances: list[RackAdvance | None] = [None] * self.n_racks
+        def run_group(group: _HardwareGroup) -> RomStats:
+            # Each worker accumulates ROM decisions on a private scratch
+            # counter set; the merge below happens serially in group-index
+            # order, keeping ``rom_stats`` deterministic under threads.
+            scratch = RomStats()
+            with obs.span(group_span, group=group.index, **span_attrs):
+                self._advance_group(
+                    group, loads, breakdowns, power_maps, water_loops, boundaries,
+                    refreshed, rack_advances, period_case, period_peak, dt_s,
+                    span, n_substeps, rom, t_case_max_c, reference, scratch,
+                )
+            return scratch
 
-            def run_group(group: _HardwareGroup) -> float:
-                with obs.span("floor.advance_group", group=group.index):
-                    return self._advance_group(
-                        group,
-                        loads,
-                        breakdowns,
-                        power_maps,
-                        water_loops,
-                        boundaries,
-                        refreshed,
-                        rack_advances,
-                        dt_s,
-                        n_substeps,
-                        reference,
-                    )
-
-            worst_peak = max(self._map_groups(run_group))
-            return FloorAdvance(
-                racks=tuple(rack_advances),  # type: ignore[arg-type]
-                worst_period_peak_case_c=worst_peak,
-            )
+        for scratch in self._map_groups(run_group):
+            self.rom_stats.merge(scratch)
+            if obs.enabled:
+                # Publish the span's ROM decisions to the hub on the
+                # calling thread, in group-index order — the live
+                # counters behind the fallback-cause report.
+                for name in (
+                    "basis_builds",
+                    "basis_rebuilds",
+                    "fallback_error",
+                    "fallback_guard",
+                    "fallback_projection",
+                ):
+                    value = getattr(scratch, name)
+                    if value:
+                        prefix = "rom.fallback." if name.startswith("fallback_") else "rom."
+                        obs.inc(prefix + name.removeprefix("fallback_"), value)
+        return FloorAdvance(
+            racks=tuple(rack_advances),  # type: ignore[arg-type]
+            span=span,
+            period_case_c=tuple(period_case),  # type: ignore[arg-type]
+            period_peak_case_c=tuple(period_peak),  # type: ignore[arg-type]
+            period_worst_peak_c=np.max(np.concatenate(period_peak, axis=1), axis=1),
+        )
 
     # ------------------------------------------------------------------ #
-    # Stages 1-2: shared per-period preparation
+    # Stages 1-2: per-advance preparation
     # ------------------------------------------------------------------ #
     def _prepare_period(
         self,
@@ -454,9 +544,9 @@ class FloorEngine:
     ):
         """Stage 1 (memoized power) + stage 2 (batched boundary refresh).
 
-        Shared verbatim between :meth:`advance` and :meth:`advance_span`, so
-        a coarse span sees exactly the power maps and held boundaries a fine
-        period at the same loads would.
+        Run once per advance whatever its span, so a coarse span sees
+        exactly the power maps and held boundaries a fine period at the
+        same loads would.
         """
         if len(rack_loads) != self.n_racks:
             raise ValidationError(
@@ -507,122 +597,6 @@ class FloorEngine:
             for r in range(self.n_racks)
         ]
         return loads, breakdowns, power_maps, water_loops, refreshed, boundaries
-
-    # ------------------------------------------------------------------ #
-    # Quasi-steady span advance (adaptive control-period coarsening)
-    # ------------------------------------------------------------------ #
-    def advance_span(
-        self,
-        rack_loads: Sequence[Sequence[ServerLoad]],
-        dt_s: float,
-        span: int,
-        *,
-        rom: RomConfig,
-        n_substeps: int = 1,
-        force_boundary_refresh: Sequence[bool | Sequence[bool]] | None = None,
-        t_case_max_c: float | None = None,
-    ) -> FloorSpanAdvance:
-        """Advance every server by ``span`` control periods of ``dt_s`` each.
-
-        The caller (the datacenter session's coarsening planner) guarantees
-        the span is quasi-steady: loads are held, no actuator fired last
-        period and every settle residual is below tolerance.  Under that
-        contract the floor advances the whole span without per-period
-        decision evaluation, every solve group through two lanes:
-
-        * **ROM lane** (configured by ``rom``): step in the cached Krylov
-          subspace at the fine substep size — ``O(k^2)`` per substep plus
-          two ``(n, k)`` mat-vecs for the rigorous a-posteriori error
-          bound — lifting only the case-cell readout per substep and the
-          full field once at span end.
-        * **Full fallback lane**: rows whose projection/error bound trips
-          or whose lifted case temperature enters the ``t_case_max_c``
-          guard band rerun the *entire* span at full fine resolution
-          (identical physics to ``span`` calls of :meth:`advance`); the
-          :class:`~repro.thermal.rom.RomStats` counters record why.
-
-        Requires a warm floor (every rack session carrying a field); cold
-        starts must go through :meth:`advance` first.  Arguments and
-        warmth are checked before any state changes.
-        """
-        check_positive(dt_s, "dt_s")
-        if span < 1:
-            raise ValidationError(f"span must be >= 1, got {span}")
-        if n_substeps < 1:
-            raise ValidationError(f"n_substeps must be >= 1, got {n_substeps}")
-        # Warm check before stage 2 stores any refreshed boundary, so a
-        # cold floor raises with its state untouched.
-        if any(session.fields is None for session in self.rack_sessions):
-            raise ConfigurationError(
-                "advance_span requires a warm floor; advance at least "
-                "one fine control period first"
-            )
-        obs = get_telemetry()
-        with obs.span("floor.advance_span", span=span, n_substeps=n_substeps):
-            loads, breakdowns, power_maps, water_loops, refreshed, boundaries = (
-                self._prepare_period(rack_loads, force_boundary_refresh)
-            )
-
-            rack_advances: list[RackAdvance | None] = [None] * self.n_racks
-            period_case: list[np.ndarray | None] = [None] * self.n_racks
-            period_peak: list[np.ndarray | None] = [None] * self.n_racks
-
-            def run_group(group: _HardwareGroup) -> RomStats:
-                # Each worker accumulates ROM decisions on a private scratch
-                # counter set; the merge below happens serially in
-                # group-index order, keeping ``rom_stats`` deterministic
-                # under threads.
-                scratch = RomStats()
-                with obs.span(
-                    "floor.advance_group_span", group=group.index, span=span
-                ):
-                    self._advance_group_span(
-                        group,
-                        loads,
-                        breakdowns,
-                        power_maps,
-                        water_loops,
-                        boundaries,
-                        refreshed,
-                        rack_advances,
-                        period_case,
-                        period_peak,
-                        dt_s,
-                        span,
-                        n_substeps,
-                        t_case_max_c,
-                        rom,
-                        scratch,
-                    )
-                return scratch
-
-            for scratch in self._map_groups(run_group):
-                self.rom_stats.merge(scratch)
-                if obs.enabled:
-                    # Publish the span's ROM decisions to the hub on the
-                    # calling thread, in group-index order — the live
-                    # counters behind the fallback-cause report.
-                    for name in (
-                        "basis_builds",
-                        "basis_rebuilds",
-                        "fallback_error",
-                        "fallback_guard",
-                        "fallback_projection",
-                    ):
-                        value = getattr(scratch, name)
-                        if value:
-                            prefix = "rom.fallback." if name.startswith("fallback_") else "rom."
-                            obs.inc(prefix + name.removeprefix("fallback_"), value)
-            period_worst = np.max(
-                np.concatenate([peaks for peaks in period_peak], axis=1), axis=1
-            )
-            return FloorSpanAdvance(
-                racks=tuple(rack_advances),  # type: ignore[arg-type]
-                span=span,
-                period_case_c=tuple(period_case),  # type: ignore[arg-type]
-                period_peak_case_c=tuple(period_peak),  # type: ignore[arg-type]
-                period_worst_peak_c=period_worst,
-            )
 
     # ------------------------------------------------------------------ #
     # Stage 2: floor-wide boundary refresh
@@ -696,122 +670,9 @@ class FloorEngine:
                 )
 
     # ------------------------------------------------------------------ #
-    # Stages 3-4: stacked init and substep marching of one hardware group
+    # Stages 3-4: stacked init and span march of one hardware group
     # ------------------------------------------------------------------ #
     def _advance_group(
-        self,
-        group: _HardwareGroup,
-        loads: Sequence[Sequence[ServerLoad]],
-        breakdowns: Sequence[Sequence],
-        power_maps: Sequence[np.ndarray],
-        water_loops: Sequence[Sequence],
-        boundaries: Sequence[Sequence[BoundaryResult]],
-        refreshed: Sequence[Sequence[bool]],
-        rack_advances: list[RackAdvance | None],
-        dt_s: float,
-        n_substeps: int,
-        reference: FloorSnapshot | None,
-    ) -> float:
-        simulator = group.simulator
-        n_cells = simulator.grid.n_cells
-
-        # Stack this group's power maps and boundaries in rack-row order.
-        group_maps = np.concatenate([power_maps[r] for r in group.rack_indices])
-        group_boundaries: list[BoundaryResult] = []
-        for r in group.rack_indices:
-            group_boundaries.extend(boundaries[r])
-
-        # Solve partition: rows sharing a cooling-boundary content advance
-        # through one cached factorization per substep.
-        token_rows: dict[tuple, list[int]] = {}
-        for row, boundary in enumerate(group_boundaries):
-            token_rows.setdefault(boundary.boundary.cache_token(), []).append(row)
-        row_groups = list(token_rows.values())
-
-        # The iterative lane (see :meth:`advance`): a one-server solve group
-        # of a single-substep period whose boundary moved away from the one
-        # it held in ``reference`` is preconditioned by that boundary.
-        preconditioners: list[CoolingBoundary | None] = [None] * len(row_groups)
-        if reference is not None and n_substeps == 1:
-            held = self._reference_boundaries(group, reference)
-            for i, (token, rows) in enumerate(token_rows.items()):
-                before = held[rows[0]]
-                if (
-                    len(rows) == 1
-                    and before is not None
-                    and before.cache_token() != token
-                ):
-                    preconditioners[i] = before
-
-        # Stack the group's carried fields from its rack sessions; a cold
-        # session (first advance, or reset) is steady-initialized, batched
-        # per operator across the whole group.
-        fields = np.empty((group.n_servers, n_cells), dtype=float)
-        cold: set[int] = set()
-        for r in group.rack_indices:
-            rows = group.rack_rows[r]
-            carried = self.rack_sessions[r].fields
-            if carried is None:
-                cold.update(range(rows.start, rows.stop))
-            else:
-                fields[rows] = carried
-        for rows in row_groups:
-            init_rows = [row for row in rows if row in cold]
-            if init_rows:
-                fields[init_rows] = simulator.steady_state_many_from_maps(
-                    group_maps[init_rows], group_boundaries[init_rows[0]].boundary
-                )
-
-        sub_dt = dt_s / n_substeps
-        residuals = np.zeros(group.n_servers, dtype=float)
-        peak_case = np.full(group.n_servers, float("-inf"), dtype=float)
-        for _ in range(n_substeps):
-            new_fields = np.empty_like(fields)
-            for rows, preconditioner in zip(row_groups, preconditioners):
-                new_fields[rows] = simulator.transient_step_many_from_maps(
-                    fields[rows],
-                    group_maps[rows],
-                    group_boundaries[rows[0]].boundary,
-                    sub_dt,
-                    reference=preconditioner,
-                )
-            residuals = np.max(np.abs(new_fields - fields), axis=1)
-            fields = new_fields
-            peak_case = np.maximum(peak_case, fields[:, group.case_cell_index])
-
-        # Stage 4: every rack session takes its rows of the advanced stack
-        # back and builds its per-server results.
-        for r in group.rack_indices:
-            rows = group.rack_rows[r]
-            rack_advances[r] = self.rack_sessions[r].finish_advance(
-                loads[r],
-                breakdowns[r],
-                water_loops[r],
-                fields[rows],
-                residuals[rows],
-                peak_case[rows],
-                refreshed[r],
-                dt_s,
-                n_substeps,
-            )
-        return float(peak_case.max())
-
-    def _reference_boundaries(
-        self, group: _HardwareGroup, reference: FloorSnapshot
-    ) -> list[CoolingBoundary | None]:
-        """Each group row's boundary in ``reference`` (rack-row order)."""
-        held: list[CoolingBoundary | None] = []
-        for r in group.rack_indices:
-            held.extend(
-                None if state is None else state.boundary_result.boundary
-                for state in reference.rack_snapshots[r].boundaries
-            )
-        return held
-
-    # ------------------------------------------------------------------ #
-    # Span marching of one hardware group (ROM lane + full fallback)
-    # ------------------------------------------------------------------ #
-    def _advance_group_span(
         self,
         group: _HardwareGroup,
         loads: Sequence[Sequence[ServerLoad]],
@@ -826,38 +687,83 @@ class FloorEngine:
         dt_s: float,
         span: int,
         n_substeps: int,
+        rom: RomConfig | None,
         t_case_max_c: float | None,
-        rom: RomConfig,
+        reference: FloorSnapshot | None,
         stats: RomStats,
     ) -> None:
         simulator = group.simulator
+        n = group.n_servers
 
+        # Stack this group's power maps and boundaries in rack-row order.
         group_maps = np.concatenate([power_maps[r] for r in group.rack_indices])
         group_boundaries: list[BoundaryResult] = []
         for r in group.rack_indices:
             group_boundaries.extend(boundaries[r])
 
+        # Solve partition: rows sharing a cooling-boundary content advance
+        # through one cached operator.
         token_rows: dict[tuple, list[int]] = {}
         for row, boundary in enumerate(group_boundaries):
             token_rows.setdefault(boundary.boundary.cache_token(), []).append(row)
 
-        # Warmth was verified for every group by :meth:`advance_span`
-        # before dispatch.
-        fields = np.concatenate(
-            [self.rack_sessions[r].fields for r in group.rack_indices]
+        # Stack the group's carried fields from its rack sessions; a cold
+        # session (first advance, or reset) is steady-initialized, batched
+        # per operator across the whole group.
+        fields = np.empty((n, simulator.grid.n_cells), dtype=float)
+        cold: set[int] = set()
+        for r in group.rack_indices:
+            rows = group.rack_rows[r]
+            carried = self.rack_sessions[r].fields
+            if carried is None:
+                cold.update(range(rows.start, rows.stop))
+            else:
+                fields[rows] = carried
+        for rows in token_rows.values():
+            init_rows = [row for row in rows if row in cold]
+            if init_rows:
+                fields[init_rows] = simulator.steady_state_many_from_maps(
+                    group_maps[init_rows], group_boundaries[init_rows[0]].boundary
+                )
+
+        # The iterative lane (see :meth:`advance`) reads each row's boundary
+        # in ``reference``; only single-substep periods take it.
+        held = (
+            self._reference_boundaries(group, reference)
+            if reference is not None and n_substeps == 1
+            else None
         )
         sub_dt = dt_s / n_substeps
-        n = group.n_servers
-        new_fields = np.empty_like(fields)
+        end = np.empty_like(fields)
         case_hist = np.empty((span, n), dtype=float)
         peak_hist = np.empty((span, n), dtype=float)
         residuals = np.empty(n, dtype=float)
 
+        def march(
+            rows: list[int],
+            boundary: CoolingBoundary,
+            preconditioner: CoolingBoundary | None = None,
+        ) -> None:
+            end[rows], case_hist[:, rows], peak_hist[:, rows], residuals[rows] = (
+                self._full_march(
+                    group, boundary, group_maps[rows], fields[rows], sub_dt,
+                    span, n_substeps, preconditioner,
+                )
+            )
+
         obs = get_telemetry()
-        for rows in token_rows.values():
+        for token, rows in token_rows.items():
             boundary = group_boundaries[rows[0]].boundary
-            maps_rows = group_maps[rows]
-            state = fields[rows]
+            if rom is None:
+                # A one-server solve group whose boundary moved away from
+                # the one it held in ``reference`` is preconditioned by it.
+                preconditioner = None
+                if held is not None and len(rows) == 1:
+                    before = held[rows[0]]
+                    if before is not None and before.cache_token() != token:
+                        preconditioner = before
+                march(rows, boundary, preconditioner)
+                continue
             stats.spans += 1
             with obs.span(
                 "rom.march", group=group.index, rows=len(rows)
@@ -867,9 +773,9 @@ class FloorEngine:
                     stats.fallback_error,
                     stats.fallback_guard,
                 )
-                ok, end, cases, peaks, res = self._rom_march(
-                    group, boundary, maps_rows, state, sub_dt, span,
-                    n_substeps, t_case_max_c, rom, stats,
+                ok, rom_end, cases, peaks, res = self._rom_march(
+                    group, boundary, group_maps[rows], fields[rows], sub_dt,
+                    span, n_substeps, t_case_max_c, rom, stats,
                 )
                 # The *why* of every row returned to the full solver:
                 # projection drift, error-bound trip, or guard band.
@@ -879,36 +785,30 @@ class FloorEngine:
                     fallback_error=stats.fallback_error - causes_before[1],
                     fallback_guard=stats.fallback_guard - causes_before[2],
                 )
-            fallback = [row for i, row in enumerate(rows) if not ok[i]]
             kept = np.flatnonzero(ok)
             kept_rows = [rows[i] for i in kept]
             if kept_rows:
-                new_fields[kept_rows] = end[kept]
+                end[kept_rows] = rom_end[kept]
                 case_hist[:, kept_rows] = cases[:, kept]
                 peak_hist[:, kept_rows] = peaks[:, kept]
                 residuals[kept_rows] = res[kept]
+            fallback = [row for i, row in enumerate(rows) if not ok[i]]
             if fallback:
                 stats.fallback_rows += len(fallback)
                 with obs.span(
                     "rom.full_march", group=group.index, rows=len(fallback)
                 ):
-                    f_end, f_cases, f_peaks, f_res = self._full_march(
-                        simulator, boundary, group_maps[fallback],
-                        fields[fallback], sub_dt, span, n_substeps,
-                        group.case_cell_index,
-                    )
-                new_fields[fallback] = f_end
-                case_hist[:, fallback] = f_cases
-                peak_hist[:, fallback] = f_peaks
-                residuals[fallback] = f_res
+                    march(fallback, boundary)
 
+        # Stage 4: every rack session takes its rows of the advanced stack
+        # back and builds its per-server results for the span's last period.
         for r in group.rack_indices:
             rows = group.rack_rows[r]
             rack_advances[r] = self.rack_sessions[r].finish_advance(
                 loads[r],
                 breakdowns[r],
                 water_loops[r],
-                new_fields[rows],
+                end[rows],
                 residuals[rows],
                 peak_hist[-1, rows],
                 refreshed[r],
@@ -917,6 +817,18 @@ class FloorEngine:
             )
             period_case[r] = case_hist[:, rows]
             period_peak[r] = peak_hist[:, rows]
+
+    def _reference_boundaries(
+        self, group: _HardwareGroup, reference: FloorSnapshot
+    ) -> list[CoolingBoundary | None]:
+        """Each group row's boundary in ``reference`` (rack-row order)."""
+        held: list[CoolingBoundary | None] = []
+        for r in group.rack_indices:
+            held.extend(
+                None if state is None else state.boundary_result.boundary
+                for state in reference.rack_snapshots[r].boundaries
+            )
+        return held
 
     def _rom_march(
         self,
@@ -1030,20 +942,24 @@ class FloorEngine:
 
     def _full_march(
         self,
-        simulator,
-        boundary,
+        group: _HardwareGroup,
+        boundary: CoolingBoundary,
         maps_rows: np.ndarray,
         state: np.ndarray,
         sub_dt: float,
         span: int,
         n_substeps: int,
-        case_cell_index: int,
+        reference: CoolingBoundary | None = None,
     ):
-        """Full-resolution fallback: the fine lane's physics for a span.
+        """March one solve group's rows through ``span`` full periods.
 
-        Identical solves to ``span`` consecutive :meth:`advance` calls at
-        held loads (same operator, same substep size), so rows that fall
-        back lose nothing to the coarse lane.
+        The engine's only backward-Euler substep loop: a fine period
+        marches every solve group through it, a coarse span only the rows
+        its reduced-order lane hands back — the same solves either way, so
+        fallback rows lose nothing to the coarse lane.  ``reference``
+        routes every step through the solver cache's iterative lane (see
+        :meth:`advance`).  Returns ``(end_fields, case_hist, peak_hist,
+        residuals)``.
         """
         m = state.shape[0]
         case_hist = np.empty((span, m), dtype=float)
@@ -1052,12 +968,12 @@ class FloorEngine:
         for j in range(span):
             peak = np.full(m, float("-inf"))
             for _ in range(n_substeps):
-                new_state = simulator.transient_step_many_from_maps(
-                    state, maps_rows, boundary, sub_dt
+                new_state = group.simulator.transient_step_many_from_maps(
+                    state, maps_rows, boundary, sub_dt, reference=reference
                 )
                 residual = np.max(np.abs(new_state - state), axis=1)
                 state = new_state
-                np.maximum(peak, state[:, case_cell_index], out=peak)
-            case_hist[j] = state[:, case_cell_index]
+                np.maximum(peak, state[:, group.case_cell_index], out=peak)
+            case_hist[j] = state[:, group.case_cell_index]
             peak_hist[j] = peak
         return state, case_hist, peak_hist, residual

@@ -456,9 +456,8 @@ class DatacenterModel:
         path for one) attached to every hardware group's factorization
         cache, so reduced-order bases persist across runs — run ``N+1``
         of the same floor skips every Arnoldi build while staying
-        bit-identical to the cold run.  ``None`` (default) consults the
-        ``REPRO_WARM_STORE`` environment variable for a directory path
-        and runs fully cold when that is unset too.
+        bit-identical to the cold run.  ``None`` (default) runs fully
+        cold.
     """
 
     def __init__(
@@ -551,10 +550,6 @@ class DatacenterModel:
                 f"parallel_groups must be >= 0, got {parallel_groups}"
             )
         self.parallel_groups = int(parallel_groups)
-        if warm_store is None:
-            env_path = os.environ.get("REPRO_WARM_STORE")
-            if env_path:
-                warm_store = env_path
         if warm_store is not None and not isinstance(warm_store, WarmStore):
             warm_store = WarmStore(warm_store)
         self.warm_store = warm_store
@@ -800,6 +795,8 @@ class DatacenterSession:
         standalone rack traces holds by construction, not by mirrored code.
         Between them, the floor engine advances every server through one
         stacked solve per (hardware group, cooling boundary) per substep.
+        A fine period is a span of one: :meth:`advance_span` shares this
+        step body and differs only in the floor lanes it runs.
 
         ``n_substeps`` overrides the model's backward-Euler substep count
         for this period only — MPC rollouts trade integration resolution
@@ -809,6 +806,55 @@ class DatacenterSession:
         preconditioned by the boundaries held in it (see
         :meth:`FloorEngine.advance`).  The committed trace never passes
         one.
+        """
+        return self._advance(time_s, 1, n_substeps=n_substeps, reference=reference)[0]
+
+    # ------------------------------------------------------------------ #
+    # Adaptive control-period coarsening
+    # ------------------------------------------------------------------ #
+    def advance_span(
+        self, time_s: float, span: int, *, n_substeps: int | None = None
+    ) -> list[DatacenterPeriod]:
+        """Advance ``span`` control periods in one quasi-steady span.
+
+        Only valid under :meth:`_plan_span`'s eligibility contract (held
+        loads, no pending actuator event, warm floor) on a model built
+        with a :class:`CoarseningConfig`.  The floor marches the whole span
+        through :meth:`FloorEngine.advance_span` (reduced space with full
+        fallback — see there; a span of one still takes that lane); the
+        fast decision rule is evaluated once, on the final period's
+        physics, exactly where the fine lane would next be allowed to act.
+        The rest is :meth:`advance_period`'s step body.  Held periods are
+        recorded as full :class:`DatacenterPeriod`\\ s at the held
+        operating point — per-period case temperatures and within-period
+        peaks come from the span lanes' readouts, the energy bill
+        replicates the held actuator settings' chiller power (a staged
+        bank is still re-staged per period: unit commitments may be
+        time-dependent through maintenance windows) — so every
+        trace-shape invariant (period counts, energy accounting,
+        violation scanning) is preserved.
+        """
+        if self.model.coarsening is None:
+            raise ConfigurationError(
+                "advance_span needs a model built with a CoarseningConfig"
+            )
+        return self._advance(
+            time_s, span, n_substeps=n_substeps, rom=self.model.coarsening.rom
+        )
+
+    def _advance(
+        self,
+        time_s: float,
+        span: int,
+        *,
+        n_substeps: int | None,
+        reference: DatacenterSnapshot | None = None,
+        rom: RomConfig | None = None,
+    ) -> list[DatacenterPeriod]:
+        """The step body of :meth:`advance_period` and :meth:`advance_span`.
+
+        ``rom`` (only from :meth:`advance_span`) selects the floor's span
+        lanes; without it the floor advances one fine period.
         """
         model = self.model
         substeps = n_substeps if n_substeps is not None else model.transient_substeps
@@ -834,14 +880,33 @@ class DatacenterSession:
             )
             for r, rack in enumerate(model.racks)
         ]
-        floor_advance = self.floor_engine.advance(
-            rack_loads,
-            model.control_period_s,
-            n_substeps=substeps,
-            force_boundary_refresh=self._force_refresh,
-            reference=None if reference is None else reference.floor,
-        )
-        rack_decisions: list[tuple[ControllerDecision, ...]] = []
+        if rom is None:
+            floor_advance = self.floor_engine.advance(
+                rack_loads,
+                model.control_period_s,
+                n_substeps=substeps,
+                force_boundary_refresh=self._force_refresh,
+                reference=None if reference is None else reference.floor,
+            )
+        else:
+            floor_advance = self.floor_engine.advance_span(
+                rack_loads,
+                model.control_period_s,
+                span,
+                rom=rom,
+                n_substeps=substeps,
+                force_boundary_refresh=self._force_refresh,
+                t_case_max_c=model.policy.t_case_max_c,
+            )
+        # Period stamps accumulate exactly like run()'s outer loop, so a
+        # coarse trace's time axis is bit-identical to the fine lane's.
+        times = []
+        stamp = time_s
+        for _ in range(span):
+            times.append(stamp)
+            stamp += model.control_period_s
+
+        final_decisions: list[tuple[ControllerDecision, ...]] = []
         rack_chiller_w: list[float] = []
         for r, rack in enumerate(model.racks):
             decisions, period_chiller_w = apply_rack_decisions(
@@ -850,115 +915,16 @@ class DatacenterSession:
                 self._frequencies[r],
                 self._water_loops[r],
                 self._force_refresh[r],
-                time_s,
-                model.policy,
-                chiller,
-            )
-            rack_decisions.append(decisions)
-            rack_chiller_w.append(period_chiller_w)
-        staging = None
-        if bank is not None:
-            thermal_load_w = sum(rack_chiller_w)
-            staging = bank.stage(self.setpoint_c, thermal_load_w, time_s)
-            if thermal_load_w > 0.0:
-                # Prorate the bank's electrical power back onto the racks by
-                # their thermal share, so plant_power_w stays the sum of the
-                # per-rack chiller powers for both plant kinds.
-                scale = staging.electrical_power_w / thermal_load_w
-                rack_chiller_w = [power * scale for power in rack_chiller_w]
-        return DatacenterPeriod(
-            time_s=time_s,
-            setpoint_c=self.setpoint_c,
-            rack_decisions=tuple(rack_decisions),
-            rack_chiller_power_w=tuple(rack_chiller_w),
-            worst_period_peak_case_c=floor_advance.worst_period_peak_case_c,
-            staging=staging,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Adaptive control-period coarsening
-    # ------------------------------------------------------------------ #
-    def advance_span(
-        self, time_s: float, span: int, *, n_substeps: int | None = None
-    ) -> list[DatacenterPeriod]:
-        """Advance ``span`` control periods in one quasi-steady span.
-
-        Only valid under :meth:`_plan_span`'s eligibility contract (held
-        loads, no pending actuator event, warm floor) on a model built
-        with a :class:`CoarseningConfig`.  The floor marches the whole span
-        through :meth:`FloorEngine.advance_span` (reduced space with full
-        fallback — see there); the fast decision rule is evaluated once,
-        on the final period's physics, exactly where the fine lane would
-        next be allowed to act.  Held periods
-        are recorded as full :class:`DatacenterPeriod`\\ s at the held
-        operating point — per-period case temperatures and within-period
-        peaks come from the span lanes' readouts, the energy bill
-        replicates the held actuator settings' chiller power (a staged
-        bank is still re-staged per period: unit commitments may be
-        time-dependent through maintenance windows) — so every
-        trace-shape invariant (period counts, energy accounting,
-        violation scanning) is preserved.
-        """
-        model = self.model
-        if model.coarsening is None:
-            raise ConfigurationError(
-                "advance_span needs a model built with a CoarseningConfig"
-            )
-        substeps = n_substeps if n_substeps is not None else model.transient_substeps
-        bank = model.plant if isinstance(model.plant, ChillerBank) else None
-        chiller = (
-            bank.accounting_chiller()
-            if bank is not None
-            else model.plant.chiller_at(self.setpoint_c)
-        )
-        rack_loads = [
-            build_rack_loads(
-                rack.servers,
-                self._traces[r],
-                self._mappings[r],
-                self._frequencies[r],
-                self._water_loops[r],
-                time_s,
-                mapping_memo=self._mapping_memo,
-            )
-            for r, rack in enumerate(model.racks)
-        ]
-        span_advance = self.floor_engine.advance_span(
-            rack_loads,
-            model.control_period_s,
-            span,
-            rom=model.coarsening.rom,
-            n_substeps=substeps,
-            force_boundary_refresh=self._force_refresh,
-            t_case_max_c=model.policy.t_case_max_c,
-        )
-        # Period stamps accumulate exactly like run()'s outer loop, so a
-        # coarse trace's time axis is bit-identical to the fine lane's.
-        times = []
-        stamp = time_s
-        for _ in range(span):
-            times.append(stamp)
-            stamp += model.control_period_s
-        final_time = times[-1]
-
-        final_decisions: list[tuple[ControllerDecision, ...]] = []
-        rack_chiller_w: list[float] = []
-        for r, rack in enumerate(model.racks):
-            decisions, period_chiller_w = apply_rack_decisions(
-                span_advance.racks[r],
-                rack.servers,
-                self._frequencies[r],
-                self._water_loops[r],
-                self._force_refresh[r],
-                final_time,
+                times[-1],
                 model.policy,
                 chiller,
             )
             final_decisions.append(decisions)
             rack_chiller_w.append(period_chiller_w)
+        thermal_load_w = sum(rack_chiller_w)
 
         periods: list[DatacenterPeriod] = []
-        for j in range(span):
+        for j, period_time in enumerate(times):
             if j == span - 1:
                 decisions_j = tuple(final_decisions)
             else:
@@ -966,13 +932,13 @@ class DatacenterSession:
                     tuple(
                         replace(
                             decision,
-                            time_s=times[j],
+                            time_s=period_time,
                             action=ControllerAction.NONE,
                             case_temperature_c=float(
-                                span_advance.period_case_c[r][j, s]
+                                floor_advance.period_case_c[r][j, s]
                             ),
                             period_peak_case_c=float(
-                                span_advance.period_peak_case_c[r][j, s]
+                                floor_advance.period_peak_case_c[r][j, s]
                             ),
                         )
                         for s, decision in enumerate(final_decisions[r])
@@ -982,19 +948,22 @@ class DatacenterSession:
             staging_j = None
             chiller_w_j = rack_chiller_w
             if bank is not None:
-                thermal_load_w = sum(rack_chiller_w)
-                staging_j = bank.stage(self.setpoint_c, thermal_load_w, times[j])
+                staging_j = bank.stage(self.setpoint_c, thermal_load_w, period_time)
                 if thermal_load_w > 0.0:
+                    # Prorate the bank's electrical power back onto the
+                    # racks by their thermal share, so plant_power_w stays
+                    # the sum of the per-rack chiller powers for both plant
+                    # kinds.
                     scale = staging_j.electrical_power_w / thermal_load_w
                     chiller_w_j = [power * scale for power in rack_chiller_w]
             periods.append(
                 DatacenterPeriod(
-                    time_s=times[j],
+                    time_s=period_time,
                     setpoint_c=self.setpoint_c,
                     rack_decisions=decisions_j,
                     rack_chiller_power_w=tuple(chiller_w_j),
                     worst_period_peak_case_c=float(
-                        span_advance.period_worst_peak_c[j]
+                        floor_advance.period_worst_peak_c[j]
                     ),
                     staging=staging_j,
                 )

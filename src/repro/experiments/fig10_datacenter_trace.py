@@ -227,8 +227,8 @@ def run_fig10(
 
     ``parallel_groups`` and ``warm_store`` forward to
     :class:`~repro.datacenter.model.DatacenterModel`: the former fans the
-    floor's hardware groups over worker threads (bit-identical; pays off
-    on ``hetero=True`` floors), the latter persists reduced bases across
+    floor's hardware groups over worker threads (bit-identical; measured
+    slower than serial on 2 vCPUs), the latter persists reduced bases across
     runs (a directory path or a
     :class:`~repro.thermal.warm_store.WarmStore`).
     """

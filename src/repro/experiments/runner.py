@@ -62,7 +62,8 @@ def run_all(
     ``fig10_duration_s`` overrides the fig10 trace length — together they
     make multi-day traces practical from the command line.
     ``parallel_groups`` fans fig10's hardware groups over worker threads
-    (pays off with ``hetero=True``) and ``warm_store`` names a directory
+    (bit-identical; measured slower than serial on 2 vCPUs) and
+    ``warm_store`` names a directory
     that persists reduced bases across invocations
     — the year-scale knobs (see the README's simulated-year recipe).
     ``telemetry`` names a ``.jsonl`` path: a telemetry hub is enabled for
@@ -223,14 +224,14 @@ def main() -> None:
         default=0,
         metavar="N",
         help="advance the fig10 floor's hardware groups on N worker threads "
-        "(bit-identical to serial; pays off with --hetero)",
+        "(bit-identical; measured slower than serial on 2 vCPUs)",
     )
     parser.add_argument(
         "--warm-store",
         default=None,
         metavar="DIR",
         help="persist reduced-order bases to DIR so "
-        "repeat runs skip every Arnoldi build (also: REPRO_WARM_STORE)",
+        "repeat runs skip every Arnoldi build",
     )
     parser.add_argument(
         "--telemetry",

@@ -13,6 +13,9 @@ The load-bearing guarantees of :mod:`repro.datacenter.floor`:
   servers in the right groups;
 * an N-rack homogeneous floor pays exactly one rack's operator
   factorizations, asserted via merged :class:`CacheStats`;
+* a hardware group holding more distinct boundaries than the solver
+  cache keeps pays one factorization per operator per period, and each
+  of its servers still equals the golden loop;
 * :meth:`DatacenterSession.cache_stats` counts every distinct cache
   exactly once on a heterogeneous floor (no double-count, no drop);
 * a boundary refresh makes one lane march per (design, hardware group),
@@ -50,7 +53,7 @@ from repro.workloads.parsec import get_benchmark
 from repro.workloads.qos import QoSConstraint
 from repro.workloads.trace import generate_trace
 
-from reference_session import reference_rack_trace
+from reference_session import ReferenceSession, reference_rack_trace
 
 CELL_SIZE_MM = 2.5
 CONTROL_PERIOD_S = 2.0
@@ -428,6 +431,60 @@ class TestHomogeneousFloorFactorizations:
         assert isinstance(floor_trace.cache_stats, CacheStats)
         assert floor_trace.factorizations == single.factorizations
         assert floor_trace.cache_stats.misses == floor_trace.factorizations
+
+
+class TestWideHardwareGroup:
+    def test_one_factorization_per_operator_per_period(
+        self, floorplan, power_model, x264
+    ):
+        """More distinct boundaries than the LRU holds: no per-substep thrash.
+
+        Each solve group marches all its substeps before the next one
+        starts, so 17 operators cost one factorization each per period
+        even though the cache keeps 16: 17 steady + 3 x 17 transient.
+        """
+        n_servers, n_periods, n_substeps = 17, 3, 4
+        mapping = _mapping(floorplan, x264)
+        session = RackSession(
+            n_servers,
+            floorplan=floorplan,
+            power_model=power_model,
+            thermal_simulator=_simulator(floorplan),
+        )
+        engine = FloorEngine([session])
+        loads = [
+            ServerLoad(
+                benchmark=x264,
+                mapping=mapping,
+                activity_factor=0.5 + 0.5 * i / n_servers,
+            )
+            for i in range(n_servers)
+        ]
+        cache = session.thermal_simulator.solver_cache
+        assert cache.max_entries < n_servers
+        misses_before = cache.stats.misses
+        for _ in range(n_periods):
+            advance = engine.advance([loads], 2.0, n_substeps=n_substeps)
+        assert len(engine.boundary_groups()) == n_servers
+        assert cache.stats.misses - misses_before == n_servers * (1 + n_periods)
+
+        golden_lane = CooledServerSimulation(
+            floorplan, power_model=power_model, thermal_simulator=_simulator(floorplan)
+        )
+        for load, server in zip(loads, advance.racks[0].servers):
+            golden = ReferenceSession(golden_lane)
+            for _ in range(n_periods):
+                step = golden.advance_mapping(
+                    x264,
+                    mapping,
+                    2.0,
+                    activity_factor=load.activity_factor,
+                    n_substeps=n_substeps,
+                )
+            assert np.array_equal(
+                server.result.thermal_result.temperatures_c,
+                step.result.thermal_result.temperatures_c,
+            )
 
 
 class TestCacheStatsDedupe:

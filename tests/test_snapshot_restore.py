@@ -92,6 +92,31 @@ def test_rejected_restore_leaves_every_layer_untouched(
     assert session.advance_period(time_s) == twin.advance_period(time_s)
 
 
+@pytest.mark.parametrize(
+    "foreign", list(FOREIGN_FLOORS.values()), ids=list(FOREIGN_FLOORS)
+)
+def test_rejected_reference_leaves_every_layer_untouched(
+    floorplan, power_model, foreign
+):
+    """A rollout reference that does not fit is refused before stage 1.
+
+    One substep is the rollout setting in which the floor reads the
+    reference's held boundaries, so a misfit would otherwise precondition
+    rows with another server's boundary, or fail only after the refresh
+    stage stored new boundaries.
+    """
+    model = _model(floorplan, power_model)
+    session = _warm_session(model)
+    twin = _warm_session(model)
+    other = _warm_session(_model(floorplan, power_model, **foreign), n_periods=1)
+    before = session.snapshot()
+    time_s = 2 * CONTROL_PERIOD_S
+    with pytest.raises(ValidationError):
+        session.advance_period(time_s, n_substeps=1, reference=other.snapshot())
+    _assert_same_snapshot(session.snapshot(), before)
+    assert session.advance_period(time_s) == twin.advance_period(time_s)
+
+
 def test_failed_period_is_repaired_by_the_last_snapshot(
     floorplan, power_model, monkeypatch
 ):

@@ -12,9 +12,7 @@ The :class:`~repro.thermal.warm_store.WarmStore` contract:
 * robustness: corrupt or wrong-version entries are *stale* (counted,
   ignored, degrade to a cold build), never exceptions or wrong answers;
 * first write wins, so rebuilds and concurrent writers cannot change what
-  a warm run replays;
-* the ``REPRO_WARM_STORE`` environment variable attaches a store to every
-  hardware group's factorization cache without code changes.
+  a warm run replays.
 """
 
 import shutil
@@ -207,21 +205,6 @@ class TestStoreUnit:
 
 
 class TestEnvironmentAttach:
-    def test_env_var_attaches_store(
-        self, scenario, floorplan, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv("REPRO_WARM_STORE", str(tmp_path / "env-store"))
-        model = DatacenterModel(
-            scenario.racks,
-            floorplan=floorplan,
-            thermal_simulator=ThermalSimulator(
-                floorplan, cell_size_mm=CELL_SIZE_MM
-            ),
-            control_period_s=CONTROL_PERIOD_S,
-        )
-        assert model.warm_store is not None
-        assert model.thermal_simulator.solver_cache.warm_store is model.warm_store
-
     def test_unset_env_var_stays_cold(self, scenario, floorplan, monkeypatch):
         monkeypatch.delenv("REPRO_WARM_STORE", raising=False)
         model = DatacenterModel(
