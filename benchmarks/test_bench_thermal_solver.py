@@ -43,15 +43,15 @@ def test_bench_transient_run(benchmark, floorplan_module, cached):
     rows, columns = simulator.shape
     boundary = uniform_cooling_boundary(rows, columns, 2.0e4, 40.0)
     powers = {f"core{i}": 7.0 for i in range(8)}
-    power_maps = [simulator.power_map(powers)] * 20
+    power_maps = [simulator.power_map(powers)[np.newaxis]] * 20
     solver = TransientSolver(simulator.network)
 
     def march():
-        state = np.full(simulator.grid.n_cells, 45.0)
+        state = np.full((1, simulator.grid.n_cells), 45.0)
         for power_map in power_maps:
             if not cached:
                 solver.cache.invalidate()
-            state = solver.step(state, power_map, boundary, 0.5)
+            state = solver.step_many(state, power_map, boundary, 0.5)
         return state
 
     final = benchmark(march)

@@ -3,8 +3,7 @@
 Demonstrates the batch-evaluation engine: many (benchmark, configuration,
 water-flow) points are evaluated through one ``CooledServerSimulation``, so
 the thermal factorization cache is shared across the whole sweep.  Run with
-``PYTHONPATH=src python examples/batch_sweep.py``; pass ``--parallel N`` to
-fan the points out over N threads sharing the same cache.
+``PYTHONPATH=src python examples/batch_sweep.py``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro.workloads.parsec import get_benchmark
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--parallel", type=int, default=None, metavar="N")
     parser.add_argument("--cell-size-mm", type=float, default=1.5)
     arguments = parser.parse_args()
 
@@ -42,7 +40,7 @@ def main() -> None:
 
     evaluator = BatchEvaluator(simulation)
     start = time.perf_counter()
-    results = evaluator.evaluate_many(points, max_workers=arguments.parallel)
+    results = evaluator.evaluate_many(points)
     elapsed = time.perf_counter() - start
 
     # Each sweep point has a distinct cooling boundary (the boundary depends
@@ -51,7 +49,7 @@ def main() -> None:
     # an optimizer refinement loop does — runs entirely on cached
     # factorizations.
     start = time.perf_counter()
-    evaluator.evaluate_many(points, max_workers=arguments.parallel)
+    evaluator.evaluate_many(points)
     second_pass = time.perf_counter() - start
 
     print(f"{'benchmark':<14} {'flow kg/h':>9} {'P_pkg W':>8} {'T_hot C':>8} "

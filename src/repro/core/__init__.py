@@ -7,7 +7,6 @@ optimiser, and the end-to-end evaluation pipeline.
 """
 
 from repro.core.batch import BatchEvaluator, SweepPoint
-from repro.core.heat_flux import ComponentHeatFlux, estimate_component_heat_flux
 from repro.core.config_selection import ConfigurationSelection, QoSAwareConfigSelector
 from repro.core.mapping_policies import (
     MappingPolicy,
@@ -29,8 +28,6 @@ from repro.core.design_optimizer import DesignCandidateResult, ThermosyphonDesig
 __all__ = [
     "BatchEvaluator",
     "SweepPoint",
-    "ComponentHeatFlux",
-    "estimate_component_heat_flux",
     "ConfigurationSelection",
     "QoSAwareConfigSelector",
     "MappingPolicy",

@@ -11,11 +11,9 @@ operator for every point.  This module provides the shared engine:
   ``mapping``, or a ``configuration`` (mapped under the evaluator's
   policy), or only a QoS ``constraint`` (configuration selected with the
   paper's Algorithm 1).
-* :class:`BatchEvaluator` — evaluates many points through *one* simulation,
-  so the thermal simulator's :class:`FactorizationCache` is shared across
-  the whole sweep.  ``evaluate_many(..., max_workers=N)`` optionally fans
-  the points out over a :class:`concurrent.futures.ThreadPoolExecutor`;
-  every thread evaluates through the same simulation and cache.
+* :class:`BatchEvaluator` — evaluates many points, serially and in order,
+  through *one* simulation, so the thermal simulator's
+  :class:`FactorizationCache` is shared across the whole sweep.
 
 Usage::
 
@@ -26,8 +24,7 @@ Usage::
                    water_loop=simulation.design.water_loop().with_flow_rate(f))
         for f in (5.0, 7.0, 10.0, 14.0)
     ]
-    results = evaluator.evaluate_many(points)                 # serial, cached
-    results = evaluator.evaluate_many(points, max_workers=4)  # thread pool
+    results = evaluator.evaluate_many(points)  # one simulation, one cache
 
 See ``examples/batch_sweep.py`` for a complete sweep.
 """
@@ -35,7 +32,6 @@ See ``examples/batch_sweep.py`` for a complete sweep.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.core.config_selection import QoSAwareConfigSelector
@@ -99,7 +95,7 @@ class BatchEvaluator:
     ) -> None:
         self.simulation = simulation
         # The pipeline owns the selector/mapper/policy wiring; the batch
-        # engine only adds point resolution and fan-out on top of it.
+        # engine only adds point resolution on top of it.
         self.pipeline = (
             pipeline
             if pipeline is not None
@@ -145,27 +141,6 @@ class BatchEvaluator:
             activity_factor=point.activity_factor,
         )
 
-    def evaluate_many(
-        self,
-        points: Sequence[SweepPoint],
-        *,
-        max_workers: int | None = None,
-    ) -> list[EvaluationResult]:
-        """Evaluate every point, in order.
-
-        Serial by default (one simulation, one warm cache).  With
-        ``max_workers`` > 1 the points fan out over a
-        :class:`~concurrent.futures.ThreadPoolExecutor` sharing *this*
-        evaluator's simulation and factorization cache (the cache's
-        get-or-build is lock-guarded), so results are identical to the
-        serial path.  The banded Cholesky factor and solve calls hold the
-        GIL, as do the pure-Python phases (mapping, power modelling), so
-        threads take turns rather than overlap: on a 2-vCPU host the
-        Table II sweep (1.0 mm, 117 points) took a median 2.03 s serial and
-        2.24 s on two threads.
-        """
-        points = list(points)
-        if max_workers is None or max_workers <= 1 or len(points) <= 1:
-            return [self.evaluate(point) for point in points]
-        with ThreadPoolExecutor(max_workers=max_workers) as executor:
-            return list(executor.map(self.evaluate, points))
+    def evaluate_many(self, points: Sequence[SweepPoint]) -> list[EvaluationResult]:
+        """Evaluate every point, in order, through one simulation and cache."""
+        return [self.evaluate(point) for point in points]

@@ -28,17 +28,6 @@ class ConvergenceError(ReproError):
     """An iterative solver failed to converge within its iteration budget."""
 
 
-class DryoutError(ReproError):
-    """The evaporator reached dryout (vapor quality above the critical value).
-
-    Dryout means the micro-channel wall is no longer wetted, the two-phase
-    heat transfer coefficient collapses, and the computed wall temperature is
-    no longer meaningful.  The thermosyphon design must be changed (larger
-    filling ratio, different refrigerant, colder water) or the workload
-    mapping revised.
-    """
-
-
 class ThermalEmergencyError(ReproError):
     """The case temperature exceeded ``T_CASE_MAX`` and no actuator remained.
 

@@ -147,14 +147,12 @@ def evaluate_approach_batch(
     constraint: QoSConstraint,
     *,
     water_inlet_temperature_c: float | None = None,
-    max_workers: int | None = None,
 ) -> list[EvaluationResult]:
     """Run one approach end to end for many applications at one QoS level.
 
     All benchmarks are evaluated through the platform's cached
     :class:`BatchEvaluator` for the approach, so they share one simulation
-    and one thermal factorization cache; ``max_workers`` optionally fans the
-    points out over that many threads, which share the same cache.
+    and one thermal factorization cache.
     """
     evaluator = platform.batch_evaluator(approach)
     water_loop = approach.design.water_loop()
@@ -172,7 +170,7 @@ def evaluate_approach_batch(
                 water_loop=water_loop,
             )
         )
-    return evaluator.evaluate_many(points, max_workers=max_workers)
+    return evaluator.evaluate_many(points)
 
 
 def evaluate_approach(

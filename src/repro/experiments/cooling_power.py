@@ -89,7 +89,6 @@ def _evaluate_stack(
     constraint: QoSConstraint,
     water_inlet_temperature_c: float,
     chiller: ChillerModel,
-    max_workers: int | None = None,
 ) -> CoolingOperatingPoint:
     hot_spots: list[float] = []
     powers: list[float] = []
@@ -101,7 +100,6 @@ def _evaluate_stack(
         benchmark_names,
         constraint,
         water_inlet_temperature_c=water_inlet_temperature_c,
-        max_workers=max_workers,
     )
     for result in results:
         hot_spots.append(result.die_metrics.theta_max_c)
@@ -128,7 +126,6 @@ def run_cooling_power(
     proposed_water_temperature_c: float = 30.0,
     water_search_low_c: float = 10.0,
     water_tolerance_c: float = 0.5,
-    max_workers: int | None = None,
 ) -> CoolingPowerResult:
     """Compare chiller power of the proposed and state-of-the-art stacks.
 
@@ -145,7 +142,7 @@ def run_cooling_power(
 
     proposed_point = _evaluate_stack(
         platform, proposed, benchmark_names, constraint, proposed_water_temperature_c,
-        chiller, max_workers,
+        chiller,
     )
 
     target_hot_spot = proposed_point.average_hot_spot_c
@@ -154,19 +151,19 @@ def run_cooling_power(
     low = water_search_low_c
     high = proposed_water_temperature_c
     baseline_at_high = _evaluate_stack(
-        platform, baseline, benchmark_names, constraint, high, chiller, max_workers
+        platform, baseline, benchmark_names, constraint, high, chiller
     )
     if baseline_at_high.average_hot_spot_c <= target_hot_spot:
         baseline_point = baseline_at_high
     else:
         baseline_point = _evaluate_stack(
-            platform, baseline, benchmark_names, constraint, low, chiller, max_workers
+            platform, baseline, benchmark_names, constraint, low, chiller
         )
         low_temperature, high_temperature = low, high
         while high_temperature - low_temperature > water_tolerance_c:
             middle = 0.5 * (low_temperature + high_temperature)
             candidate = _evaluate_stack(
-                platform, baseline, benchmark_names, constraint, middle, chiller, max_workers
+                platform, baseline, benchmark_names, constraint, middle, chiller
             )
             if candidate.average_hot_spot_c <= target_hot_spot:
                 baseline_point = candidate

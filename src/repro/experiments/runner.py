@@ -35,7 +35,6 @@ def run_all(
     *,
     quick: bool = False,
     cell_size_mm: float = 1.0,
-    max_workers: int | None = None,
     racks: int = 2,
     hetero: bool = False,
     mpc: bool = False,
@@ -49,10 +48,6 @@ def run_all(
 ) -> str:
     """Run every experiment and return the combined textual report.
 
-    ``max_workers`` fans the batched benchmark sweeps (Table II and the
-    cooling-power comparison) out over that many threads sharing the
-    platform's factorization cache; the remaining experiments run serially
-    on the same platform.
     ``racks``/``hetero`` size the fig10 datacenter floor and optionally mix
     thermosyphon designs across its racks (exercising the floor engine's
     multi-group path); ``mpc`` adds fig10's model-predictive third leg and
@@ -89,7 +84,7 @@ def run_all(
         sections.append(run_fig2(platform).as_table())
         sections.append(run_fig5(platform).as_table())
         sections.append(run_fig6(platform).as_table())
-        table2 = run_table2(platform, benchmark_names=benchmarks, max_workers=max_workers)
+        table2 = run_table2(platform, benchmark_names=benchmarks)
         sections.append(table2.as_table())
         improvements = table2.improvement_summary()
         improvement_lines = ["Improvements of the proposed approach:"]
@@ -127,9 +122,7 @@ def run_all(
             ).as_table(verbose=verbose)
         )
         sections.append(
-            run_cooling_power(
-                platform, benchmark_names=benchmarks, max_workers=max_workers
-            ).as_table()
+            run_cooling_power(platform, benchmark_names=benchmarks).as_table()
         )
     finally:
         if hub is not None:
@@ -170,14 +163,6 @@ def main() -> None:
         type=float,
         default=1.0,
         help="thermal grid cell size in millimetres (smaller = finer, slower)",
-    )
-    parser.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fan batched sweeps out over N threads sharing one "
-        "factorization cache (results are identical to serial)",
     )
     parser.add_argument(
         "--racks",
@@ -252,7 +237,6 @@ def main() -> None:
         run_all(
             quick=arguments.quick,
             cell_size_mm=arguments.cell_size_mm,
-            max_workers=arguments.parallel,
             racks=arguments.racks,
             hetero=arguments.hetero,
             mpc=arguments.mpc,

@@ -66,7 +66,6 @@ def run_table2(
     benchmark_names: tuple[str, ...] = PARSEC_BENCHMARK_NAMES,
     qos_factors: tuple[float, ...] = (1.0, 2.0, 3.0),
     approaches: tuple[Approach, ...] | None = None,
-    max_workers: int | None = None,
 ) -> Table2Result:
     """Run the full Table II sweep (batched per approach and QoS level)."""
     platform = platform if platform is not None else build_platform()
@@ -81,7 +80,7 @@ def run_table2(
             package_max: list[float] = []
             package_grad: list[float] = []
             results = evaluate_approach_batch(
-                platform, approach, benchmark_names, constraint, max_workers=max_workers
+                platform, approach, benchmark_names, constraint
             )
             for name, result in zip(benchmark_names, results):
                 die_max.append(result.die_metrics.theta_max_c)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro.exceptions import FloorplanError
-from repro.floorplan.component import Component, ComponentKind
+from repro.floorplan.component import Component
 from repro.utils.geometry import Rect
 
 
@@ -123,10 +123,6 @@ class Floorplan:
         except KeyError:
             raise FloorplanError(f"no core with index {core_index}") from None
 
-    def components_of_kind(self, kind: ComponentKind) -> tuple[Component, ...]:
-        """All components of the given kind, in declaration order."""
-        return tuple(c for c in self.components if c.kind is kind)
-
     @property
     def die_area_mm2(self) -> float:
         """Die area in square millimetres."""
@@ -149,23 +145,6 @@ class Floorplan:
         band_height = self.die_outline.height / n_rows
         row = int((cy - self.die_outline.y) / band_height)
         return min(max(row, 0), n_rows - 1)
-
-    def core_column_index(self, core_index: int, n_columns: int) -> int:
-        """Return which vertical band (0 = west) a core's centre falls in."""
-        core = self.core(core_index)
-        cx, _ = core.rect.center
-        band_width = self.die_outline.width / n_columns
-        column = int((cx - self.die_outline.x) / band_width)
-        return min(max(column, 0), n_columns - 1)
-
-    def cores_sharing_row(self, core_index: int, n_rows: int) -> tuple[int, ...]:
-        """Logical indices of the other cores in the same horizontal band."""
-        row = self.core_row_index(core_index, n_rows)
-        return tuple(
-            c.core_index
-            for c in self.cores
-            if c.core_index != core_index and self.core_row_index(c.core_index, n_rows) == row
-        )
 
     def core_rows(self) -> tuple[tuple[int, ...], ...]:
         """Cores grouped by physical row (south to north).

@@ -2,10 +2,9 @@
 
 This subsystem reproduces Section IV-C of the paper: the per-core dynamic
 power as a function of frequency and activity, the idle C-state power
-(Table I), the uncore power (LLC plus memory controller / IO), and a
-simulated RAPL energy-counter interface.  All models are analytical and
-calibrated to the numbers the paper publishes for the Intel Xeon E5 v4
-(Broadwell-EP) platform.
+(Table I) and the uncore power (LLC plus memory controller / IO).  All
+models are analytical and calibrated to the numbers the paper publishes
+for the Intel Xeon E5 v4 (Broadwell-EP) platform.
 """
 
 from repro.power.dvfs import (
@@ -20,7 +19,6 @@ from repro.power.cstates import CState, CStateTable, XEON_E5_V4_CSTATE_TABLE
 from repro.power.core_power import CorePowerModel
 from repro.power.uncore_power import UncorePowerModel
 from repro.power.power_model import CoreActivity, ServerPowerModel
-from repro.power.rapl import RaplDomain, SimulatedRapl
 
 __all__ = [
     "CORE_FREQUENCIES_GHZ",
@@ -36,6 +34,4 @@ __all__ = [
     "UncorePowerModel",
     "CoreActivity",
     "ServerPowerModel",
-    "RaplDomain",
-    "SimulatedRapl",
 ]

@@ -18,7 +18,7 @@ from repro.thermal.boundary import BottomBoundary, CoolingBoundary, uniform_cool
 from repro.thermal.network import ThermalNetwork
 from repro.thermal.solver_cache import CacheStats, FactorizationCache
 from repro.thermal.steady_state import SteadyStateSolver
-from repro.thermal.transient import SettleResult, TransientSolver
+from repro.thermal.transient import TransientSolver
 from repro.thermal.metrics import (
     HotSpot,
     ThermalMetrics,
@@ -44,7 +44,6 @@ __all__ = [
     "CacheStats",
     "FactorizationCache",
     "SteadyStateSolver",
-    "SettleResult",
     "TransientSolver",
     "HotSpot",
     "ThermalMetrics",

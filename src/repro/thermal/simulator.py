@@ -1,13 +1,19 @@
-"""High-level thermal simulator tying floorplan, network and solvers together."""
+"""High-level thermal simulator tying floorplan, network and solvers together.
+
+Steady fields come from :meth:`ThermalSimulator.steady_state` (and its
+per-cell-map forms); the one transient step is
+:meth:`ThermalSimulator.transient_step_many_from_maps`, which the floor
+engine (:class:`repro.datacenter.floor.FloorEngine`) marches.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
 import numpy as np
 
-from repro.exceptions import ConvergenceError, ValidationError
+from repro.exceptions import ValidationError
 from repro.floorplan.floorplan import Floorplan
 from repro.floorplan.grid_mapper import GridMapper
 from repro.thermal.boundary import BottomBoundary, CoolingBoundary
@@ -17,7 +23,7 @@ from repro.thermal.metrics import ThermalMetrics, compute_metrics
 from repro.thermal.network import ThermalNetwork
 from repro.thermal.solver_cache import FactorizationCache
 from repro.thermal.steady_state import SteadyStateSolver
-from repro.thermal.transient import SettleResult, TransientSolver
+from repro.thermal.transient import TransientSolver
 from repro.utils.validation import check_positive
 
 
@@ -107,7 +113,7 @@ class ThermalResult:
 
 
 class ThermalSimulator:
-    """Steady-state and transient thermal simulation over a floorplan.
+    """Steady-state solves and the transient step over a floorplan.
 
     Parameters
     ----------
@@ -230,7 +236,6 @@ class ThermalSimulator:
     ) -> np.ndarray:
         """One backward-Euler step for many fields at one shared boundary.
 
-        The rack-engine counterpart of :meth:`transient_step_from_map`:
         ``temperatures`` is ``(k, n_cells)``, ``power_maps_w`` is
         ``(k, n_rows, n_columns)``, and all ``k`` fields advance through one
         cached operator in a single multi-column back-substitution.  A
@@ -245,28 +250,6 @@ class ThermalSimulator:
             reference=reference,
         )
 
-    def transient_step_from_map(
-        self,
-        temperatures: np.ndarray,
-        power_map_w: np.ndarray,
-        cooling: CoolingBoundary,
-        dt_s: float,
-    ) -> np.ndarray:
-        """One backward-Euler step from an explicit temperature field.
-
-        ``temperatures`` may be flat or shaped ``(n_layers, n_rows,
-        n_columns)``; the advanced field is returned flat.  At a fixed
-        ``(cooling, dt_s)`` every call is a single cached
-        back-substitution.  The engines step through
-        :meth:`transient_step_many_from_maps`; this single-column form
-        backs the per-server golden loop (``tests/reference_session.py``)
-        they are checked against.
-        """
-        flat = np.asarray(temperatures, dtype=float).ravel()
-        return self._transient_solver.step(
-            flat, np.asarray(power_map_w, dtype=float), cooling, dt_s
-        )
-
     def result_from_vector(self, flat_temperatures: np.ndarray) -> ThermalResult:
         """Wrap a flat temperature vector in a :class:`ThermalResult`."""
         flat = np.asarray(flat_temperatures, dtype=float).ravel()
@@ -275,43 +258,3 @@ class ThermalSimulator:
                 f"temperature vector has {flat.size} entries, expected {self.grid.n_cells}"
             )
         return self._result(flat)
-
-    def transient(
-        self,
-        component_power_sequence: Sequence[Mapping[str, float]],
-        cooling: CoolingBoundary | Sequence[CoolingBoundary],
-        dt_s: float,
-        *,
-        initial_temperature_c: float = 45.0,
-    ) -> list[ThermalResult]:
-        """Backward-Euler transient over a sequence of power dictionaries."""
-        power_maps = [self.power_map(powers) for powers in component_power_sequence]
-        results = []
-        for flat in self._transient_solver.run(
-            initial_temperature_c, power_maps, cooling, dt_s
-        ):
-            results.append(self._result(flat))
-        return results
-
-    def settle(
-        self,
-        component_power_w: Mapping[str, float],
-        cooling: CoolingBoundary,
-        *,
-        raise_on_nonconverged: bool = False,
-        **kwargs,
-    ) -> tuple[ThermalResult, SettleResult]:
-        """Time-march to equilibrium (cross-check of the steady-state path).
-
-        Returns the thermal result and the full :class:`SettleResult`;
-        check ``converged`` (or pass ``raise_on_nonconverged=True``) — a
-        settle that runs out of steps is not an equilibrium.
-        """
-        power_map = self.power_map(component_power_w)
-        settle = self._transient_solver.settle(power_map, cooling, **kwargs)
-        if raise_on_nonconverged and not settle.converged:
-            raise ConvergenceError(
-                f"settle did not converge within {settle.steps} steps "
-                f"(last change {settle.residual_c:.4g} degC)"
-            )
-        return self._result(settle.temperatures), settle

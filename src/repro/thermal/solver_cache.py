@@ -396,11 +396,11 @@ class FactorizationCache:
         # Hit/miss tallies live in a telemetry counter bag; the public
         # ``stats`` CacheStats is a view over it (repro.obs unification).
         self._counters = Counters()
-        # Get-or-build is guarded so thread fan-out (BatchEvaluator.
-        # evaluate_many with max_workers) can share one cache: the lock
-        # serializes the bookkeeping and the factorization; the
-        # back-substitutions run outside it (the band routines hold the
-        # GIL, so threads interleave rather than overlap inside them).
+        # Get-or-build stays guarded for callers that share one cache
+        # across threads: the lock serializes the bookkeeping and the
+        # factorization; the back-substitutions run outside it (the band
+        # routines hold the GIL, so threads interleave rather than overlap
+        # inside them).
         # Reentrant because a reduced-operator build solves through the
         # steady/transient accessors of the same cache.
         self._lock = threading.RLock()

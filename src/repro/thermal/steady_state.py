@@ -79,11 +79,3 @@ class SteadyStateSolver:
                 "check that at least one boundary has a non-zero heat transfer coefficient"
             )
         return temperatures
-
-    def solve_layers(
-        self, power_map_w: np.ndarray, cooling: CoolingBoundary
-    ) -> np.ndarray:
-        """Temperatures reshaped to ``(n_layers, n_rows, n_columns)``."""
-        flat = self.solve(power_map_w, cooling)
-        grid = self.network.grid
-        return flat.reshape(grid.n_layers, grid.n_rows, grid.n_columns)

@@ -13,6 +13,12 @@
   :mod:`repro.thermal.solver_cache` is held to it at contract tier B.
   :func:`golden_steady` and :func:`golden_transient_step` solve the fully
   assembled system through it, one factorization per solve, with no cache.
+* :func:`cached_transient_step` is the single-column backward-Euler step
+  through a :class:`~repro.thermal.solver_cache.FactorizationCache`: one
+  field, one cached operator, one back-substitution.  The library steps
+  stacks of fields (``TransientSolver.step_many``); the per-server golden
+  loop of ``tests/reference_session.py`` steps one field at a time through
+  this helper.
 """
 
 from __future__ import annotations
@@ -49,6 +55,19 @@ def golden_transient_step(
         matrix + sparse.diags(capacitance_over_dt),
         rhs + capacitance_over_dt * np.asarray(temperatures, dtype=float).ravel(),
     )
+
+
+def cached_transient_step(
+    cache, temperatures: np.ndarray, power_map_w: np.ndarray, cooling, dt_s: float
+) -> np.ndarray:
+    """One backward-Euler step of one field through ``cache``'s operator."""
+    operator = cache.transient_operator(cooling, dt_s)
+    rhs = (
+        operator.boundary_rhs
+        + cache.network.power_vector(np.asarray(power_map_w, dtype=float))
+        + operator.capacitance_over_dt * np.asarray(temperatures, dtype=float).ravel()
+    )
+    return np.asarray(operator.solve(rhs), dtype=float)
 
 
 def golden_factor(network, cooling, dt_s: float | None = None):

@@ -5,12 +5,13 @@ This preserves the single-server warm-start lane verbatim: the old
 (``_ensure_boundary``), and the transient branch of
 ``ThermosyphonController.run_trace`` that drove it.  Each server holds its
 own temperature field and cooling boundary and steps through the
-single-column ``steady_state_from_map`` / ``transient_step_from_map``
-solves.  The production path is now one engine,
-:class:`repro.datacenter.floor.FloorEngine`, which stacks servers into
-multi-column back-substitutions and batches boundary refreshes across
-racks; the tier-A tests require every decision field to be ``==`` to this
-loop, so the stacking only counts if it is the same physics.
+single-column ``steady_state_from_map`` solve and
+``reference_kernel.cached_transient_step``.  The production path is now
+one engine, :class:`repro.datacenter.floor.FloorEngine`, which stacks
+servers into multi-column back-substitutions and batches boundary
+refreshes across racks; the tier-A tests require every decision field to
+be ``==`` to this loop, so the stacking only counts if it is the same
+physics.
 
 One golden covers single-server traces, rack traces and fixed-setpoint
 floors: their servers are uncoupled (each has its own loads, water loop
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from reference_kernel import cached_transient_step
 from repro.core.mapping import ThreadMapper, WorkloadMapping
 from repro.core.pipeline import CooledServerSimulation
 from repro.core.runtime_controller import (
@@ -157,7 +159,9 @@ class ReferenceSession:
         peak_case = float("-inf")
         thermal_result: ThermalResult | None = None
         for _ in range(n_substeps):
-            new_field = simulator.transient_step_from_map(field, power_map_w, boundary, sub_dt)
+            new_field = cached_transient_step(
+                simulator.solver_cache, field, power_map_w, boundary, sub_dt
+            )
             residual = float(np.max(np.abs(new_field - field)))
             field = new_field
             thermal_result = simulator.result_from_vector(field)

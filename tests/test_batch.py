@@ -2,9 +2,9 @@
 
 The engine must produce results identical to the direct pipeline path
 (it is a routing layer, not a model), resolve sweep points at every level
-(mapping / configuration / constraint), preserve point order, and the
-thread fan-out must agree with the serial path bit for bit while sharing
-one factorization cache.
+(mapping / configuration / constraint) through its own pipeline and
+mapper, preserve point order, and share one factorization cache across
+the sweep.
 """
 
 import pytest
@@ -33,6 +33,27 @@ def simulation(floorplan, power_model, coarse_thermal_simulator):
 @pytest.fixture(scope="module")
 def evaluator(simulation):
     return BatchEvaluator(simulation)
+
+
+def fresh_simulation(floorplan, power_model):
+    """A simulation with its own thermal simulator and an empty cache."""
+    return CooledServerSimulation(
+        floorplan,
+        design=PAPER_OPTIMIZED_DESIGN,
+        power_model=power_model,
+        thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=2.0),
+    )
+
+
+def assert_identical(a, b):
+    """Two evaluations agree bit for bit on everything a sweep reports."""
+    assert a.configuration == b.configuration
+    assert a.mapping.active_cores == b.mapping.active_cores
+    assert a.package_power_w == b.package_power_w
+    assert a.die_metrics == b.die_metrics
+    assert a.package_metrics == b.package_metrics
+    assert a.case_temperature_c == b.case_temperature_c
+    assert a.operating_point == b.operating_point
 
 
 class TestPointResolution:
@@ -105,7 +126,28 @@ class TestEvaluateMany:
         # Identical points produce identical boundaries: one factorization.
         assert cache.stats.misses - baseline_misses <= 1
 
-    def test_threads_match_serial_bit_for_bit(self, simulation, x264, canneal):
+    def test_sweep_shares_one_cache(self, floorplan, power_model, x264, canneal):
+        """A sweep pays one factorization per distinct boundary; revisits hit."""
+        simulation = fresh_simulation(floorplan, power_model)
+        # Three distinct boundaries, each visited twice: well inside the
+        # cache's 16 entries, so nothing is evicted.
+        points = [
+            SweepPoint(benchmark=benchmark, configuration=configuration)
+            for benchmark, configuration in (
+                (x264, Configuration(8, 2, 3.2)),
+                (canneal, Configuration(4, 1, 2.6)),
+                (x264, Configuration(2, 1, 2.6)),
+            )
+        ] * 2
+        BatchEvaluator(simulation).evaluate_many(points)
+        stats = simulation.thermal_simulator.solver_cache.stats
+        assert (stats.misses, stats.hits) == (3, 3)
+
+    def test_sweep_matches_each_point_on_a_cold_simulation(
+        self, simulation, floorplan, power_model, x264, canneal
+    ):
+        """A sweep through one warm cache returns, bit for bit, what each
+        point gives alone on a simulation whose cache starts empty."""
         evaluator = BatchEvaluator(simulation)
         mapping = evaluator.mapper.map(
             canneal, Configuration(4, 1, 2.6), evaluator.policy
@@ -116,79 +158,30 @@ class TestEvaluateMany:
             SweepPoint(benchmark=x264, constraint=QoSConstraint(2.0)),
             SweepPoint(benchmark=x264, configuration=Configuration(4, 2, 2.9)),
         ]
-        serial = evaluator.evaluate_many(points)
-        threaded = evaluator.evaluate_many(points, max_workers=2)
-        assert [r.benchmark_name for r in threaded] == ["canneal", "x264", "x264", "x264"]
-        for a, b in zip(serial, threaded):
-            assert a.configuration == b.configuration
-            assert a.package_power_w == b.package_power_w
-            assert a.die_metrics == b.die_metrics
-            assert a.package_metrics == b.package_metrics
-            assert a.case_temperature_c == b.case_temperature_c
-            assert a.operating_point == b.operating_point
+        swept = evaluator.evaluate_many(points)
+        assert [r.benchmark_name for r in swept] == ["canneal", "x264", "x264", "x264"]
+        for point, result in zip(points, swept):
+            alone = BatchEvaluator(fresh_simulation(floorplan, power_model)).evaluate(point)
+            assert_identical(result, alone)
 
-    def test_threads_filling_the_profile_store_match_serial(
-        self, simulation, x264, canneal
+    def test_revisited_constraints_repeat_their_first_result(
+        self, floorplan, power_model, x264, canneal
     ):
-        """Threads racing to profile the same benchmarks through one cold
-        profiler select exactly what a serial sweep selects."""
+        """A sweep that fills a cold profile store as it goes selects, at a
+        revisited constraint, exactly what it selected the first time."""
         points = [
             SweepPoint(benchmark=benchmark, constraint=QoSConstraint(factor))
             for factor in (1.0, 2.0, 3.0, 2.0)
             for benchmark in (x264, canneal)
         ]
-        threaded = BatchEvaluator(simulation).evaluate_many(points, max_workers=4)
-        serial = BatchEvaluator(simulation).evaluate_many(points)
-        for a, b in zip(serial, threaded):
-            assert a.configuration == b.configuration
-            assert a.mapping.active_cores == b.mapping.active_cores
-            assert a.package_power_w == b.package_power_w
-            assert a.die_metrics == b.die_metrics
-            assert a.package_metrics == b.package_metrics
-            assert a.case_temperature_c == b.case_temperature_c
+        results = BatchEvaluator(fresh_simulation(floorplan, power_model)).evaluate_many(
+            points
+        )
+        for first, revisit in zip(results[2:4], results[6:8]):
+            assert_identical(first, revisit)
 
-    def test_threads_share_one_cache(self, floorplan, power_model, x264, canneal):
-        """A threaded sweep pays exactly the serial sweep's factorizations."""
-
-        def fresh_simulation():
-            return CooledServerSimulation(
-                floorplan,
-                design=PAPER_OPTIMIZED_DESIGN,
-                power_model=power_model,
-                thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=2.0),
-            )
-
-        # Three distinct boundaries, each visited twice: well inside the
-        # cache's 16 entries, so nothing is evicted on either path.
-        points = [
-            SweepPoint(benchmark=benchmark, configuration=configuration)
-            for benchmark, configuration in (
-                (x264, Configuration(8, 2, 3.2)),
-                (canneal, Configuration(4, 1, 2.6)),
-                (x264, Configuration(2, 1, 2.6)),
-            )
-        ] * 2
-        misses = []
-        for max_workers in (None, 2):
-            simulation = fresh_simulation()
-            BatchEvaluator(simulation).evaluate_many(points, max_workers=max_workers)
-            misses.append(simulation.thermal_simulator.solver_cache.stats.misses)
-        assert misses[0] == misses[1]
-        assert 0 < misses[0] < len(points)
-
-    def test_more_workers_than_points(self, evaluator, x264, canneal):
-        points = [
-            SweepPoint(benchmark=x264, configuration=Configuration(8, 2, 3.2)),
-            SweepPoint(benchmark=canneal, configuration=Configuration(4, 1, 2.6)),
-        ]
-        serial = evaluator.evaluate_many(points)
-        threaded = evaluator.evaluate_many(points, max_workers=8)
-        assert [r.die_metrics for r in threaded] == [r.die_metrics for r in serial]
-
-    def test_parallel_constraint_points_use_the_parent_pipeline(
-        self, simulation, x264
-    ):
-        """Threads resolve constraint-only points through the evaluator's own
+    def test_constraint_points_use_the_evaluator_pipeline(self, simulation, x264):
+        """Constraint-only points resolve through the evaluator's own
         pipeline, so a custom (restricted) configuration table applies."""
         from repro.core.pipeline import ThermalAwarePipeline
 
@@ -199,12 +192,12 @@ class TestEvaluateMany:
             SweepPoint(benchmark=x264, constraint=QoSConstraint(4.0)),
         ]
         evaluator = BatchEvaluator(simulation, pipeline=pipeline)
-        results = evaluator.evaluate_many(points, max_workers=2)
+        results = evaluator.evaluate_many(points)
         for result in results:
             assert result.configuration == restricted[0]
 
-    def test_parallel_respects_custom_mapper(self, simulation, floorplan, x264):
-        """Threads map through the evaluator's mapper, not a default one."""
+    def test_custom_mapper_is_respected(self, simulation, floorplan, x264):
+        """Points map through the evaluator's mapper, not a default one."""
         from repro.thermosyphon.orientation import Orientation
 
         mapper = ThreadMapper(floorplan, orientation=Orientation.EAST_TO_WEST)
@@ -213,10 +206,9 @@ class TestEvaluateMany:
             SweepPoint(benchmark=x264, configuration=Configuration(2, 1, 2.6)),
         ]
         evaluator = BatchEvaluator(simulation, mapper=mapper)
-        serial = evaluator.evaluate_many(points)
-        parallel = evaluator.evaluate_many(points, max_workers=2)
-        for point, a, b in zip(points, serial, parallel):
-            assert a.die_metrics == b.die_metrics
-            assert a.mapping.active_cores == b.mapping.active_cores
+        default = BatchEvaluator(simulation)
+        results = evaluator.evaluate_many(points)
+        for point, result in zip(points, results):
             expected = mapper.map(x264, point.configuration, evaluator.policy)
-            assert b.mapping.active_cores == expected.active_cores
+            assert result.mapping.active_cores == expected.active_cores
+            assert result.mapping.active_cores != default.resolve_mapping(point).active_cores

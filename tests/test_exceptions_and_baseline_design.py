@@ -76,7 +76,6 @@ class TestExceptionHierarchy:
             exceptions.ConfigurationError,
             exceptions.FloorplanError,
             exceptions.ConvergenceError,
-            exceptions.DryoutError,
             exceptions.ThermalEmergencyError,
             exceptions.QoSViolationError,
             exceptions.MappingError,
@@ -90,7 +89,7 @@ class TestExceptionHierarchy:
 
     def test_catching_base_class_catches_specifics(self):
         with pytest.raises(exceptions.ReproError):
-            raise exceptions.DryoutError("channel dried out")
+            raise exceptions.ThermalEmergencyError("no actuator left")
 
     @pytest.mark.parametrize("site", sorted(CALLER_INPUT_SITES))
     def test_caller_input_checks_raise_validation_error(self, site, caller_input_context):

@@ -185,8 +185,8 @@ class TestMultiColumnSolve:
 
 
 def test_threads_sharing_one_cache_match_serial_bit_for_bit(floorplan):
-    """Interleaved factorizations and solves on one cache (the thread
-    fan-out of ``BatchEvaluator``) reproduce the serial fields exactly."""
+    """Interleaved factorizations and solves on one cache shared across
+    threads reproduce the serial fields exactly."""
     simulator = ThermalSimulator(floorplan, cell_size_mm=2.0)
     network = simulator.network
     boundaries = [_boundary(*simulator.shape, seed=seed) for seed in range(4)]
@@ -289,9 +289,9 @@ class TestUngroundedSteadyOperator:
     def test_transient_step_stays_finite(self, ungrounded):
         """``C/dt > 0`` keeps the backward-Euler operator definite."""
         simulator, cooling = ungrounded
-        field = simulator.transient_step_from_map(
-            np.full(simulator.grid.n_cells, 45.0),
-            simulator.power_map(CORE_POWER),
+        field = simulator.transient_step_many_from_maps(
+            np.full((1, simulator.grid.n_cells), 45.0),
+            simulator.power_map(CORE_POWER)[np.newaxis],
             cooling,
             0.5,
         )

@@ -80,3 +80,82 @@ class TestGeometry:
 
     def test_total_power_helper(self, mapper):
         assert mapper.total_power({"core1": 4.0, "core5": 6.0}) == pytest.approx(10.0)
+
+
+@pytest.fixture(scope="module")
+def fine_mapper(floorplan):
+    """0.5 mm cells: every component has cells lying wholly inside it."""
+    return GridMapper(floorplan, floorplan.spreader_outline, 76, 76)
+
+
+def _interior(mapper, component):
+    """Boolean mask of the cells lying wholly inside ``component``."""
+    cell_area = mapper.cell_width * mapper.cell_height
+    coverage = mapper.component_mask(component.name) * component.area_mm2 / cell_area
+    return np.isclose(coverage, 1.0, rtol=0.0, atol=1e-9)
+
+
+class TestHeatFluxMap:
+    """The per-cell heat flux is component power over component area."""
+
+    def test_interior_flux_is_power_over_area(self, fine_mapper, floorplan):
+        core = floorplan.component("core0")
+        flux = fine_mapper.heat_flux_map({"core0": 7.0})
+        interior = _interior(fine_mapper, core)
+        assert interior.any()
+        assert flux[interior] == pytest.approx(7.0 / (core.area_mm2 * 1e-6), rel=1e-9)
+
+    def test_edge_cells_never_exceed_the_component_flux(self, fine_mapper, floorplan):
+        """A cell straddling a component edge carries the component's flux
+        over its covered fraction only, and the map integrates to the power."""
+        core = floorplan.component("core3")
+        flux = fine_mapper.heat_flux_map({"core3": 9.0})
+        cell_area_m2 = (fine_mapper.cell_width * 1e-3) * (fine_mapper.cell_height * 1e-3)
+        assert flux.max() <= 9.0 / (core.area_mm2 * 1e-6) * (1.0 + 1e-9)
+        assert flux.sum() * cell_area_m2 == pytest.approx(9.0, rel=1e-9)
+
+    def test_unmentioned_components_have_zero_flux(self, fine_mapper, floorplan):
+        flux = fine_mapper.heat_flux_map({"core0": 7.0})
+        assert not flux[fine_mapper.component_mask("core0") == 0.0].any()
+        assert not flux[_interior(fine_mapper, floorplan.component("llc"))].any()
+
+    def test_empty_mapping_gives_a_zero_map(self, fine_mapper):
+        flux = fine_mapper.heat_flux_map({})
+        assert flux.shape == (fine_mapper.n_rows, fine_mapper.n_columns)
+        assert not flux.any()
+
+    def test_unknown_component_rejected(self, fine_mapper):
+        with pytest.raises(FloorplanError):
+            fine_mapper.heat_flux_map({"gpu": 5.0})
+
+    def test_negative_power_rejected(self, fine_mapper):
+        with pytest.raises(ValidationError):
+            fine_mapper.heat_flux_map({"core0": -1.0})
+
+    def test_peak_flux_lies_inside_the_hottest_core(self, fine_mapper, floorplan):
+        core3 = floorplan.component("core3")
+        flux = fine_mapper.heat_flux_map({"core0": 5.0, "core3": 9.0, "llc": 2.0})
+        assert flux.max() == pytest.approx(9.0 / (core3.area_mm2 * 1e-6), rel=1e-9)
+        peak = np.unravel_index(np.argmax(flux), flux.shape)
+        assert _interior(fine_mapper, core3)[peak]
+
+    def test_core_flux_higher_than_uncore_flux(
+        self, fine_mapper, floorplan, power_model, x264
+    ):
+        """Cores are the densest heat sources on the die, as the paper assumes."""
+        breakdown = power_model.all_cores_active(
+            x264.core_power_parameters(), 3.2, memory_intensity=x264.memory_intensity
+        )
+        flux = fine_mapper.heat_flux_map(breakdown.component_power_w)
+
+        def interior_flux(name):
+            return flux[_interior(fine_mapper, floorplan.component(name))].max()
+
+        core_flux = interior_flux("core0")
+        for uncore in ("llc", "memory_controller", "uncore_io"):
+            assert core_flux > interior_flux(uncore)
+
+    def test_no_core_powered_leaves_every_core_cold(self, fine_mapper, floorplan):
+        flux = fine_mapper.heat_flux_map({"llc": 2.0, "memory_controller": 6.0})
+        for core in floorplan.cores:
+            assert not flux[_interior(fine_mapper, core)].any()

@@ -41,6 +41,16 @@ def _boundary(grid, htc=1.5e4, fluid=40.0):
     return uniform_cooling_boundary(grid.n_rows, grid.n_columns, htc, fluid)
 
 
+def _march(solver, powers, boundaries, dt_s):
+    """Backward-Euler fields from 45 degC, one ``step_many`` row a step."""
+    state = np.full((1, solver.network.grid.n_cells), 45.0)
+    fields = []
+    for power, boundary in zip(powers, boundaries):
+        state = solver.step_many(state, power[np.newaxis], boundary, dt_s)
+        fields.append(state[0])
+    return fields
+
+
 def _golden_run(network, powers, boundaries, dt_s):
     """Backward-Euler fields from 45 degC, one SuperLU factorization a step."""
     state = np.full(network.grid.n_cells, 45.0)
@@ -112,9 +122,10 @@ class TestTransientEquivalence:
         cached = TransientSolver(network)
         boundary = _boundary(grid)
         powers = [mapper.power_map({"core0": 2.0 * (i + 1)}) for i in range(6)]
+        boundaries = [boundary] * len(powers)
         for a, b in zip(
-            cached.run(45.0, powers, boundary, dt_s=0.5),
-            _golden_run(network, powers, [boundary] * len(powers), dt_s=0.5),
+            _march(cached, powers, boundaries, dt_s=0.5),
+            _golden_run(network, powers, boundaries, dt_s=0.5),
         ):
             assert np.max(np.abs(a - b)) < 1e-9
 
@@ -125,7 +136,7 @@ class TestTransientEquivalence:
         cached = TransientSolver(network, cache=cache)
         powers = [mapper.power_map({f"core{i}": 5.0 for i in range(8)})] * 6
         boundaries = [_boundary(grid, htc=1.0e4)] * 3 + [_boundary(grid, htc=2.5e4)] * 3
-        cached_fields = list(cached.run(45.0, powers, boundaries, dt_s=0.5))
+        cached_fields = _march(cached, powers, boundaries, dt_s=0.5)
         golden_fields = _golden_run(network, powers, boundaries, dt_s=0.5)
         assert len(cached_fields) == len(golden_fields) == 6
         for a, b in zip(cached_fields, golden_fields):
@@ -140,10 +151,10 @@ class TestTransientEquivalence:
         cache = FactorizationCache(network)
         solver = TransientSolver(network, cache=cache)
         boundary = _boundary(grid)
-        state = np.full(grid.n_cells, 45.0)
-        power = mapper.power_map({"core0": 8.0})
-        solver.step(state, power, boundary, dt_s=0.5)
-        solver.step(state, power, boundary, dt_s=1.0)
+        state = np.full((1, grid.n_cells), 45.0)
+        power = mapper.power_map({"core0": 8.0})[np.newaxis]
+        solver.step_many(state, power, boundary, dt_s=0.5)
+        solver.step_many(state, power, boundary, dt_s=1.0)
         assert cache.stats.transient_entries == 2
 
 
@@ -165,7 +176,9 @@ class TestCacheManagement:
         boundary = _boundary(grid)
         power = mapper.power_map({"core0": 5.0})
         steady.solve(power, boundary)
-        transient.step(np.full(grid.n_cells, 45.0), power, boundary, dt_s=0.5)
+        transient.step_many(
+            np.full((1, grid.n_cells), 45.0), power[np.newaxis], boundary, dt_s=0.5
+        )
         assert len(cache) == 2
         cache.invalidate()
         assert len(cache) == 0
@@ -223,8 +236,7 @@ class TestSpeedup:
         cache = FactorizationCache(network)
         solver = TransientSolver(network, cache=cache)
         powers = [mapper.power_map({f"core{i}": 5.0 for i in range(8)})] * 30
-        for _ in solver.run(45.0, powers, _boundary(grid), dt_s=0.5):
-            pass
+        _march(solver, powers, [_boundary(grid)] * len(powers), dt_s=0.5)
         assert cache.stats.misses == 1
         assert cache.stats.hits == 29
 
@@ -238,16 +250,16 @@ class TestSpeedup:
         """
         grid, mapper, network = setup
         boundary = _boundary(grid)
-        powers = [mapper.power_map({f"core{i}": 5.0 for i in range(8)})] * 30
+        powers = [mapper.power_map({f"core{i}": 5.0 for i in range(8)})[np.newaxis]] * 30
         solver = TransientSolver(network)
 
         def run(refactor_every_step):
-            state = np.full(grid.n_cells, 45.0)
+            state = np.full((1, grid.n_cells), 45.0)
             start = time.perf_counter()
             for power in powers:
                 if refactor_every_step:
                     solver.cache.invalidate()
-                state = solver.step(state, power, boundary, 0.5)
+                state = solver.step_many(state, power, boundary, 0.5)
             return time.perf_counter() - start, state
 
         run(False)  # warm the factorization outside the timed window

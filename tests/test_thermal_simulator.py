@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference_kernel import TIER_B_C
 from repro.thermal.boundary import uniform_cooling_boundary
 from repro.thermal.simulator import ThermalSimulator
 
@@ -69,45 +70,17 @@ class TestSimulatorBehaviour:
 
     def test_transient_sequence(self, coarse_thermal_simulator, boundary):
         powers = {f"core{i}": 6.0 for i in range(8)}
-        results = coarse_thermal_simulator.transient(
-            [powers, powers, powers], boundary, dt_s=2.0, initial_temperature_c=40.0
-        )
-        assert len(results) == 3
-        peaks = [result.die_metrics().theta_max_c for result in results]
+        power_maps = coarse_thermal_simulator.power_map(powers)[np.newaxis]
+        field = np.full((1, coarse_thermal_simulator.grid.n_cells), 40.0)
+        peaks = []
+        for _ in range(3):
+            field = coarse_thermal_simulator.transient_step_many_from_maps(
+                field, power_maps, boundary, dt_s=2.0
+            )
+            result = coarse_thermal_simulator.result_from_vector(field[0])
+            peaks.append(result.die_metrics().theta_max_c)
         # Heating transient: the peak temperature rises monotonically.
         assert peaks == sorted(peaks)
-
-    def test_settle_agrees_with_steady_state(self, coarse_thermal_simulator, boundary):
-        powers = {f"core{i}": 6.0 for i in range(8)}
-        steady = coarse_thermal_simulator.steady_state(powers, boundary)
-        settled, info = coarse_thermal_simulator.settle(
-            powers, boundary, dt_s=2.0, max_steps=300, tolerance_c=0.01
-        )
-        assert info.converged
-        assert info.steps < 300
-        assert settled.die_metrics().theta_max_c == pytest.approx(
-            steady.die_metrics().theta_max_c, abs=0.5
-        )
-
-    def test_settle_surfaces_non_convergence(self, coarse_thermal_simulator, boundary):
-        from repro.exceptions import ConvergenceError
-
-        powers = {f"core{i}": 6.0 for i in range(8)}
-        # One coarse step from a cold start cannot reach the tolerance.
-        _, info = coarse_thermal_simulator.settle(
-            powers, boundary, dt_s=0.05, max_steps=1, tolerance_c=1e-6
-        )
-        assert not info.converged
-        assert info.residual_c > 1e-6
-        with pytest.raises(ConvergenceError):
-            coarse_thermal_simulator.settle(
-                powers,
-                boundary,
-                raise_on_nonconverged=True,
-                dt_s=0.05,
-                max_steps=1,
-                tolerance_c=1e-6,
-            )
 
     def test_steady_state_from_map_equivalent(self, coarse_thermal_simulator, boundary):
         powers = {f"core{i}": 6.0 for i in range(8)}
@@ -116,3 +89,33 @@ class TestSimulatorBehaviour:
             coarse_thermal_simulator.power_map(powers), boundary
         )
         assert np.allclose(from_dict.temperatures_c, from_map.temperatures_c)
+
+
+class TestTransientFixedPoint:
+    """A steady field is a fixed point of the backward-Euler step."""
+
+    @pytest.fixture(scope="class", params=(2.0, 1.0), ids=lambda mm: f"{mm}mm")
+    def simulator(self, request, floorplan):
+        return ThermalSimulator(floorplan, cell_size_mm=request.param)
+
+    @pytest.mark.parametrize("dt_s", (0.05, 2.0, 60.0))
+    @pytest.mark.parametrize("cooling", ("uniform", "loop"))
+    def test_steady_field_does_not_move(
+        self, simulator, thermosyphon_loop, cooling, dt_s
+    ):
+        full_load = {f"core{i}": 6.0 for i in range(8)}
+        full_load.update({"llc": 2.0, "memory_controller": 8.0, "uncore_io": 5.0})
+        maps = np.stack(
+            [simulator.power_map(powers) for powers in (full_load, {"core0": 8.0})]
+        )
+        if cooling == "uniform":
+            boundary = uniform_cooling_boundary(*simulator.shape, 1.8e4, 40.0)
+        else:
+            boundary = thermosyphon_loop.cooling_boundary(
+                maps[0],
+                simulator.grid.cell_pitch_mm(),
+                thermosyphon_loop.operating_point(float(maps[0].sum())),
+            ).boundary
+        steady = simulator.steady_state_many_from_maps(maps, boundary)
+        stepped = simulator.transient_step_many_from_maps(steady, maps, boundary, dt_s)
+        assert np.max(np.abs(stepped - steady)) <= TIER_B_C

@@ -1,13 +1,15 @@
 """Thermal network, steady-state and transient solver tests.
 
 The steady-state solver is validated against a hand-computed one-dimensional
-resistance calculation for a uniform power map and a uniform boundary, and
-the transient solver is cross-checked against the steady-state solution.
+resistance calculation for a uniform power map and a uniform boundary; the
+transient step's direction, monotonicity, row independence and input checks
+are tested here, and its steady fixed point in ``test_thermal_simulator.py``.
 """
 
 import numpy as np
 import pytest
 
+from reference_kernel import TIER_B_C
 from repro.exceptions import ValidationError
 from repro.floorplan.grid_mapper import GridMapper
 from repro.thermal.boundary import BottomBoundary, CoolingBoundary, uniform_cooling_boundary
@@ -85,7 +87,9 @@ class TestSteadyStateAgainstAnalytic:
         htc = 20000.0
         power_map = np.full((n, n), total_power / (n * n))
         boundary = uniform_cooling_boundary(n, n, htc, fluid_temperature)
-        temperatures = solver.solve_layers(power_map, boundary)
+        temperatures = solver.solve(power_map, boundary).reshape(
+            grid.n_layers, grid.n_rows, grid.n_columns
+        )
 
         area = outline.width * outline.height * 1e-6
         flux = total_power / area
@@ -140,51 +144,87 @@ class TestSteadyStateAgainstAnalytic:
 
 
 class TestTransient:
-    def test_settle_matches_steady_state(self, small_setup):
-        grid, mapper, _, network = small_setup
-        steady = SteadyStateSolver(network)
-        transient = TransientSolver(network)
-        power = mapper.power_map({f"core{i}": 5.0 for i in range(8)})
-        boundary = uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1.5e4, 40.0)
-        steady_field = steady.solve(power, boundary)
-        settled = transient.settle(power, boundary, dt_s=1.0, max_steps=400, tolerance_c=0.001)
-        assert settled.steps < 400
-        assert np.max(np.abs(settled.temperatures - steady_field)) < 0.2
-
-    def test_settle_reports_non_convergence(self, small_setup):
-        grid, mapper, _, network = small_setup
-        transient = TransientSolver(network)
-        power = mapper.power_map({f"core{i}": 5.0 for i in range(8)})
-        boundary = uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1.5e4, 40.0)
-        result = transient.settle(
-            power, boundary, dt_s=0.05, max_steps=2, tolerance_c=1e-9,
-            initial_temperature_c=20.0,
-        )
-        assert not result.converged
-        assert result.steps == 2
-        assert result.residual_c > 1e-9
-
     def test_step_moves_towards_equilibrium(self, small_setup):
         grid, mapper, _, network = small_setup
         transient = TransientSolver(network)
         power = mapper.power_map({f"core{i}": 5.0 for i in range(8)})
         boundary = uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1.5e4, 40.0)
-        cold_start = np.full(grid.n_cells, 20.0)
-        after = transient.step(cold_start, power, boundary, dt_s=0.5)
+        cold_start = np.full((1, grid.n_cells), 20.0)
+        after = transient.step_many(cold_start, power[np.newaxis], boundary, dt_s=0.5)
         assert after.mean() > cold_start.mean()
 
-    def test_run_yields_one_field_per_step(self, small_setup):
-        grid, mapper, _, network = small_setup
-        transient = TransientSolver(network)
-        power = mapper.power_map({"core0": 8.0})
-        boundary = uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1.5e4, 40.0)
-        fields = list(transient.run(40.0, [power, power, power], boundary, dt_s=0.5))
-        assert len(fields) == 3
-
-    def test_boundary_sequence_length_mismatch(self, small_setup):
+    def test_stack_length_mismatch_rejected(self, small_setup):
         grid, mapper, _, network = small_setup
         transient = TransientSolver(network)
         power = mapper.power_map({"core0": 8.0})
         boundary = uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1.5e4, 40.0)
         with pytest.raises(ValidationError):
-            list(transient.run(40.0, [power, power], [boundary], dt_s=0.5))
+            transient.step_many(
+                np.full((2, grid.n_cells), 40.0), power[np.newaxis], boundary, dt_s=0.5
+            )
+
+    @pytest.mark.parametrize("stack", ("flat", "wrong_cell_count"))
+    def test_malformed_temperature_stack_rejected(self, small_setup, stack):
+        """A single flat field or a stack of another grid is refused, not broadcast."""
+        grid, mapper, _, network = small_setup
+        transient = TransientSolver(network)
+        power = mapper.power_map({"core0": 8.0})
+        boundary = uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1.5e4, 40.0)
+        temperatures = {
+            "flat": np.full(grid.n_cells, 40.0),
+            "wrong_cell_count": np.full((1, grid.n_cells + 1), 40.0),
+        }[stack]
+        with pytest.raises(ValidationError):
+            transient.step_many(temperatures, power[np.newaxis], boundary, dt_s=0.5)
+
+    @pytest.mark.parametrize("dt_s", (0.0, -0.5))
+    def test_non_positive_step_rejected(self, small_setup, dt_s):
+        grid, mapper, _, network = small_setup
+        transient = TransientSolver(network)
+        power = mapper.power_map({"core0": 8.0})
+        boundary = uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1.5e4, 40.0)
+        with pytest.raises(ValidationError):
+            transient.step_many(
+                np.full((1, grid.n_cells), 40.0), power[np.newaxis], boundary, dt_s=dt_s
+            )
+
+    def test_rows_advance_independently(self, small_setup):
+        """Row ``i`` of a stacked step is field ``i`` stepped alone, bit for bit."""
+        grid, mapper, _, network = small_setup
+        transient = TransientSolver(network)
+        boundary = uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1.5e4, 40.0)
+        maps = np.stack(
+            [
+                mapper.power_map({"core0": 8.0}),
+                mapper.power_map({f"core{i}": 5.0 for i in range(8)}),
+                np.zeros((grid.n_rows, grid.n_columns)),
+            ]
+        )
+        fields = np.stack([np.full(grid.n_cells, t) for t in (20.0, 40.0, 60.0)])
+        stacked = transient.step_many(fields, maps, boundary, dt_s=0.5)
+        assert stacked.shape == fields.shape
+        for i in range(len(fields)):
+            alone = transient.step_many(fields[i : i + 1], maps[i : i + 1], boundary, 0.5)
+            assert np.array_equal(stacked[i], alone[0])
+
+    @pytest.mark.parametrize("dt_s", (0.05, 2.0, 60.0))
+    def test_cold_start_heats_without_overshoot(self, small_setup, dt_s):
+        """From a field below the coolant temperature every cell warms and
+        stays below its steady value, and the gap to steady state shrinks
+        each step: the backward-Euler operator is an M-matrix, so the march
+        is monotone."""
+        grid, mapper, _, network = small_setup
+        steady_solver = SteadyStateSolver(network)
+        transient = TransientSolver(network, cache=steady_solver.cache)
+        power = mapper.power_map({f"core{i}": 5.0 for i in range(8)})
+        boundary = uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1.5e4, 40.0)
+        steady = steady_solver.solve(power, boundary)
+        field = np.full((1, grid.n_cells), 20.0)
+        gaps = [np.max(steady - field)]
+        for _ in range(5):
+            advanced = transient.step_many(field, power[np.newaxis], boundary, dt_s)
+            assert (advanced >= field - TIER_B_C).all()
+            assert (advanced <= steady + TIER_B_C).all()
+            field = advanced
+            gaps.append(np.max(steady - field))
+        assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))

@@ -204,9 +204,8 @@ class TestStoreUnit:
         assert len(paths) == 3
 
 
-class TestEnvironmentAttach:
-    def test_unset_env_var_stays_cold(self, scenario, floorplan, monkeypatch):
-        monkeypatch.delenv("REPRO_WARM_STORE", raising=False)
+class TestDefaults:
+    def test_no_store_runs_cold(self, scenario, floorplan):
         model = DatacenterModel(
             scenario.racks,
             floorplan=floorplan,
