@@ -13,7 +13,21 @@ operator for every point.  This module provides the shared engine:
   paper's Algorithm 1).
 * :class:`BatchEvaluator` — evaluates many points, serially and in order,
   through *one* simulation, so the thermal simulator's
-  :class:`FactorizationCache` is shared across the whole sweep.
+  :class:`FactorizationCache` and the simulation's memo of thermal states
+  are shared across the whole sweep.
+
+Each distinct thermal state is solved once, without factoring its own
+operator (unless PCG reaches its step cap): the evaluator passes the
+simulation's
+:meth:`~repro.core.pipeline.CooledServerSimulation.reference_boundary` as
+``reference=``, so every solve takes the solver cache's iterative lane,
+preconditioned conjugate gradients from the one factor of that reference
+(tier B against the exact solve; see :mod:`repro.thermal.solver_cache`).
+The reference depends on the design and the thermal network only, so a
+point's bits are a function of (design, network, point) — whatever the
+sweep order, the memo or the cache held.  Revisited states (Pack & Cap
+picks one configuration per benchmark at every QoS level) are served by
+the memo without a lane march or a solve.
 
 Usage::
 
@@ -24,7 +38,7 @@ Usage::
                    water_loop=simulation.design.water_loop().with_flow_rate(f))
         for f in (5.0, 7.0, 10.0, 14.0)
     ]
-    results = evaluator.evaluate_many(points)  # one simulation, one cache
+    results = evaluator.evaluate_many(points)  # one simulation, one reference factor
 
 See ``examples/batch_sweep.py`` for a complete sweep.
 """
@@ -79,10 +93,10 @@ class SweepPoint:
 class BatchEvaluator:
     """Evaluates many sweep points through one cooled-server simulation.
 
-    All points share the simulation's thermal network and its factorization
-    cache, so a sweep that holds the water condition fixed while varying
-    benchmarks, configurations or mappings pays for at most one
-    factorization per distinct cooling boundary.
+    All points share the simulation's thermal network, its factorization
+    cache and its memo, so a whole sweep pays one factorization (the
+    design's reference boundary) and one PCG solve per distinct thermal
+    state.
     """
 
     def __init__(
@@ -130,7 +144,8 @@ class BatchEvaluator:
     # Evaluation
     # ------------------------------------------------------------------ #
     def evaluate(self, point: SweepPoint) -> EvaluationResult:
-        """Evaluate one sweep point."""
+        """Evaluate one sweep point, by the iterative lane from the
+        simulation's reference boundary."""
         benchmark = point.resolve_benchmark()
         mapping = self.resolve_mapping(point)
         return self.simulation.simulate_mapping(
@@ -139,6 +154,7 @@ class BatchEvaluator:
             mapper=self.mapper,
             water_loop=point.water_loop,
             activity_factor=point.activity_factor,
+            reference=self.simulation.reference_boundary(),
         )
 
     def evaluate_many(self, points: Sequence[SweepPoint]) -> list[EvaluationResult]:

@@ -38,27 +38,36 @@ class Platform:
     thermal_simulator: ThermalSimulator
     profiler: WorkloadProfiler
     cell_size_mm: float
-    _simulations: dict[str, CooledServerSimulation] = field(default_factory=dict)
-    _evaluators: dict[str, BatchEvaluator] = field(default_factory=dict)
+    _simulations: dict[ThermosyphonDesign, CooledServerSimulation] = field(
+        default_factory=dict
+    )
+    _evaluators: dict[tuple[str, ThermosyphonDesign], BatchEvaluator] = field(
+        default_factory=dict
+    )
 
     def simulation(self, design: ThermosyphonDesign) -> CooledServerSimulation:
-        """A (cached) cooled-server simulation for the given design."""
-        if design.name not in self._simulations:
-            self._simulations[design.name] = CooledServerSimulation(
+        """A (cached) cooled-server simulation for the given design.
+
+        Keyed by the whole (frozen) design, not its name: a variant that
+        keeps the name gets a simulation of its own.
+        """
+        if design not in self._simulations:
+            self._simulations[design] = CooledServerSimulation(
                 self.floorplan,
                 design=design,
                 power_model=self.power_model,
                 thermal_simulator=self.thermal_simulator,
             )
-        return self._simulations[design.name]
+        return self._simulations[design]
 
     def batch_evaluator(self, approach: "Approach") -> BatchEvaluator:
         """A (cached) batch evaluator for the given approach's stack."""
-        if approach.name not in self._evaluators:
-            self._evaluators[approach.name] = BatchEvaluator(
+        key = (approach.name, approach.design)
+        if key not in self._evaluators:
+            self._evaluators[key] = BatchEvaluator(
                 self.simulation(approach.design), policy=approach.policy
             )
-        return self._evaluators[approach.name]
+        return self._evaluators[key]
 
 
 def build_platform(*, cell_size_mm: float = 1.0) -> Platform:

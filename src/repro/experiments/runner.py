@@ -154,9 +154,10 @@ def run_all(
     return "\n\n".join(sections)
 
 
-def main() -> None:
-    """Command-line entry point."""
-    parser = argparse.ArgumentParser(description=__doc__)
+def main(argv: list[str] | None = None) -> None:
+    """Command-line entry point (``argv`` defaults to ``sys.argv[1:]``)."""
+    # No prefix matching: a deleted flag must fail, not resolve to a longer one.
+    parser = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     parser.add_argument("--quick", action="store_true", help="use a reduced benchmark set")
     parser.add_argument(
         "--cell-size-mm",
@@ -232,7 +233,7 @@ def main() -> None:
         help="print each fig10 run's full trace summary (includes the "
         "telemetry footer when --telemetry is on)",
     )
-    arguments = parser.parse_args()
+    arguments = parser.parse_args(argv)
     print(
         run_all(
             quick=arguments.quick,

@@ -230,6 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.report",
         description="Render a run report from a telemetry JSON-lines stream.",
+        allow_abbrev=False,
     )
     parser.add_argument("jsonl", help="telemetry stream written by --telemetry / write_jsonl")
     args = parser.parse_args(argv)

@@ -153,6 +153,9 @@ class ThermalSimulator:
         self.grid = ThermalGrid(outline, self.stack, n_rows, n_columns)
         self.grid_mapper = GridMapper(floorplan, outline, n_rows, n_columns)
         self.die_mask = self.grid_mapper.die_mask()
+        # Shared by the network and every ThermalResult: a write through
+        # one of them raises instead of corrupting the others.
+        self.die_mask.setflags(write=False)
         self.network = ThermalNetwork(self.grid, self.die_mask, bottom_boundary)
         self.solver_cache = FactorizationCache(self.network)
         self._steady_solver = SteadyStateSolver(self.network, cache=self.solver_cache)
@@ -204,10 +207,20 @@ class ThermalSimulator:
         return self._result(flat)
 
     def steady_state_from_map(
-        self, power_map_w: np.ndarray, cooling: CoolingBoundary
+        self,
+        power_map_w: np.ndarray,
+        cooling: CoolingBoundary,
+        *,
+        reference: CoolingBoundary | None = None,
     ) -> ThermalResult:
-        """Equilibrium temperatures for an explicit per-cell power map."""
-        flat = self._steady_solver.solve(np.asarray(power_map_w, dtype=float), cooling)
+        """Equilibrium temperatures for an explicit per-cell power map.
+
+        A ``reference`` boundary routes the solve through the solver
+        cache's iterative lane (see :meth:`SteadyStateSolver.solve`).
+        """
+        flat = self._steady_solver.solve(
+            np.asarray(power_map_w, dtype=float), cooling, reference=reference
+        )
         return self._result(flat)
 
     def steady_state_many_from_maps(

@@ -51,35 +51,49 @@ Caching/invalidation contract
 
 Iterative lane
 --------------
-An MPC rollout refreshes every server's boundary each period, and each new
-operator would be factored to serve one single-column back-substitution.
-:meth:`FactorizationCache.preconditioned_transient_operator` serves such a
-step without factoring it: preconditioned conjugate gradients (PCG) on
-``(bulk + diag(g) + diag(C/dt)) x = b``, preconditioned by the exact
-factor ``F`` of a *reference* boundary at the same ``dt`` (looked up
-through :meth:`~FactorizationCache.transient_operator`).  It starts from
-``x0 = F^-1 b`` and stops once ``||F^-1 r||_inf <= ITERATIVE_TOL_C``; past
-``ITERATIVE_MAX_STEPS`` steps it solves exactly through the cache instead.
-The bulk operator is recorded once per cache, beside its band, and
+Some operators would be factored to serve a single back-substitution.  An
+MPC rollout refreshes every server's boundary each period, and a steady
+sweep meets a new boundary at almost every distinct thermal state it
+evaluates.  The lane serves such a solve without factoring its operator:
+preconditioned conjugate gradients (PCG) on ``(bulk + diag(g)) x = b``
+(plus ``diag(C/dt)`` for a transient step), preconditioned by the exact
+factor ``F`` of a *reference* boundary, looked up through
+:meth:`~FactorizationCache.steady_operator` or
+:meth:`~FactorizationCache.transient_operator` at the same ``dt``.
+:meth:`FactorizationCache.preconditioned_steady_operator` and
+:meth:`FactorizationCache.preconditioned_transient_operator` return such
+operators.  PCG starts from ``x0 = F^-1 b`` and stops once
+``||F^-1 r||_inf <= ITERATIVE_TOL_C``; past ``ITERATIVE_MAX_STEPS`` steps
+it solves exactly through the cache instead.  The bulk operator is
+recorded once per cache, beside its band, and
 :meth:`~FactorizationCache.invalidate` drops both.  Its contracts:
 
-* **Committed traces never take it.**  Only a caller that passes a
-  reference reaches the lane — the floor engine during MPC rollouts — so
-  committed traces run the exact path and stay bit-identical (tier A):
-  floor == per-server golden loop, hold-only MPC == fixed trace, snapshot
-  replay, telemetry on/off, serial == parallel groups.
-* **Rollouts are tier B against exact rollouts.**  Worst peaks agree
-  within 1e-9 degC, plant energies within 1e-9 relative, and the planner
-  chooses the same candidate.
-* **The reference is server state, never cache contents.**  The floor
-  passes each server's boundary from the snapshot the rollout started
-  from, and the lane's result is a function of (reference, boundary,
-  ``dt``, right-hand side) only: a factorization is deterministic, so a
+* **Two callers take it, and only they.**  Only a caller that passes a
+  reference reaches the lane: the floor engine during MPC rollouts, and
+  the sweep engine (:class:`repro.core.batch.BatchEvaluator`, behind
+  Table II, Section VIII-B and Fig. 7).  Committed floor traces,
+  steady-mode controller traces, one-off evaluations and the floor's
+  steady initialization run the exact path, so they stay bit-identical
+  (tier A): floor == per-server golden loop, hold-only MPC == fixed
+  trace, snapshot replay, telemetry on/off, serial == parallel groups.
+* **Its results are tier B against the exact path.**  Rollout worst
+  peaks agree within 1e-9 degC, plant energies within 1e-9 relative, and
+  the planner chooses the same candidate.  A sweep point's field agrees
+  within 1e-9 degC.
+* **The reference is never cache contents.**  The floor passes each
+  server's boundary from the snapshot the rollout started from; the sweep
+  engine passes one boundary per design, that of a fixed uniform die load
+  at the design's own water loop
+  (:meth:`repro.core.pipeline.CooledServerSimulation.reference_boundary`).
+  The lane's result is a function of (reference, boundary, ``dt``,
+  right-hand side) only: a factorization is deterministic, so a
   reference factor found in the LRU and one factored afresh are the same
   bits.  A rollout's result is therefore a function of the snapshot and
-  the candidate only, whatever the cache held.
-* **A cap fallback is the exact step, bit for bit.**  It back-substitutes
-  the same right-hand side through the operator's own cached factor.
+  the candidate, and a sweep point's bits a function of (design, network,
+  request), whatever the cache held and whatever the sweep order.
+* **A cap fallback is the exact solve, bit for bit.**  It
+  back-substitutes the same right-hand side through the operator's own
+  cached factor.
 
 The lane publishes ``cache.iterative_solves`` (columns it served),
 ``cache.iterative_fallbacks`` (columns that hit the cap) and the
@@ -339,14 +353,17 @@ def check_steady_solvable(network: ThermalNetwork, cooling: CoolingBoundary) -> 
 
 @dataclass(frozen=True)
 class SteadyOperator:
-    """Factorized steady-state operator for one cooling boundary.
+    """Steady-state operator for one cooling boundary.
 
-    ``solve`` back-substitutes a right-hand side through the cached
-    Cholesky factor.  It accepts either one RHS vector of shape
-    ``(n_cells,)`` or a multi-column RHS of shape ``(n_cells, k)`` —
-    ``dpbtrs`` back-substitutes the columns independently, so a whole rack
-    of servers sharing this boundary is solved in one call with results
-    identical to ``k`` separate single-column solves.
+    From :meth:`FactorizationCache.steady_operator`, ``solve``
+    back-substitutes a right-hand side through the cached Cholesky factor.
+    It accepts either one RHS vector of shape ``(n_cells,)`` or a
+    multi-column RHS of shape ``(n_cells, k)`` — ``dpbtrs``
+    back-substitutes the columns independently, so a whole rack of servers
+    sharing this boundary is solved in one call with results identical to
+    ``k`` separate single-column solves.  From
+    :meth:`FactorizationCache.preconditioned_steady_operator` it is a
+    :class:`PreconditionedSolve`.
     """
 
     boundary_rhs: np.ndarray
@@ -469,6 +486,34 @@ class FactorizationCache:
             while len(self._steady) > self.max_entries:
                 self._steady.popitem(last=False)
             return entry
+
+    def preconditioned_steady_operator(
+        self, cooling: CoolingBoundary, reference: CoolingBoundary
+    ) -> SteadyOperator:
+        """``A`` for ``cooling``, solved by PCG from ``reference``.
+
+        The steady twin of :meth:`preconditioned_transient_operator`:
+        nothing is factored for ``cooling``; the returned operator's
+        ``solve`` is a :class:`PreconditionedSolve` preconditioned by
+        :meth:`steady_operator` of ``reference``, which falls back to the
+        exact factored solve of ``cooling`` at the step cap.  The operator
+        is checked with :func:`check_steady_solvable` before anything is
+        solved, and ``boundary_rhs`` is computed exactly as
+        :meth:`steady_operator` computes it.  See the module docstring's
+        "Iterative lane" for the contracts.
+        """
+        check_steady_solvable(self.network, cooling)
+        preconditioner = self.steady_operator(reference)
+        top_conductance, boundary_rhs = self.network.boundary_terms(cooling)
+        return SteadyOperator(
+            boundary_rhs=boundary_rhs,
+            solve=PreconditionedSolve(
+                bulk=self._bulk_operator(),
+                diagonal=top_conductance,
+                preconditioner=preconditioner.solve,
+                fallback=lambda rhs: self.steady_operator(cooling).solve(rhs),
+            ),
+        )
 
     def transient_operator(
         self, cooling: CoolingBoundary, dt_s: float

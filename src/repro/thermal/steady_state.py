@@ -2,7 +2,9 @@
 
 The solver runs through a :class:`FactorizationCache`: the operator is
 factorized once per distinct cooling boundary and every further solve
-(different power map, same cooling) is a single back-substitution.
+(different power map, same cooling) is a single back-substitution.  A
+solve given a ``reference`` boundary takes the cache's iterative lane
+instead and factors nothing for its own boundary.
 """
 
 from __future__ import annotations
@@ -34,8 +36,20 @@ class SteadyStateSolver:
         self.network = network
         self.cache = cache if cache is not None else FactorizationCache(network)
 
-    def solve(self, power_map_w: np.ndarray, cooling: CoolingBoundary) -> np.ndarray:
+    def solve(
+        self,
+        power_map_w: np.ndarray,
+        cooling: CoolingBoundary,
+        *,
+        reference: CoolingBoundary | None = None,
+    ) -> np.ndarray:
         """Return the flat temperature vector (degrees Celsius).
+
+        With a ``reference`` boundary the operator is not factored: the
+        field is solved by the cache's iterative lane
+        (:meth:`FactorizationCache.preconditioned_steady_operator`),
+        preconditioned by the factor of ``reference`` and within tier B of
+        the exact solve.
 
         Raises
         ------
@@ -44,7 +58,10 @@ class SteadyStateSolver:
             boundary everywhere with no bottom path), the operator cannot
             be factorized, or the linear solve produces non-finite values.
         """
-        operator = self.cache.steady_operator(cooling)
+        if reference is None:
+            operator = self.cache.steady_operator(cooling)
+        else:
+            operator = self.cache.preconditioned_steady_operator(cooling, reference)
         rhs = operator.boundary_rhs + self.network.power_vector(power_map_w)
         temperatures = operator.solve(rhs)
         if not np.all(np.isfinite(temperatures)):

@@ -1,5 +1,7 @@
 """Experiment runner tests (shapes and key orderings of every table/figure)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,41 @@ from repro.experiments.fig8_controller_trace import run_fig8
 from repro.experiments.table1_cstates import run_table1
 from repro.experiments.table2_hotspots import run_table2
 from repro.experiments.common import build_platform, paper_approaches
+from repro.experiments.runner import main as runner_main
 from repro.power.cstates import CState
 from repro.power.power_model import ServerPowerModel
+from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN
 
 QUICK = ("x264", "swaptions", "canneal")
+
+
+class TestRunnerCli:
+    def test_deleted_flag_is_not_a_prefix_of_a_live_one(self, capsys):
+        """``--parallel`` was deleted; prefix matching would read it as
+        ``--parallel-groups`` and run."""
+        with pytest.raises(SystemExit) as exit_info:
+            runner_main(["--parallel", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --parallel" in capsys.readouterr().err
+
+
+class TestPlatform:
+    def test_simulations_are_keyed_by_the_design_value(self):
+        platform = build_platform(cell_size_mm=2.0)
+        variant = dataclasses.replace(PAPER_OPTIMIZED_DESIGN, filling_ratio=0.3)
+        assert variant.name == PAPER_OPTIMIZED_DESIGN.name
+        assert platform.simulation(PAPER_OPTIMIZED_DESIGN).design == PAPER_OPTIMIZED_DESIGN
+        assert platform.simulation(variant).design == variant
+        assert platform.simulation(variant) is platform.simulation(variant)
+
+    def test_evaluators_are_keyed_by_name_and_design(self):
+        platform = build_platform(cell_size_mm=2.0)
+        approach = paper_approaches()[0]
+        variant = dataclasses.replace(
+            approach, design=dataclasses.replace(approach.design, filling_ratio=0.3)
+        )
+        assert platform.batch_evaluator(approach).simulation.design == approach.design
+        assert platform.batch_evaluator(variant).simulation.design == variant.design
 
 
 class TestTable1:
