@@ -125,7 +125,7 @@ def _run_naive(floorplan, power_model, scenario, plant):
                     server.mapping, state["frequencies"][index]
                 )
                 phase = spec.server_trace(index).phase_at(time_s)
-                state["simulator"].invalidate_solver_cache()
+                state["simulator"].solver_cache.invalidate()
                 result = state["simulations"][index].simulate_mapping(
                     server.benchmark,
                     mapping,

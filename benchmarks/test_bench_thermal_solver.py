@@ -16,7 +16,6 @@ from repro.core.pipeline import CooledServerSimulation
 from repro.power.power_model import CoreActivity
 from repro.thermal.boundary import uniform_cooling_boundary
 from repro.thermal.simulator import ThermalSimulator
-from repro.thermal.transient import TransientSolver
 from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN
 from repro.workloads.configuration import Configuration
 from repro.workloads.parsec import get_benchmark
@@ -44,14 +43,15 @@ def test_bench_transient_run(benchmark, floorplan_module, cached):
     boundary = uniform_cooling_boundary(rows, columns, 2.0e4, 40.0)
     powers = {f"core{i}": 7.0 for i in range(8)}
     power_maps = [simulator.power_map(powers)[np.newaxis]] * 20
-    solver = TransientSolver(simulator.network)
 
     def march():
         state = np.full((1, simulator.grid.n_cells), 45.0)
         for power_map in power_maps:
             if not cached:
-                solver.cache.invalidate()
-            state = solver.step_many(state, power_map, boundary, 0.5)
+                simulator.solver_cache.invalidate()
+            state = simulator.transient_step_many_from_maps(
+                state, power_map, boundary, 0.5
+            )
         return state
 
     final = benchmark(march)

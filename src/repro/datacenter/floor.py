@@ -426,10 +426,12 @@ class FloorEngine:
         decision evaluation, every solve group through two lanes:
 
         * **ROM lane** (configured by ``rom``): step in the cached Krylov
-          subspace at the fine substep size — ``O(k^2)`` per substep plus
-          two ``(n, k)`` mat-vecs for the rigorous a-posteriori error
-          bound — lifting only the case-cell readout per substep and the
-          full field once at span end.
+          subspace at the fine substep size — ``O(k^2)`` per substep —
+          lifting only the case-cell readout per substep and the full
+          field once at span end.  The span's error is estimated, not
+          bounded: the rigorous per-step a-posteriori bound (two
+          ``(n, k)`` mat-vecs) is evaluated at the first, middle and last
+          substep, and the largest sample is charged to every substep.
         * **Full fallback lane**: rows whose projection/error bound trips
           or whose lifted case temperature enters the ``t_case_max_c``
           guard band rerun the *entire* span through the substep march

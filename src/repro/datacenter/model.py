@@ -71,7 +71,7 @@ from repro.thermosyphon.chiller import ChillerBank, ChillerPlant, StagingDecisio
 from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN, ThermosyphonDesign
 from repro.thermosyphon.water_loop import WaterLoop
 from repro.workloads.trace import PhasedTrace
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_positive, check_positive_int
 
 
 @dataclass(frozen=True)
@@ -533,11 +533,9 @@ class DatacenterModel:
         self.rack_power_models = tuple(rack_power_models)
         self.rack_simulators = tuple(rack_simulators)
         self.control_period_s = check_positive(control_period_s, "control_period_s")
-        if transient_substeps < 1:
-            raise ConfigurationError(
-                f"transient_substeps must be >= 1, got {transient_substeps}"
-            )
-        self.transient_substeps = int(transient_substeps)
+        self.transient_substeps = check_positive_int(
+            transient_substeps, "transient_substeps"
+        )
         self.policy = policy if policy is not None else DecisionPolicy()
         self.supply_setpoint_c = (
             supply_setpoint_c

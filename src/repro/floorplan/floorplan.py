@@ -131,21 +131,6 @@ class Floorplan:
     # ------------------------------------------------------------------ #
     # Core topology queries used by the mapping policies
     # ------------------------------------------------------------------ #
-    def core_row_index(self, core_index: int, n_rows: int) -> int:
-        """Return which horizontal band (0 = south) a core's centre falls in.
-
-        When the evaporator micro-channels run east-west (the paper's
-        Design 1), every horizontal band corresponds to a group of channels
-        that share the same refrigerant stream.  The mapping policy avoids
-        putting more than one active core in the same band when idle cores
-        are in a deep C-state.
-        """
-        core = self.core(core_index)
-        _, cy = core.rect.center
-        band_height = self.die_outline.height / n_rows
-        row = int((cy - self.die_outline.y) / band_height)
-        return min(max(row, 0), n_rows - 1)
-
     def core_rows(self) -> tuple[tuple[int, ...], ...]:
         """Cores grouped by physical row (south to north).
 

@@ -29,9 +29,6 @@ XEON_E5_V4_DIE_HEIGHT_MM = 13.7
 #: The thermosyphon evaporator covers this square area.
 XEON_E5_V4_SPREADER_SIZE_MM = 38.0
 
-#: Number of schedulable cores on the target SKU.
-XEON_E5_V4_N_CORES = 8
-
 # Internal layout constants (millimetres).
 _UNCORE_STRIP_HEIGHT = 1.7
 _MEMCTL_STRIP_HEIGHT = 1.5

@@ -17,8 +17,6 @@ from repro.thermal.grid import ThermalGrid
 from repro.thermal.boundary import BottomBoundary, CoolingBoundary, uniform_cooling_boundary
 from repro.thermal.network import ThermalNetwork
 from repro.thermal.solver_cache import CacheStats, FactorizationCache
-from repro.thermal.steady_state import SteadyStateSolver
-from repro.thermal.transient import TransientSolver
 from repro.thermal.metrics import (
     HotSpot,
     ThermalMetrics,
@@ -43,8 +41,6 @@ __all__ = [
     "ThermalNetwork",
     "CacheStats",
     "FactorizationCache",
-    "SteadyStateSolver",
-    "TransientSolver",
     "HotSpot",
     "ThermalMetrics",
     "compute_metrics",

@@ -198,28 +198,16 @@ class ThermalNetwork:
         return diag_add, rhs_add
 
     def power_vector(self, power_map_w: np.ndarray) -> np.ndarray:
-        """Flat power-injection vector from a per-cell power map (heat source layer)."""
-        grid = self.grid
-        power_map_w = np.asarray(power_map_w, dtype=float)
-        if power_map_w.shape != (grid.n_rows, grid.n_columns):
-            raise ValidationError(
-                f"power map shape {power_map_w.shape} does not match grid "
-                f"({grid.n_rows}, {grid.n_columns})"
-            )
-        if np.any(power_map_w < 0.0):
-            raise ValidationError("power map must be non-negative")
-        vector = np.zeros(grid.n_cells, dtype=float)
-        source_layer = grid.stack.heat_source_index
-        vector[grid.layer_slice(source_layer)] = power_map_w.ravel()
-        return vector
+        """Flat power-injection vector of one per-cell power map: one row of
+        :meth:`power_vectors`."""
+        return self.power_vectors(np.asarray(power_map_w, dtype=float)[np.newaxis])[0]
 
     def power_vectors(self, power_maps_w: np.ndarray) -> np.ndarray:
         """Stacked power-injection vectors for many per-cell power maps.
 
         ``power_maps_w`` has shape ``(k, n_rows, n_columns)``; the result has
-        shape ``(k, n_cells)`` with each row equal to
-        :meth:`power_vector` of the corresponding map.  Used by the rack
-        engine to build multi-column right-hand sides in one scatter.
+        shape ``(k, n_cells)``: each map scattered into the heat-source
+        layer.  Used to build multi-column right-hand sides in one scatter.
         """
         grid = self.grid
         power_maps_w = np.asarray(power_maps_w, dtype=float)

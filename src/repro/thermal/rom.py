@@ -39,12 +39,16 @@ bounds accumulate additively on top of the entry projection error
 ``||T0 - V V^T T0||_inf``.
 
 Power injections are held for a whole coarse span (that is what makes
-the span quasi-steady), so the residual evolves smoothly along it; the
-marcher samples the bound at the first and last reduced substep of the
-span — two ``(n, k)`` mat-vecs per span, not per step — and charges the
-sampled maximum for every substep.  That keeps the whole ROM span free
-of per-step ``O(n)`` work while remaining a faithful estimate, and the
-golden-model tests pin the end-to-end error empirically.
+the span quasi-steady), so the residual evolves smoothly along it.  The
+marcher (:meth:`repro.datacenter.floor.FloorEngine._rom_march`) therefore
+evaluates the per-step bound at three reduced substeps of the span only
+— the first, the middle and the last, which coincide on spans of one or
+two substeps — each sample costing two ``(n, k)`` mat-vecs, and charges
+the largest sampled value for every substep.  The per-step bound is
+rigorous; the span's accumulated charge is an estimate, since a substep
+between the samples could exceed the sampled maximum.  Sampling keeps
+the whole ROM span free of per-step ``O(n)`` work, and the golden-model
+tests pin the end-to-end error empirically.
 
 Whenever that accumulated bound — or the lifted case temperature's
 proximity to the thermal constraint — exceeds tolerance, the caller falls

@@ -1,4 +1,4 @@
-"""High-level thermal simulator tying floorplan, network and solvers together.
+"""High-level thermal simulator tying floorplan, network and solver cache together.
 
 Steady fields come from :meth:`ThermalSimulator.steady_state` (and its
 per-cell-map forms); the one transient step is
@@ -22,8 +22,6 @@ from repro.thermal.layers import LayerStack, standard_thermosyphon_stack
 from repro.thermal.metrics import ThermalMetrics, compute_metrics
 from repro.thermal.network import ThermalNetwork
 from repro.thermal.solver_cache import FactorizationCache
-from repro.thermal.steady_state import SteadyStateSolver
-from repro.thermal.transient import TransientSolver
 from repro.utils.validation import check_positive
 
 
@@ -127,12 +125,11 @@ class ThermalSimulator:
     bottom_boundary:
         Heat path from the package bottom to the server ambient.
 
-    The steady-state and transient solvers share one
-    :class:`FactorizationCache` (:attr:`solver_cache`).  Repeated solves at
-    an unchanged cooling boundary reuse one factorization; a boundary
-    change re-keys the cache automatically.  Call
-    :meth:`invalidate_solver_cache` if the network is ever mutated in
-    place.
+    Every solve runs through one :class:`FactorizationCache`
+    (:attr:`solver_cache`).  Repeated solves at an unchanged cooling
+    boundary reuse one factorization; a boundary change re-keys the cache
+    automatically.  Call ``solver_cache.invalidate()`` if the network is
+    ever mutated in place.
     """
 
     def __init__(
@@ -158,14 +155,6 @@ class ThermalSimulator:
         self.die_mask.setflags(write=False)
         self.network = ThermalNetwork(self.grid, self.die_mask, bottom_boundary)
         self.solver_cache = FactorizationCache(self.network)
-        self._steady_solver = SteadyStateSolver(self.network, cache=self.solver_cache)
-        self._transient_solver = TransientSolver(
-            self.network, cache=self.solver_cache
-        )
-
-    def invalidate_solver_cache(self) -> None:
-        """Drop cached factorizations."""
-        self.solver_cache.invalidate()
 
     # ------------------------------------------------------------------ #
     # Shapes and helpers
@@ -202,9 +191,7 @@ class ThermalSimulator:
         cooling: CoolingBoundary,
     ) -> ThermalResult:
         """Equilibrium temperatures for a component power dictionary."""
-        power_map = self.power_map(component_power_w)
-        flat = self._steady_solver.solve(power_map, cooling)
-        return self._result(flat)
+        return self.steady_state_from_map(self.power_map(component_power_w), cooling)
 
     def steady_state_from_map(
         self,
@@ -216,12 +203,12 @@ class ThermalSimulator:
         """Equilibrium temperatures for an explicit per-cell power map.
 
         A ``reference`` boundary routes the solve through the solver
-        cache's iterative lane (see :meth:`SteadyStateSolver.solve`).
+        cache's iterative lane: PCG preconditioned by the factor of
+        ``reference``, within tier B of the exact solve.
         """
-        flat = self._steady_solver.solve(
-            np.asarray(power_map_w, dtype=float), cooling, reference=reference
-        )
-        return self._result(flat)
+        maps = np.asarray(power_map_w, dtype=float)[np.newaxis]
+        flat = self.solver_cache._steady_fields(maps, cooling, reference=reference)
+        return self._result(flat[0])
 
     def steady_state_many_from_maps(
         self, power_maps_w: np.ndarray, cooling: CoolingBoundary
@@ -234,9 +221,7 @@ class ThermalSimulator:
         factorization serves all ``k`` maps (multi-column back-substitution);
         wrap rows with :meth:`result_from_vector` as needed.
         """
-        return self._steady_solver.solve_many(
-            np.asarray(power_maps_w, dtype=float), cooling
-        )
+        return self.solver_cache._steady_fields(power_maps_w, cooling)
 
     def transient_step_many_from_maps(
         self,
@@ -253,14 +238,11 @@ class ThermalSimulator:
         ``(k, n_rows, n_columns)``, and all ``k`` fields advance through one
         cached operator in a single multi-column back-substitution.  A
         ``reference`` boundary routes the step through the solver cache's
-        iterative lane instead (see :meth:`TransientSolver.step_many`).
+        iterative lane instead: PCG preconditioned by the factor of
+        ``(reference, dt_s)``, within tier B of the exact step.
         """
-        return self._transient_solver.step_many(
-            np.asarray(temperatures, dtype=float),
-            np.asarray(power_maps_w, dtype=float),
-            cooling,
-            dt_s,
-            reference=reference,
+        return self.solver_cache._step_fields(
+            temperatures, power_maps_w, cooling, dt_s, reference=reference
         )
 
     def result_from_vector(self, flat_temperatures: np.ndarray) -> ThermalResult:

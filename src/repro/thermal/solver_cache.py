@@ -46,7 +46,7 @@ Caching/invalidation contract
   construction.  If it is rebuilt or mutated in place, call
   :meth:`FactorizationCache.invalidate` to drop every cached factorization
   and the recorded bulk band.
-* The cache is LRU-bounded (``max_entries`` per solver kind) so boundary
+* The cache is LRU-bounded (``max_entries`` per operator kind) so boundary
   sweeps cannot grow memory without limit.
 
 Iterative lane
@@ -59,10 +59,10 @@ preconditioned conjugate gradients (PCG) on ``(bulk + diag(g)) x = b``
 (plus ``diag(C/dt)`` for a transient step), preconditioned by the exact
 factor ``F`` of a *reference* boundary, looked up through
 :meth:`~FactorizationCache.steady_operator` or
-:meth:`~FactorizationCache.transient_operator` at the same ``dt``.
-:meth:`FactorizationCache.preconditioned_steady_operator` and
-:meth:`FactorizationCache.preconditioned_transient_operator` return such
-operators.  PCG starts from ``x0 = F^-1 b`` and stops once
+:meth:`~FactorizationCache.transient_operator` at the same ``dt``.  Both
+solve bodies of the cache take that ``reference``, and
+:meth:`FactorizationCache._preconditioned_operator` builds the operator
+they solve with.  PCG starts from ``x0 = F^-1 b`` and stops once
 ``||F^-1 r||_inf <= ITERATIVE_TOL_C``; past ``ITERATIVE_MAX_STEPS`` steps
 it solves exactly through the cache instead.  The bulk operator is
 recorded once per cache, beside its band, and
@@ -102,6 +102,7 @@ The lane publishes ``cache.iterative_solves`` (columns it served),
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -111,7 +112,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from repro.exceptions import ConvergenceError
+from repro.exceptions import ConvergenceError, ValidationError
 from repro.obs.telemetry import Counters, get_telemetry
 from repro.thermal.boundary import CoolingBoundary
 from repro.thermal.grid import ThermalGrid
@@ -352,56 +353,45 @@ def check_steady_solvable(network: ThermalNetwork, cooling: CoolingBoundary) -> 
 
 
 @dataclass(frozen=True)
-class SteadyOperator:
-    """Steady-state operator for one cooling boundary.
+class ThermalOperator:
+    """The operator of one cooling boundary, and of one ``dt`` if transient.
 
-    From :meth:`FactorizationCache.steady_operator`, ``solve``
-    back-substitutes a right-hand side through the cached Cholesky factor.
-    It accepts either one RHS vector of shape ``(n_cells,)`` or a
-    multi-column RHS of shape ``(n_cells, k)`` — ``dpbtrs``
-    back-substitutes the columns independently, so a whole rack of servers
-    sharing this boundary is solved in one call with results identical to
-    ``k`` separate single-column solves.  From
-    :meth:`FactorizationCache.preconditioned_steady_operator` it is a
+    A steady operator is ``A = bulk + diags(g)``; the backward-Euler
+    operator adds ``diags(C/dt)``, kept as ``capacitance_over_dt`` (None
+    for a steady operator).  ``solve`` accepts one RHS vector of shape
+    ``(n_cells,)`` or a multi-column RHS of shape ``(n_cells, k)``.  From
+    :meth:`FactorizationCache.steady_operator` and
+    :meth:`FactorizationCache.transient_operator` it is the cached
+    :class:`BandedCholesky`, which back-substitutes the columns
+    independently, so a whole rack of servers sharing this boundary is
+    solved in one call with results identical to ``k`` separate
+    single-column solves.  On the iterative lane it is a
     :class:`PreconditionedSolve`.
     """
 
     boundary_rhs: np.ndarray
-    solve: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class TransientOperator:
-    """Backward-Euler operator for one (cooling, dt) pair.
-
-    Like :class:`SteadyOperator`, ``solve`` accepts a single RHS vector or
-    an ``(n_cells, k)`` multi-column RHS.  From
-    :meth:`FactorizationCache.transient_operator` it back-substitutes all
-    columns through one factorization; from
-    :meth:`FactorizationCache.preconditioned_transient_operator` it is a
-    :class:`PreconditionedSolve`.
-    """
-
-    boundary_rhs: np.ndarray
-    capacitance_over_dt: np.ndarray
+    capacitance_over_dt: np.ndarray | None
     solve: Callable[[np.ndarray], np.ndarray]
 
 
 class FactorizationCache:
     """LRU cache of factorized thermal operators for one network.
 
-    One instance is shared between the steady-state and transient solvers of
-    a :class:`repro.thermal.simulator.ThermalSimulator`, so a controller
-    trace that alternates transient steps and steady solves at a fixed
-    cooling boundary factorizes each operator exactly once.
+    It also holds the two solve bodies of a
+    :class:`repro.thermal.simulator.ThermalSimulator`: steady fields for a
+    stack of power maps at one boundary (:meth:`_steady_fields`) and one
+    backward-Euler step for a stack of fields (:meth:`_step_fields`).  Both
+    draw from one instance, so a trace that alternates transient steps and
+    steady solves at a fixed cooling boundary factorizes each operator
+    exactly once.
     """
 
     def __init__(self, network: ThermalNetwork, *, max_entries: int = 16) -> None:
         check_positive(max_entries, "max_entries")
         self.network = network
         self.max_entries = int(max_entries)
-        self._steady: OrderedDict[tuple, SteadyOperator] = OrderedDict()
-        self._transient: OrderedDict[tuple, TransientOperator] = OrderedDict()
+        self._steady: OrderedDict[tuple, ThermalOperator] = OrderedDict()
+        self._transient: OrderedDict[tuple, ThermalOperator] = OrderedDict()
         self._reduced: OrderedDict[tuple, object] = OrderedDict()
         self._ordering = BandOrdering(network.grid)
         # The bulk operator and its upper band, recorded on first use
@@ -418,8 +408,9 @@ class FactorizationCache:
         # factorization; the back-substitutions run outside it (the band
         # routines hold the GIL, so threads interleave rather than overlap
         # inside them).
-        # Reentrant because a reduced-operator build solves through the
-        # steady/transient accessors of the same cache.
+        # Reentrant because a factorization, made with the lock held, reads
+        # the recorded bulk operator through ``_bulk_operator``, which takes
+        # the lock too.
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ #
@@ -465,117 +456,200 @@ class FactorizationCache:
             self._bulk_band = self._ordering.upper_band(self._bulk_operator())
         return self._ordering.factorize(self._bulk_band, *diagonals)
 
-    def steady_operator(self, cooling: CoolingBoundary) -> SteadyOperator:
+    def steady_operator(self, cooling: CoolingBoundary) -> ThermalOperator:
         """Factorized ``A`` and boundary RHS for a cooling boundary."""
-        key = cooling.cache_token()
-        with self._lock:
-            entry = self._steady.get(key)
-            if entry is not None:
-                self._counters.add("hits")
-                self._steady.move_to_end(key)
-                return entry
-            check_steady_solvable(self.network, cooling)
-            self._counters.add("misses")
-            with get_telemetry().span("cache.factorize", kind="steady"):
-                top_conductance, boundary_rhs = self.network.boundary_terms(cooling)
-                entry = SteadyOperator(
-                    boundary_rhs=boundary_rhs,
-                    solve=self._factorize(top_conductance),
-                )
-            self._steady[key] = entry
-            while len(self._steady) > self.max_entries:
-                self._steady.popitem(last=False)
-            return entry
-
-    def preconditioned_steady_operator(
-        self, cooling: CoolingBoundary, reference: CoolingBoundary
-    ) -> SteadyOperator:
-        """``A`` for ``cooling``, solved by PCG from ``reference``.
-
-        The steady twin of :meth:`preconditioned_transient_operator`:
-        nothing is factored for ``cooling``; the returned operator's
-        ``solve`` is a :class:`PreconditionedSolve` preconditioned by
-        :meth:`steady_operator` of ``reference``, which falls back to the
-        exact factored solve of ``cooling`` at the step cap.  The operator
-        is checked with :func:`check_steady_solvable` before anything is
-        solved, and ``boundary_rhs`` is computed exactly as
-        :meth:`steady_operator` computes it.  See the module docstring's
-        "Iterative lane" for the contracts.
-        """
-        check_steady_solvable(self.network, cooling)
-        preconditioner = self.steady_operator(reference)
-        top_conductance, boundary_rhs = self.network.boundary_terms(cooling)
-        return SteadyOperator(
-            boundary_rhs=boundary_rhs,
-            solve=PreconditionedSolve(
-                bulk=self._bulk_operator(),
-                diagonal=top_conductance,
-                preconditioner=preconditioner.solve,
-                fallback=lambda rhs: self.steady_operator(cooling).solve(rhs),
-            ),
-        )
+        return self._operator(cooling, None)
 
     def transient_operator(
         self, cooling: CoolingBoundary, dt_s: float
-    ) -> TransientOperator:
+    ) -> ThermalOperator:
         """Factorized ``A + C/dt`` and boundary RHS for one (cooling, dt)."""
         check_positive(dt_s, "dt_s")
-        key = (cooling.cache_token(), float(dt_s))
+        return self._operator(cooling, float(dt_s))
+
+    def _terms(
+        self, cooling: CoolingBoundary, dt_s: float | None
+    ) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray | None]:
+        """``(diagonals, boundary_rhs, capacitance_over_dt)`` of one operator.
+
+        ``diagonals`` are what the operator adds to the bulk, in the order
+        the factor adds them: the top-boundary conductance, then ``C/dt``
+        for a transient operator (``dt_s`` not None).
+        """
+        top_conductance, boundary_rhs = self.network.boundary_terms(cooling)
+        if dt_s is None:
+            return (top_conductance,), boundary_rhs, None
+        capacitance_over_dt = self.network.capacitance / dt_s
+        diagonals = (top_conductance, capacitance_over_dt)
+        return diagonals, boundary_rhs, capacitance_over_dt
+
+    def _operator(
+        self, cooling: CoolingBoundary, dt_s: float | None
+    ) -> ThermalOperator:
+        """Get or factor the steady (``dt_s`` None) or transient operator.
+
+        Each kind keeps its own LRU.  A steady operator is checked with
+        :func:`check_steady_solvable` before it is factored.  Evicting a
+        transient factor evicts the reduced-order operator of the same key
+        with it: the basis is only ever stepped against this exact
+        (boundary, dt) operator, so an orphaned basis would pin memory for a
+        key the cache already dropped under pressure.  A steady key (``dt``
+        None) never names a reduced operator.
+        """
+        steady = dt_s is None
+        entries = self._steady if steady else self._transient
+        key = (cooling.cache_token(), dt_s)
         with self._lock:
-            entry = self._transient.get(key)
+            entry = entries.get(key)
             if entry is not None:
                 self._counters.add("hits")
-                self._transient.move_to_end(key)
+                entries.move_to_end(key)
                 return entry
+            if steady:
+                check_steady_solvable(self.network, cooling)
             self._counters.add("misses")
-            with get_telemetry().span("cache.factorize", kind="transient"):
-                capacitance_over_dt = self.network.capacitance / float(dt_s)
-                top_conductance, boundary_rhs = self.network.boundary_terms(cooling)
-                entry = TransientOperator(
+            kind = "steady" if steady else "transient"
+            with get_telemetry().span("cache.factorize", kind=kind):
+                diagonals, boundary_rhs, capacitance_over_dt = self._terms(
+                    cooling, dt_s
+                )
+                entry = ThermalOperator(
                     boundary_rhs=boundary_rhs,
                     capacitance_over_dt=capacitance_over_dt,
-                    solve=self._factorize(top_conductance, capacitance_over_dt),
+                    solve=self._factorize(*diagonals),
                 )
-            self._transient[key] = entry
-            while len(self._transient) > self.max_entries:
-                evicted_key, _ = self._transient.popitem(last=False)
-                # Evict the reduced-operator lane with its factor: the
-                # basis is only ever stepped against this exact (boundary,
-                # dt) operator, so an orphaned basis would pin memory for a
-                # key the cache already dropped under pressure.
+            entries[key] = entry
+            while len(entries) > self.max_entries:
+                evicted_key, _ = entries.popitem(last=False)
                 self._reduced.pop(evicted_key, None)
             return entry
 
-    def preconditioned_transient_operator(
-        self, cooling: CoolingBoundary, reference: CoolingBoundary, dt_s: float
-    ) -> TransientOperator:
-        """``A + C/dt`` for ``cooling``, solved by PCG from ``reference``.
+    def _preconditioned_operator(
+        self,
+        cooling: CoolingBoundary,
+        reference: CoolingBoundary,
+        dt_s: float | None,
+    ) -> ThermalOperator:
+        """``cooling``'s operator, solved by PCG from ``reference``.
 
         Nothing is factored for ``cooling``: the returned operator's
-        ``solve`` is a :class:`PreconditionedSolve` preconditioned by
-        :meth:`transient_operator` of ``(reference, dt_s)``, which falls
-        back to the exact factored solve of ``(cooling, dt_s)`` at the
-        step cap.  ``boundary_rhs`` and ``capacitance_over_dt`` are
-        computed exactly as :meth:`transient_operator` computes them, so
-        both operators see bit-identical right-hand sides.  See the
-        module docstring's "Iterative lane" for the contracts.
+        ``solve`` is a :class:`PreconditionedSolve` preconditioned by the
+        cached operator of ``reference`` at the same ``dt_s`` (None:
+        steady), which falls back to the exact factored solve of
+        ``cooling`` at the step cap.  A steady operator is checked with
+        :func:`check_steady_solvable` before anything is solved.  The
+        boundary RHS and ``C/dt`` are computed exactly as the factored
+        operator computes them, so both see bit-identical right-hand
+        sides.  See the module docstring's "Iterative lane" for the
+        contracts.
         """
-        check_positive(dt_s, "dt_s")
-        preconditioner = self.transient_operator(reference, dt_s)
-        capacitance_over_dt = self.network.capacitance / float(dt_s)
-        top_conductance, boundary_rhs = self.network.boundary_terms(cooling)
-        return TransientOperator(
+        if dt_s is None:
+            check_steady_solvable(self.network, cooling)
+            lookup = self.steady_operator
+        else:
+            lookup = functools.partial(self.transient_operator, dt_s=dt_s)
+        preconditioner = lookup(reference)
+        diagonals, boundary_rhs, capacitance_over_dt = self._terms(cooling, dt_s)
+        return ThermalOperator(
             boundary_rhs=boundary_rhs,
             capacitance_over_dt=capacitance_over_dt,
             solve=PreconditionedSolve(
                 bulk=self._bulk_operator(),
-                diagonal=top_conductance + capacitance_over_dt,
+                # ``g``, plus ``C/dt`` for a transient operator.
+                diagonal=functools.reduce(np.add, diagonals),
                 preconditioner=preconditioner.solve,
-                fallback=lambda rhs: self.transient_operator(cooling, dt_s).solve(
-                    rhs
-                ),
+                fallback=lambda rhs: lookup(cooling).solve(rhs),
             ),
         )
+
+    # ------------------------------------------------------------------ #
+    # Solves (the bodies of ThermalSimulator's solve methods)
+    # ------------------------------------------------------------------ #
+    def _steady_fields(
+        self,
+        power_maps_w: np.ndarray,
+        cooling: CoolingBoundary,
+        *,
+        reference: CoolingBoundary | None = None,
+    ) -> np.ndarray:
+        """Equilibrium fields ``(k, n_cells)`` for ``k`` maps at one boundary.
+
+        ``power_maps_w`` has shape ``(k, n_rows, n_columns)``.  The exact
+        lane is one factorization plus one multi-column back-substitution.
+        With a ``reference`` boundary the operator is not factored: every
+        field is solved by the iterative lane, within tier B of the exact
+        solve.  On either lane row ``i`` is identical to the one-row solve
+        of map ``i``.
+
+        Raises
+        ------
+        ConvergenceError
+            If no boundary ties the field to a temperature (a zero-HTC top
+            boundary everywhere with no bottom path), the operator cannot
+            be factorized, or the linear solve produces non-finite values.
+        """
+        if reference is None:
+            operator = self.steady_operator(cooling)
+        else:
+            operator = self._preconditioned_operator(cooling, reference, None)
+        rhs = (
+            operator.boundary_rhs[:, np.newaxis]
+            + self.network.power_vectors(power_maps_w).T
+        )
+        temperatures = np.asarray(operator.solve(rhs), dtype=float).T
+        if not np.all(np.isfinite(temperatures)):
+            raise ConvergenceError(
+                "steady-state solve produced non-finite temperatures; "
+                "check that at least one boundary has a non-zero heat transfer coefficient"
+            )
+        return temperatures
+
+    def _step_fields(
+        self,
+        temperatures: np.ndarray,
+        power_maps_w: np.ndarray,
+        cooling: CoolingBoundary,
+        dt_s: float,
+        *,
+        reference: CoolingBoundary | None = None,
+    ) -> np.ndarray:
+        """One backward-Euler step of ``C dT/dt = -A T + b`` for ``k`` fields.
+
+        ``temperatures`` has shape ``(k, n_cells)`` and ``power_maps_w``
+        shape ``(k, n_rows, n_columns)``; the advanced fields come back as
+        ``(k, n_cells)``.  All ``k`` fields share one operator and are
+        back-substituted as a multi-column RHS, so row ``i`` does not
+        depend on the other rows.  With a ``reference`` boundary the
+        operator is not factored: each field is solved by the iterative
+        lane, preconditioned by the factor of ``(reference, dt_s)`` and
+        within tier B of the exact step.
+        """
+        check_positive(dt_s, "dt_s")
+        n_cells = self.network.grid.n_cells
+        temperatures = np.asarray(temperatures, dtype=float)
+        power_maps_w = np.asarray(power_maps_w, dtype=float)
+        if temperatures.ndim != 2 or temperatures.shape[1] != n_cells:
+            raise ValidationError(
+                f"temperature stack shape {temperatures.shape} does not match "
+                f"(k, {n_cells})"
+            )
+        if temperatures.shape[0] != power_maps_w.shape[0]:
+            raise ValidationError(
+                "temperature stack and power map stack disagree on the number "
+                f"of fields ({temperatures.shape[0]} vs {power_maps_w.shape[0]})"
+            )
+        if reference is None:
+            operator = self.transient_operator(cooling, dt_s)
+        else:
+            operator = self._preconditioned_operator(
+                cooling, reference, float(dt_s)
+            )
+        rhs = (
+            operator.boundary_rhs[:, np.newaxis]
+            + self.network.power_vectors(power_maps_w).T
+            + operator.capacitance_over_dt[:, np.newaxis] * temperatures.T
+        )
+        return np.asarray(operator.solve(rhs), dtype=float).T
 
     # ------------------------------------------------------------------ #
     # Reduced-order operators (repro.thermal.rom)

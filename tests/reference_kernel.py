@@ -16,9 +16,10 @@
 * :func:`cached_transient_step` is the single-column backward-Euler step
   through a :class:`~repro.thermal.solver_cache.FactorizationCache`: one
   field, one cached operator, one back-substitution.  The library steps
-  stacks of fields (``TransientSolver.step_many``); the per-server golden
-  loop of ``tests/reference_session.py`` steps one field at a time through
-  this helper.
+  stacks of fields (``FactorizationCache._step_fields``, behind
+  ``ThermalSimulator.transient_step_many_from_maps``); the per-server
+  golden loop of ``tests/reference_session.py`` steps one field at a time
+  through this helper.
 """
 
 from __future__ import annotations

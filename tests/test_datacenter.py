@@ -29,7 +29,7 @@ from repro.datacenter.supervisory import (
     SupervisoryAction,
     SupervisoryController,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ValidationError
 from repro.thermal.simulator import ThermalSimulator
 from repro.thermal.solver_cache import CacheStats
 from repro.thermosyphon.chiller import ChillerPlant
@@ -225,6 +225,14 @@ class TestDatacenterValidation:
         server = RackServer(x264, _mapping(floorplan, x264), QoSConstraint(2.0))
         with pytest.raises(ConfigurationError):
             DatacenterModel([RackSpec(name="r0", servers=(server,))])
+
+    @pytest.mark.parametrize("substeps", (2.5, 0))
+    def test_bad_transient_substeps_rejected(self, floorplan, power_model, substeps):
+        """A fractional substep count is refused, not truncated, and a zero
+        one raises the same error type as ``FloorEngine.advance``."""
+        scenario = _scenario(floorplan, n_racks=1, servers_per_rack=1)
+        with pytest.raises(ValidationError, match="transient_substeps"):
+            _floor(scenario, floorplan, power_model, transient_substeps=substeps)
 
     def test_non_multiple_supervisory_period_rejected(
         self, floorplan, power_model

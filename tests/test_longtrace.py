@@ -16,12 +16,17 @@ the PR 7 fine engine, never a different model:
   MPC run over a coarsened trace is bit-identical to the committed
   reactive trace with a frozen setpoint band, and a restored session
   replays identical spans;
-* coarse runs are deterministic.
+* coarse runs are deterministic;
+* coarsening alone is exact: spans marched through the full substep
+  march instead of the ROM lane reproduce the fine engine bit for bit.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.datacenter.floor import FloorEngine
 from repro.datacenter.model import CoarseningConfig, DatacenterModel
 from repro.datacenter.scenarios import build_scenario
 from repro.datacenter.supervisory import (
@@ -29,6 +34,7 @@ from repro.datacenter.supervisory import (
     SupervisoryController,
 )
 from repro.exceptions import ConfigurationError
+from repro.floorplan.xeon_e5_v4 import build_xeon_e5_v4_floorplan
 from repro.thermal.rom import RomConfig
 from repro.thermal.simulator import ThermalSimulator
 
@@ -246,3 +252,79 @@ class TestConfigValidation:
         session.reset()
         with pytest.raises(ConfigurationError):
             session.advance_span(0.0, 4)
+
+
+TWO_SKU_DURATION_S = 1440.0
+
+
+def _two_sku_model(seed, coarsening):
+    """Two SKUs (the default spreader and a 44 mm one), one 2-server rack
+    each, diurnal load in 120 s phases; SKU ``i`` takes seed ``seed + i``."""
+    floorplans = [
+        build_xeon_e5_v4_floorplan(),
+        build_xeon_e5_v4_floorplan(spreader_size_mm=44.0),
+    ]
+    racks = []
+    for index, floorplan in enumerate(floorplans):
+        scenario = build_scenario(
+            "diurnal",
+            n_racks=1,
+            servers_per_rack=2,
+            duration_s=TWO_SKU_DURATION_S,
+            seed=seed + index,
+            phase_dt_s=120.0,
+            floorplan=floorplan,
+        )
+        racks.append(
+            replace(
+                scenario.racks[0],
+                name=f"sku{index}",
+                floorplan=None if index == 0 else floorplan,
+            )
+        )
+    return DatacenterModel(
+        racks,
+        floorplan=floorplans[0],
+        thermal_simulator=ThermalSimulator(floorplans[0], cell_size_mm=CELL_SIZE_MM),
+        control_period_s=CONTROL_PERIOD_S,
+        coarsening=coarsening,
+    )
+
+
+class TestExactSpans:
+    """Coarsening alone is a tier-A reorganization: the span planner changes
+    how periods are grouped, never a result.  The ROM lane is the only
+    approximation, so with every span marched through the full substep
+    march the coarsened floor equals the fine engine bit for bit."""
+
+    @pytest.mark.parametrize("seed", (7, 1234))
+    def test_full_march_spans_equal_fine_engine(self, monkeypatch, seed):
+        def exact_span(
+            self,
+            rack_loads,
+            dt_s,
+            span,
+            *,
+            rom,
+            n_substeps=1,
+            force_boundary_refresh=None,
+            t_case_max_c=None,
+        ):
+            return self._advance(
+                rack_loads, dt_s, span, n_substeps, force_boundary_refresh,
+                rom=None, t_case_max_c=t_case_max_c,
+            )
+
+        def run(coarsening):
+            return _two_sku_model(seed, coarsening).run_trace(
+                duration_s=TWO_SKU_DURATION_S,
+                supervisory=SupervisoryController(period_s=600.0, setpoint_max_c=40.0),
+            )
+
+        fine = run(None)
+        monkeypatch.setattr(FloorEngine, "advance_span", exact_span)
+        coarse = run(CoarseningConfig())
+        assert coarse.coarse_spans > 0
+        assert coarse.n_periods == fine.n_periods
+        assert np.array_equal(_peak_grid(coarse), _peak_grid(fine))
+        assert coarse.plant_energy_j == fine.plant_energy_j

@@ -5,7 +5,7 @@ step meets a new operator that it would use once.  With the snapshot the
 rollout started from passed down as ``reference``, a server alone on its
 boundary is solved by preconditioned conjugate gradients (PCG) from the
 factor of the boundary it held in that snapshot
-(:meth:`FactorizationCache.preconditioned_transient_operator`).  The
+(:meth:`FactorizationCache._preconditioned_operator`).  The
 guarantees:
 
 * **Tier B against exact rollouts.**  A plan with the reference matches
@@ -13,7 +13,7 @@ guarantees:
   1e-9 degC, plant energies within 1e-9 relative, the same candidate
   chosen.
 * **Cache independence.**  A plan is a function of the snapshot and the
-  candidates only: warm, after ``invalidate_solver_cache()`` and after the
+  candidates only: warm, after ``solver_cache.invalidate()`` and after the
   LRU was flushed by unrelated boundaries it returns ``==`` rollouts.
 * **The kernel.**  One PCG step is within 1e-9 degC of the exact step at
   2.0 and 1.5 mm; a far reference runs into the step cap and returns the
@@ -126,7 +126,7 @@ class TestCacheIndependence:
         warm = _plan(session, controller)
 
         for simulator in simulators:
-            simulator.invalidate_solver_cache()
+            simulator.solver_cache.invalidate()
         cold = _plan(session, controller)
 
         # Flush the LRU with unrelated boundaries at the rollout dt.
@@ -214,15 +214,16 @@ class TestKernel:
         cache = FactorizationCache(network)
 
         def pcg_step():
-            operator = cache.preconditioned_transient_operator(
-                moved, reference, ROLLOUT_DT_S
-            )
+            _, boundary_rhs = network.boundary_terms(moved)
             rhs = (
-                operator.boundary_rhs
+                boundary_rhs
                 + network.power_vector(maps[0])
-                + operator.capacitance_over_dt * fields[0]
+                + network.capacitance / ROLLOUT_DT_S * fields[0]
             )
-            return operator.solve(rhs), rhs
+            step = cache._step_fields(
+                fields, maps, moved, ROLLOUT_DT_S, reference=reference
+            )
+            return step[0], rhs
 
         def golden_step(rhs):
             matrix, _ = network.conductance_system(moved)

@@ -19,9 +19,8 @@ from repro.thermal.boundary import BottomBoundary, CoolingBoundary, uniform_cool
 from repro.thermal.grid import ThermalGrid
 from repro.thermal.layers import standard_thermosyphon_stack
 from repro.thermal.network import ThermalNetwork
+from repro.thermal.simulator import ThermalSimulator
 from repro.thermal.solver_cache import FactorizationCache
-from repro.thermal.steady_state import SteadyStateSolver
-from repro.thermal.transient import TransientSolver
 
 from reference_kernel import golden_steady, golden_transient_step
 
@@ -41,12 +40,17 @@ def _boundary(grid, htc=1.5e4, fluid=40.0):
     return uniform_cooling_boundary(grid.n_rows, grid.n_columns, htc, fluid)
 
 
-def _march(solver, powers, boundaries, dt_s):
-    """Backward-Euler fields from 45 degC, one ``step_many`` row a step."""
-    state = np.full((1, solver.network.grid.n_cells), 45.0)
+def _steady(cache, power, boundary):
+    """One map's equilibrium field: a one-row stack through the steady body."""
+    return cache._steady_fields(power[np.newaxis], boundary)[0]
+
+
+def _march(cache, powers, boundaries, dt_s):
+    """Backward-Euler fields from 45 degC, stepped as one-row stacks."""
+    state = np.full((1, cache.network.grid.n_cells), 45.0)
     fields = []
     for power, boundary in zip(powers, boundaries):
-        state = solver.step_many(state, power[np.newaxis], boundary, dt_s)
+        state = cache._step_fields(state, power[np.newaxis], boundary, dt_s)
         fields.append(state[0])
     return fields
 
@@ -85,33 +89,31 @@ class TestCacheToken:
 class TestSteadyEquivalence:
     def test_cached_matches_uncached_to_1e9(self, setup):
         grid, mapper, network = setup
-        cached = SteadyStateSolver(network)
+        cache = FactorizationCache(network)
         boundary = _boundary(grid)
         for powers in ({"core0": 8.0}, {f"core{i}": 6.0 for i in range(8)}, {"llc": 3.0}):
             power = mapper.power_map(powers)
             golden = golden_steady(network, power, boundary)
-            assert np.max(np.abs(cached.solve(power, boundary) - golden)) < 1e-9
+            assert np.max(np.abs(_steady(cache, power, boundary) - golden)) < 1e-9
 
     def test_repeated_solves_hit_the_cache(self, setup):
         grid, mapper, network = setup
         cache = FactorizationCache(network)
-        solver = SteadyStateSolver(network, cache=cache)
         boundary = _boundary(grid)
         for i in range(4):
-            solver.solve(mapper.power_map({"core0": float(i + 1)}), boundary)
+            _steady(cache, mapper.power_map({"core0": float(i + 1)}), boundary)
         assert cache.stats.misses == 1
         assert cache.stats.hits == 3
 
     def test_boundary_change_invalidates_by_content(self, setup):
         grid, mapper, network = setup
         cache = FactorizationCache(network)
-        cached = SteadyStateSolver(network, cache=cache)
         power = mapper.power_map({f"core{i}": 6.0 for i in range(8)})
 
         warm = _boundary(grid, fluid=40.0)
-        cached.solve(power, warm)
+        _steady(cache, power, warm)
         cold = _boundary(grid, fluid=30.0)
-        result = cached.solve(power, cold)
+        result = _steady(cache, power, cold)
         assert cache.stats.steady_entries == 2
         assert np.max(np.abs(result - golden_steady(network, power, cold))) < 1e-9
 
@@ -119,12 +121,12 @@ class TestSteadyEquivalence:
 class TestTransientEquivalence:
     def test_cached_run_matches_uncached_to_1e9(self, setup):
         grid, mapper, network = setup
-        cached = TransientSolver(network)
+        cache = FactorizationCache(network)
         boundary = _boundary(grid)
         powers = [mapper.power_map({"core0": 2.0 * (i + 1)}) for i in range(6)]
         boundaries = [boundary] * len(powers)
         for a, b in zip(
-            _march(cached, powers, boundaries, dt_s=0.5),
+            _march(cache, powers, boundaries, dt_s=0.5),
             _golden_run(network, powers, boundaries, dt_s=0.5),
         ):
             assert np.max(np.abs(a - b)) < 1e-9
@@ -133,10 +135,9 @@ class TestTransientEquivalence:
         """A boundary swap halfway through must re-key the cached operator."""
         grid, mapper, network = setup
         cache = FactorizationCache(network)
-        cached = TransientSolver(network, cache=cache)
         powers = [mapper.power_map({f"core{i}": 5.0 for i in range(8)})] * 6
         boundaries = [_boundary(grid, htc=1.0e4)] * 3 + [_boundary(grid, htc=2.5e4)] * 3
-        cached_fields = _march(cached, powers, boundaries, dt_s=0.5)
+        cached_fields = _march(cache, powers, boundaries, dt_s=0.5)
         golden_fields = _golden_run(network, powers, boundaries, dt_s=0.5)
         assert len(cached_fields) == len(golden_fields) == 6
         for a, b in zip(cached_fields, golden_fields):
@@ -149,12 +150,11 @@ class TestTransientEquivalence:
     def test_dt_is_part_of_the_key(self, setup):
         grid, mapper, network = setup
         cache = FactorizationCache(network)
-        solver = TransientSolver(network, cache=cache)
         boundary = _boundary(grid)
         state = np.full((1, grid.n_cells), 45.0)
         power = mapper.power_map({"core0": 8.0})[np.newaxis]
-        solver.step_many(state, power, boundary, dt_s=0.5)
-        solver.step_many(state, power, boundary, dt_s=1.0)
+        cache._step_fields(state, power, boundary, dt_s=0.5)
+        cache._step_fields(state, power, boundary, dt_s=1.0)
         assert cache.stats.transient_entries == 2
 
 
@@ -162,28 +162,25 @@ class TestCacheManagement:
     def test_lru_bound(self, setup):
         grid, mapper, network = setup
         cache = FactorizationCache(network, max_entries=3)
-        solver = SteadyStateSolver(network, cache=cache)
         power = mapper.power_map({"core0": 5.0})
         for fluid in (30.0, 32.0, 34.0, 36.0, 38.0):
-            solver.solve(power, _boundary(grid, fluid=fluid))
+            _steady(cache, power, _boundary(grid, fluid=fluid))
         assert cache.stats.steady_entries == 3
 
     def test_explicit_invalidate_clears_entries(self, setup):
         grid, mapper, network = setup
         cache = FactorizationCache(network)
-        steady = SteadyStateSolver(network, cache=cache)
-        transient = TransientSolver(network, cache=cache)
         boundary = _boundary(grid)
         power = mapper.power_map({"core0": 5.0})
-        steady.solve(power, boundary)
-        transient.step_many(
+        _steady(cache, power, boundary)
+        cache._step_fields(
             np.full((1, grid.n_cells), 45.0), power[np.newaxis], boundary, dt_s=0.5
         )
         assert len(cache) == 2
         cache.invalidate()
         assert len(cache) == 0
         # Solves still work after invalidation (operators are rebuilt).
-        steady.solve(power, boundary)
+        _steady(cache, power, boundary)
         assert cache.stats.steady_entries == 1
 
     def test_max_entries_validated(self, setup):
@@ -213,12 +210,16 @@ class TestCacheManagement:
         assert cache.reduced_operator(boundaries[2], dt_s) is operators[2]
         assert cache.reduced_entries == 2
 
-    def test_shared_cache_between_solvers(self, setup):
-        grid, mapper, network = setup
-        cache = FactorizationCache(network)
-        steady = SteadyStateSolver(network, cache=cache)
-        transient = TransientSolver(network, cache=cache)
-        assert steady.cache is transient.cache
+    def test_shared_cache_between_solvers(self, floorplan):
+        """A simulator's steady solves and transient steps share one cache."""
+        simulator = ThermalSimulator(floorplan, cell_size_mm=2.0)
+        boundary = _boundary(simulator.grid)
+        maps = simulator.power_map({"core0": 5.0})[np.newaxis]
+        fields = simulator.steady_state_many_from_maps(maps, boundary)
+        simulator.transient_step_many_from_maps(fields, maps, boundary, 0.5)
+        stats = simulator.solver_cache.stats
+        assert (stats.steady_entries, stats.transient_entries) == (1, 1)
+        assert (stats.misses, stats.hits) == (2, 0)
 
     def test_boundary_arrays_are_frozen(self, setup):
         grid, _, _ = setup
@@ -234,16 +235,15 @@ class TestSpeedup:
         """Deterministic form of the speedup claim: 30 steps, 1 factorization."""
         grid, mapper, network = setup
         cache = FactorizationCache(network)
-        solver = TransientSolver(network, cache=cache)
         powers = [mapper.power_map({f"core{i}": 5.0 for i in range(8)})] * 30
-        _march(solver, powers, [_boundary(grid)] * len(powers), dt_s=0.5)
+        _march(cache, powers, [_boundary(grid)] * len(powers), dt_s=0.5)
         assert cache.stats.misses == 1
         assert cache.stats.hits == 29
 
     def test_factorization_reuse_speeds_up_transient_stepping(self, setup):
         """>= 2x on repeated transient steps at one boundary.
 
-        The slow side is the same solver with its cache invalidated before
+        The slow side is the same step with the cache invalidated before
         every step, so each step pays one factorization.  The true margin
         is ~20x; the retry loop absorbs scheduling noise on loaded CI
         runners so a single hiccup cannot fail the tier-1 suite.
@@ -251,15 +251,15 @@ class TestSpeedup:
         grid, mapper, network = setup
         boundary = _boundary(grid)
         powers = [mapper.power_map({f"core{i}": 5.0 for i in range(8)})[np.newaxis]] * 30
-        solver = TransientSolver(network)
+        cache = FactorizationCache(network)
 
         def run(refactor_every_step):
             state = np.full((1, grid.n_cells), 45.0)
             start = time.perf_counter()
             for power in powers:
                 if refactor_every_step:
-                    solver.cache.invalidate()
-                state = solver.step_many(state, power, boundary, 0.5)
+                    cache.invalidate()
+                state = cache._step_fields(state, power, boundary, 0.5)
             return time.perf_counter() - start, state
 
         run(False)  # warm the factorization outside the timed window

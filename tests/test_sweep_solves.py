@@ -6,7 +6,7 @@ once.  :class:`~repro.core.pipeline.CooledServerSimulation` memoizes the
 last :data:`EVALUATION_MEMO_ENTRIES` thermal states, and the sweep solves
 each new one by preconditioned conjugate gradients (PCG) from the factor
 of one reference boundary per design
-(:meth:`FactorizationCache.preconditioned_steady_operator`).  The
+(:meth:`FactorizationCache._preconditioned_operator`).  The
 guarantees:
 
 * **Tier B against the exact lane.**  At 2.0 and 1.0 mm, every Table II

@@ -1,6 +1,6 @@
-"""Thermal network, steady-state and transient solver tests.
+"""Thermal network and the solver cache's steady and transient solve bodies.
 
-The steady-state solver is validated against a hand-computed one-dimensional
+The steady solve is validated against a hand-computed one-dimensional
 resistance calculation for a uniform power map and a uniform boundary; the
 transient step's direction, monotonicity, row independence and input checks
 are tested here, and its steady fixed point in ``test_thermal_simulator.py``.
@@ -16,8 +16,7 @@ from repro.thermal.boundary import BottomBoundary, CoolingBoundary, uniform_cool
 from repro.thermal.grid import ThermalGrid
 from repro.thermal.layers import standard_thermosyphon_stack
 from repro.thermal.network import ThermalNetwork
-from repro.thermal.steady_state import SteadyStateSolver
-from repro.thermal.transient import TransientSolver
+from repro.thermal.solver_cache import FactorizationCache
 from repro.utils.geometry import Rect
 
 
@@ -31,6 +30,11 @@ def small_setup(floorplan):
     die_mask = mapper.die_mask()
     network = ThermalNetwork(grid, die_mask, BottomBoundary(htc_w_m2k=0.0))
     return grid, mapper, die_mask, network
+
+
+def _steady(cache, power_map, boundary, **kwargs):
+    """One map's equilibrium field: a one-row stack through the steady body."""
+    return cache._steady_fields(power_map[np.newaxis], boundary, **kwargs)[0]
 
 
 class TestNetworkAssembly:
@@ -80,14 +84,14 @@ class TestSteadyStateAgainstAnalytic:
         # All-silicon die mask so the analytic stack is homogeneous in-plane.
         die_mask = np.ones((n, n), dtype=bool)
         network = ThermalNetwork(grid, die_mask, BottomBoundary(htc_w_m2k=0.0))
-        solver = SteadyStateSolver(network)
+        cache = FactorizationCache(network)
 
         total_power = 80.0
         fluid_temperature = 40.0
         htc = 20000.0
         power_map = np.full((n, n), total_power / (n * n))
         boundary = uniform_cooling_boundary(n, n, htc, fluid_temperature)
-        temperatures = solver.solve(power_map, boundary).reshape(
+        temperatures = _steady(cache, power_map, boundary).reshape(
             grid.n_layers, grid.n_rows, grid.n_columns
         )
 
@@ -112,54 +116,77 @@ class TestSteadyStateAgainstAnalytic:
 
     def test_no_power_relaxes_to_fluid_temperature(self, small_setup):
         grid, _, _, network = small_setup
-        solver = SteadyStateSolver(network)
+        cache = FactorizationCache(network)
         boundary = uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1e4, 35.0)
-        temperatures = solver.solve(np.zeros((grid.n_rows, grid.n_columns)), boundary)
+        temperatures = _steady(cache, np.zeros((grid.n_rows, grid.n_columns)), boundary)
         assert np.allclose(temperatures, 35.0, atol=1e-6)
 
     def test_more_power_is_hotter_everywhere(self, small_setup):
         grid, mapper, _, network = small_setup
-        solver = SteadyStateSolver(network)
+        cache = FactorizationCache(network)
         boundary = uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1.5e4, 40.0)
-        low = solver.solve(mapper.power_map({"core0": 5.0}), boundary)
-        high = solver.solve(mapper.power_map({"core0": 10.0}), boundary)
+        low = _steady(cache, mapper.power_map({"core0": 5.0}), boundary)
+        high = _steady(cache, mapper.power_map({"core0": 10.0}), boundary)
         assert (high >= low - 1e-9).all()
         assert high.max() > low.max()
 
     def test_monotone_in_fluid_temperature(self, small_setup):
         grid, mapper, _, network = small_setup
-        solver = SteadyStateSolver(network)
+        cache = FactorizationCache(network)
         power = mapper.power_map({f"core{i}": 6.0 for i in range(8)})
-        cold = solver.solve(power, uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1.5e4, 30.0))
-        warm = solver.solve(power, uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1.5e4, 40.0))
+        cold = _steady(cache, power, uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1.5e4, 30.0))
+        warm = _steady(cache, power, uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1.5e4, 40.0))
         assert (warm > cold).all()
 
     def test_higher_htc_is_cooler(self, small_setup):
         grid, mapper, _, network = small_setup
-        solver = SteadyStateSolver(network)
+        cache = FactorizationCache(network)
         power = mapper.power_map({f"core{i}": 6.0 for i in range(8)})
-        weak = solver.solve(power, uniform_cooling_boundary(grid.n_rows, grid.n_columns, 5e3, 40.0))
-        strong = solver.solve(power, uniform_cooling_boundary(grid.n_rows, grid.n_columns, 3e4, 40.0))
+        weak = _steady(cache, power, uniform_cooling_boundary(grid.n_rows, grid.n_columns, 5e3, 40.0))
+        strong = _steady(cache, power, uniform_cooling_boundary(grid.n_rows, grid.n_columns, 3e4, 40.0))
         assert strong.max() < weak.max()
+
+    @pytest.mark.parametrize("lane", ("exact", "iterative"))
+    def test_rows_solve_independently(self, small_setup, lane):
+        """Row ``i`` of a stacked steady solve is map ``i`` solved alone, bit
+        for bit, on the exact lane and on the iterative lane."""
+        grid, mapper, _, network = small_setup
+        cache = FactorizationCache(network)
+        boundary = uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1.5e4, 40.0)
+        reference = None
+        if lane == "iterative":
+            reference = uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1.4e4, 39.0)
+        maps = np.stack(
+            [
+                mapper.power_map({"core0": 8.0}),
+                mapper.power_map({f"core{i}": 5.0 for i in range(8)}),
+                np.zeros((grid.n_rows, grid.n_columns)),
+            ]
+        )
+        stacked = cache._steady_fields(maps, boundary, reference=reference)
+        assert stacked.shape == (len(maps), grid.n_cells)
+        for i, power_map in enumerate(maps):
+            alone = _steady(cache, power_map, boundary, reference=reference)
+            assert np.array_equal(stacked[i], alone)
 
 
 class TestTransient:
     def test_step_moves_towards_equilibrium(self, small_setup):
         grid, mapper, _, network = small_setup
-        transient = TransientSolver(network)
+        cache = FactorizationCache(network)
         power = mapper.power_map({f"core{i}": 5.0 for i in range(8)})
         boundary = uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1.5e4, 40.0)
         cold_start = np.full((1, grid.n_cells), 20.0)
-        after = transient.step_many(cold_start, power[np.newaxis], boundary, dt_s=0.5)
+        after = cache._step_fields(cold_start, power[np.newaxis], boundary, dt_s=0.5)
         assert after.mean() > cold_start.mean()
 
     def test_stack_length_mismatch_rejected(self, small_setup):
         grid, mapper, _, network = small_setup
-        transient = TransientSolver(network)
+        cache = FactorizationCache(network)
         power = mapper.power_map({"core0": 8.0})
         boundary = uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1.5e4, 40.0)
         with pytest.raises(ValidationError):
-            transient.step_many(
+            cache._step_fields(
                 np.full((2, grid.n_cells), 40.0), power[np.newaxis], boundary, dt_s=0.5
             )
 
@@ -167,7 +194,7 @@ class TestTransient:
     def test_malformed_temperature_stack_rejected(self, small_setup, stack):
         """A single flat field or a stack of another grid is refused, not broadcast."""
         grid, mapper, _, network = small_setup
-        transient = TransientSolver(network)
+        cache = FactorizationCache(network)
         power = mapper.power_map({"core0": 8.0})
         boundary = uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1.5e4, 40.0)
         temperatures = {
@@ -175,23 +202,23 @@ class TestTransient:
             "wrong_cell_count": np.full((1, grid.n_cells + 1), 40.0),
         }[stack]
         with pytest.raises(ValidationError):
-            transient.step_many(temperatures, power[np.newaxis], boundary, dt_s=0.5)
+            cache._step_fields(temperatures, power[np.newaxis], boundary, dt_s=0.5)
 
     @pytest.mark.parametrize("dt_s", (0.0, -0.5))
     def test_non_positive_step_rejected(self, small_setup, dt_s):
         grid, mapper, _, network = small_setup
-        transient = TransientSolver(network)
+        cache = FactorizationCache(network)
         power = mapper.power_map({"core0": 8.0})
         boundary = uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1.5e4, 40.0)
         with pytest.raises(ValidationError):
-            transient.step_many(
+            cache._step_fields(
                 np.full((1, grid.n_cells), 40.0), power[np.newaxis], boundary, dt_s=dt_s
             )
 
     def test_rows_advance_independently(self, small_setup):
         """Row ``i`` of a stacked step is field ``i`` stepped alone, bit for bit."""
         grid, mapper, _, network = small_setup
-        transient = TransientSolver(network)
+        cache = FactorizationCache(network)
         boundary = uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1.5e4, 40.0)
         maps = np.stack(
             [
@@ -201,10 +228,10 @@ class TestTransient:
             ]
         )
         fields = np.stack([np.full(grid.n_cells, t) for t in (20.0, 40.0, 60.0)])
-        stacked = transient.step_many(fields, maps, boundary, dt_s=0.5)
+        stacked = cache._step_fields(fields, maps, boundary, dt_s=0.5)
         assert stacked.shape == fields.shape
         for i in range(len(fields)):
-            alone = transient.step_many(fields[i : i + 1], maps[i : i + 1], boundary, 0.5)
+            alone = cache._step_fields(fields[i : i + 1], maps[i : i + 1], boundary, 0.5)
             assert np.array_equal(stacked[i], alone[0])
 
     @pytest.mark.parametrize("dt_s", (0.05, 2.0, 60.0))
@@ -214,15 +241,14 @@ class TestTransient:
         each step: the backward-Euler operator is an M-matrix, so the march
         is monotone."""
         grid, mapper, _, network = small_setup
-        steady_solver = SteadyStateSolver(network)
-        transient = TransientSolver(network, cache=steady_solver.cache)
+        cache = FactorizationCache(network)
         power = mapper.power_map({f"core{i}": 5.0 for i in range(8)})
         boundary = uniform_cooling_boundary(grid.n_rows, grid.n_columns, 1.5e4, 40.0)
-        steady = steady_solver.solve(power, boundary)
+        steady = _steady(cache, power, boundary)
         field = np.full((1, grid.n_cells), 20.0)
         gaps = [np.max(steady - field)]
         for _ in range(5):
-            advanced = transient.step_many(field, power[np.newaxis], boundary, dt_s)
+            advanced = cache._step_fields(field, power[np.newaxis], boundary, dt_s)
             assert (advanced >= field - TIER_B_C).all()
             assert (advanced <= steady + TIER_B_C).all()
             field = advanced
