@@ -70,7 +70,7 @@ from repro.obs.telemetry import get_telemetry
 from repro.thermal.boundary import CoolingBoundary
 from repro.thermal.rom import RomConfig, RomStats, build_reduced_operator
 from repro.thermosyphon.loop import BoundaryResult, LoopOperatingPoint
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_positive, check_positive_int
 
 __all__ = ["FloorAdvance", "FloorEngine", "FloorSnapshot"]
 
@@ -396,8 +396,7 @@ class FloorEngine:
         rule reads only the request and the snapshot, never the cache.
         """
         check_positive(dt_s, "dt_s")
-        if n_substeps < 1:
-            raise ValidationError(f"n_substeps must be >= 1, got {n_substeps}")
+        check_positive_int(n_substeps, "n_substeps")
         if reference is not None:
             self._check_snapshot(reference, "reference snapshot")
         with get_telemetry().span("floor.advance", n_substeps=n_substeps):
@@ -446,10 +445,8 @@ class FloorEngine:
         Arguments and warmth are checked before any state changes.
         """
         check_positive(dt_s, "dt_s")
-        if span < 1:
-            raise ValidationError(f"span must be >= 1, got {span}")
-        if n_substeps < 1:
-            raise ValidationError(f"n_substeps must be >= 1, got {n_substeps}")
+        check_positive_int(span, "span")
+        check_positive_int(n_substeps, "n_substeps")
         # Warm check before stage 2 stores any refreshed boundary, so a
         # cold floor raises with its state untouched.
         if any(session.fields is None for session in self.rack_sessions):

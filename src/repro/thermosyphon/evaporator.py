@@ -8,6 +8,17 @@ coefficient is modelled with a standard flow-boiling composition: a Cooper
 pool-boiling (nucleate) term combined with a Dittus-Boelter convective term
 enhanced by the vapor quality, and a sharp degradation beyond the dryout
 quality.
+
+Two marches share that physics.  :meth:`EvaporatorModel.solve_channel`
+walks one lane cell by cell in Python floats and is the scalar golden.
+:meth:`EvaporatorModel.solve_channels`, the production path, marches many
+lanes without a loop over cells: with non-negative heat the subcooling
+left and the quality gained are running sums along the channel whose
+clamps (at zero and at one) are absorbing, so one ``accumulate`` each,
+subtracting and adding in the cell order, gives the cell-by-cell values
+exactly.  The tests hold it to the scalar golden at 1e-12 and to the
+batched cell loop it replaced (``tests/reference_lane_march.py``) at
+``==``.
 """
 
 from __future__ import annotations
@@ -235,15 +246,19 @@ class EvaporatorModel:
             )
         return wall_htc * self.geometry.area_enhancement
 
-    def _cooper_prefactor(self, t_sat_c: float) -> float:
-        """The heat-flux-independent factor of the Cooper correlation."""
-        reduced = self.refrigerant.reduced_pressure(t_sat_c)
-        return (
-            55.0
-            * reduced**0.12
-            * (-math.log10(reduced)) ** (-0.55)
-            * self.refrigerant.molar_mass_kg_kmol ** (-0.5)
-        )
+    def _cooper_prefactors(self, t_sat_c: np.ndarray) -> list[float]:
+        """The heat-flux-independent Cooper factor at each saturation temperature.
+
+        One reduced-pressure lookup for the whole array, then the
+        expression of :meth:`nucleate_boiling_htc_w_m2k` per element in
+        Python floats (``math.log10``, ``**``), so each factor has the
+        scalar expression's bits.
+        """
+        molar_factor = self.refrigerant.molar_mass_kg_kmol ** (-0.5)
+        return [
+            55.0 * reduced**0.12 * (-math.log10(reduced)) ** (-0.55) * molar_factor
+            for reduced in self.refrigerant.reduced_pressures(t_sat_c).tolist()
+        ]
 
     def _two_phase_htc_array(
         self,
@@ -252,7 +267,7 @@ class EvaporatorModel:
         cooper_prefactor: np.ndarray,
         heat_flux_w_m2: np.ndarray,
     ) -> np.ndarray:
-        """Vectorized :meth:`two_phase_htc_w_m2k` over lanes at one cell.
+        """Vectorized :meth:`two_phase_htc_w_m2k`, elementwise over broadcast arrays.
 
         ``h_liquid`` (the single-phase HTC) and ``cooper_prefactor`` carry
         each lane's operating-point scalars.  Operation-for-operation
@@ -384,28 +399,51 @@ class EvaporatorModel:
         """March many parallel lanes at once.
 
         The batched counterpart of :meth:`solve_channel`: ``heat_per_cell_w``
-        has shape ``(n_lanes, n_cells)`` (cells in flow-direction order).
+        has shape ``(n_lanes, n_cells)`` (cells in flow-direction order)
+        and must be finite and non-negative in every cell.
         ``mass_flow_kg_s`` and ``t_sat_c`` give each lane its own mass flow
         and saturation temperature, as arrays of shape ``(n_lanes,)`` or as
         scalars shared by every lane, so the lanes of servers at different
         operating points march in one call; the inlet state is shared.
-        Cells remain the sequential axis — the refrigerant state depends on
-        everything upstream — but all lanes advance together through NumPy
-        array arithmetic, removing the per-lane Python loop from the hot
-        path.
+
+        The refrigerant state depends on everything upstream, but only
+        through two running sums along the channel, so no Python loop
+        walks the cells:
+
+        * the subcooling entering cell ``i`` is ``max(s0 - r_0 - ... -
+          r_{i-1}, 0)`` (``r`` the sensible temperature rises), one
+          ``np.subtract.accumulate`` that subtracts in the cell order;
+        * the quality entering cell ``i`` is ``min(x0 + w_0 + ... +
+          w_{i-1}, 1)`` with ``w`` the quality rise of saturated cells and
+          ``0.0`` elsewhere, one ``np.add.accumulate``.
+
+        With non-negative heat every rise is non-negative, so both clamps
+        are absorbing: once the subcooling reaches zero (the quality one)
+        it stays there, and clamping the finished sum gives the value a
+        cell-by-cell march that clamps at every step holds.  Adding
+        ``0.0`` and subtracting in the same order change no bits, so every
+        output equals that march exactly (``tests/reference_lane_march``
+        keeps it as the ``==`` golden).  Regions, fluid temperature, HTC,
+        quality and dryout are then evaluated once on the
+        ``(n_lanes, n_cells)`` arrays.
 
         Lanes sharing a (mass flow, saturation temperature) pair form one
         operating point.  Its scalars — latent heat, mass flux, single-phase
-        and subcooled HTC, and per cell the reduced pressure and Cooper
-        prefactor — are evaluated once, with the scalar Python expressions
-        of a single-point march, and repeated over the point's lanes, so
-        every lane is bit-identical to marching its point alone.
+        and subcooled HTC — are evaluated once, with the scalar Python
+        expressions of a single-point march, and repeated over the point's
+        lanes, so every lane is bit-identical to marching its point alone.
+        Each point's row of local saturation temperatures takes one
+        reduced-pressure table lookup; the Cooper prefactor is then
+        evaluated per cell in Python floats, because NumPy's vectorized
+        ``**`` and ``log10`` are not ``math``'s bit for bit.
         :meth:`solve_channel` is kept as the scalar golden model; the two
-        must agree to round-off (see ``tests/test_lane_march_equivalence``).
+        must agree to 1e-12 (see ``tests/test_lane_march_equivalence``).
         """
         heat_per_cell_w = np.asarray(heat_per_cell_w, dtype=float)
         if heat_per_cell_w.ndim != 2:
             raise ValidationError("heat_per_cell_w must be two-dimensional (n_lanes, n_cells)")
+        if not (np.all(np.isfinite(heat_per_cell_w)) and np.all(heat_per_cell_w >= 0.0)):
+            raise ValidationError("heat_per_cell_w must be finite and >= 0 in every cell")
         n_lanes, n_cells = heat_per_cell_w.shape
         flows = _per_lane(mass_flow_kg_s, n_lanes, "mass_flow_kg_s")
         if not np.all(flows > 0.0) or not np.all(np.isfinite(flows)):
@@ -426,7 +464,7 @@ class EvaporatorModel:
         h_liquid = np.empty(n_points)
         sensible_denominator = np.empty(n_points)
         latent_denominator = np.empty(n_points)
-        local_t_sat = np.empty((n_points, n_cells))
+        local_t_sat = points[:, 1:] - saturation_slope_c_per_cell * np.arange(n_cells)
         cooper_prefactor = np.empty((n_points, n_cells))
         for point, (flow, t_sat) in enumerate(points.tolist()):
             latent = refrigerant.latent_heat_j_kg(t_sat)
@@ -435,67 +473,48 @@ class EvaporatorModel:
             )
             sensible_denominator[point] = max(flow * cp_liquid, 1e-9)
             latent_denominator[point] = max(flow * latent, 1e-9)
-            for index in range(n_cells):
-                cell_t_sat = t_sat - saturation_slope_c_per_cell * index
-                local_t_sat[point, index] = cell_t_sat
-                cooper_prefactor[point, index] = self._cooper_prefactor(cell_t_sat)
+            cooper_prefactor[point] = self._cooper_prefactors(local_t_sat[point])
         h_subcooled = (h_liquid * 1.5) * enhancement
 
         # Repeat each point's scalars over its lanes.
-        h_liquid = h_liquid[lane_point]
-        h_subcooled = h_subcooled[lane_point]
+        h_liquid = h_liquid[lane_point, np.newaxis]
+        h_subcooled = h_subcooled[lane_point, np.newaxis]
         local_t_sat = local_t_sat[lane_point]
         cooper_prefactor = cooper_prefactor[lane_point]
         heat_flux = heat_per_cell_w / (cell_base_area_m2 * enhancement)
         temperature_rise = heat_per_cell_w / sensible_denominator[lane_point, np.newaxis]
         quality_rise = heat_per_cell_w / latent_denominator[lane_point, np.newaxis]
 
-        quality = np.zeros((n_lanes, n_cells), dtype=float)
-        fluid_temperature = np.zeros((n_lanes, n_cells), dtype=float)
-        htc = np.zeros((n_lanes, n_cells), dtype=float)
-
         inlet = min(max(inlet_quality, 0.0), 1.0)
-        current_quality = np.full(n_lanes, inlet, dtype=float)
         initial_subcooling = max(inlet_subcooling_c, 0.0) if inlet == 0.0 else 0.0
-        subcooling = np.full(n_lanes, initial_subcooling, dtype=float)
-        dryout = np.zeros(n_lanes, dtype=bool)
 
-        for index in range(n_cells):
-            cell_t_sat = local_t_sat[:, index]
-            subcooled = subcooling > 0.0
-            saturated = ~subcooled
+        # Sensible heating region: the subcooling entering each cell.
+        subcooling = np.empty((n_lanes, n_cells + 1))
+        subcooling[:, 0] = initial_subcooling
+        subcooling[:, 1:] = temperature_rise
+        subcooling = np.subtract.accumulate(subcooling, axis=1)[:, :-1]
+        subcooled = subcooling > 0.0
+        saturated = ~subcooled
 
-            h_two_phase = (
-                self._two_phase_htc_array(
-                    current_quality,
-                    h_liquid,
-                    cooper_prefactor[:, index],
-                    heat_flux[:, index],
-                )
-                * enhancement
+        # Saturated boiling region: the quality entering (column i) and
+        # leaving (column i + 1) each cell, by the energy balance.
+        quality_path = np.empty((n_lanes, n_cells + 1))
+        quality_path[:, 0] = inlet
+        quality_path[:, 1:] = np.where(saturated, quality_rise, 0.0)
+        quality_path = np.minimum(np.add.accumulate(quality_path, axis=1), 1.0)
+
+        h_two_phase = (
+            self._two_phase_htc_array(
+                quality_path[:, :-1], h_liquid, cooper_prefactor, heat_flux
             )
-            fluid_temperature[:, index] = np.where(
-                subcooled, cell_t_sat - subcooling, cell_t_sat
-            )
-            htc[:, index] = np.where(subcooled, h_subcooled, h_two_phase)
-
-            # Sensible heating region: the liquid warms towards saturation.
-            subcooling = np.where(
-                subcooled,
-                np.maximum(subcooling - temperature_rise[:, index], 0.0),
-                subcooling,
-            )
-            # Saturated boiling region: quality advances by the energy balance.
-            advanced = np.minimum(current_quality + quality_rise[:, index], 1.0)
-            current_quality = np.where(saturated, advanced, current_quality)
-            quality[:, index] = np.where(saturated, current_quality, 0.0)
-            dryout |= saturated & (current_quality > self.dryout_quality)
-
+            * enhancement
+        )
+        quality = np.where(saturated, quality_path[:, 1:], 0.0)
         return ChannelBatchSolution(
             quality=quality,
-            fluid_temperature_c=fluid_temperature,
-            base_htc_w_m2k=htc,
-            dryout_per_lane=dryout,
+            fluid_temperature_c=np.where(subcooled, local_t_sat - subcooling, local_t_sat),
+            base_htc_w_m2k=np.where(subcooled, h_subcooled, h_two_phase),
+            dryout_per_lane=(quality > self.dryout_quality).any(axis=1),
         )
 
 

@@ -13,12 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 from repro.utils.interpolation import LinearTable1D
 from repro.utils.validation import check_in_range
 
 #: Temperatures (degC) at which the saturation-line tables are anchored.
 _TABLE_TEMPERATURES_C = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0)
+
+#: Reduced pressures the boiling correlations accept (closed interval).
+_REDUCED_PRESSURE_RANGE = (1e-4, 0.999)
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,22 @@ class Refrigerant:
     def reduced_pressure(self, temperature_c: float) -> float:
         """Reduced pressure ``p_sat / p_crit`` (used by boiling correlations)."""
         reduced = self.saturation_pressure_kpa(temperature_c) / self.critical_pressure_kpa
-        return check_in_range(reduced, 1e-4, 0.999, "reduced pressure")
+        return check_in_range(reduced, *_REDUCED_PRESSURE_RANGE, "reduced pressure")
+
+    def reduced_pressures(self, temperatures_c: np.ndarray) -> np.ndarray:
+        """:meth:`reduced_pressure` at every temperature of an array.
+
+        One table lookup for the whole array; each element is bit-identical
+        to the scalar call (the same interpolation and division), and an
+        element outside the accepted range raises the scalar call's
+        :class:`~repro.exceptions.ValidationError`.
+        """
+        reduced = self._pressure_table.sample(temperatures_c) / self.critical_pressure_kpa
+        low, high = _REDUCED_PRESSURE_RANGE
+        inside = (reduced >= low) & (reduced <= high)
+        if not inside.all():
+            check_in_range(float(reduced[~inside][0]), low, high, "reduced pressure")
+        return reduced
 
     def liquid_prandtl(self) -> float:
         """Liquid Prandtl number (from the constant transport properties)."""

@@ -25,6 +25,9 @@ CALLER_INPUT_SITES = {
     "FloorEngine.advance n_substeps": lambda ctx: ctx.floor.advance(
         [[ctx.load]], 2.0, n_substeps=0
     ),
+    "FloorEngine.advance fractional n_substeps": lambda ctx: ctx.floor.advance(
+        [[ctx.load]], 2.0, n_substeps=2.5
+    ),
     "FloorEngine.advance_span dt_s": lambda ctx: ctx.floor.advance_span(
         [[ctx.load]], 0.0, 4, rom=RomConfig()
     ),
@@ -33,6 +36,12 @@ CALLER_INPUT_SITES = {
     ),
     "FloorEngine.advance_span n_substeps": lambda ctx: ctx.floor.advance_span(
         [[ctx.load]], 2.0, 4, rom=RomConfig(), n_substeps=0
+    ),
+    "FloorEngine.advance_span fractional span": lambda ctx: ctx.floor.advance_span(
+        [[ctx.load]], 2.0, 2.5, rom=RomConfig()
+    ),
+    "FloorEngine.advance_span fractional n_substeps": lambda ctx: ctx.floor.advance_span(
+        [[ctx.load]], 2.0, 4, rom=RomConfig(), n_substeps=2.5
     ),
     "SupervisoryController setpoints": lambda ctx: SupervisoryController(
         setpoint_min_c=30.0, setpoint_max_c=20.0

@@ -1,11 +1,20 @@
-"""Golden-model equivalence: batched lane march vs. the per-lane reference.
+"""Golden-model equivalence of the evaporator lane march, at two tiers.
 
-``EvaporatorModel.solve_channels`` marches all lanes together through NumPy
-array arithmetic; the original scalar ``solve_channel`` is the golden model.
-Every case requires the batched quality, fluid-temperature and HTC fields to
-match the lane-by-lane march to <= 1e-12, across orientations, reversed
-flow, dryout overload and subcooled / vapor-preloaded inlets — the fast path
-only counts if it is the same physics.
+``EvaporatorModel.solve_channels`` marches all lanes together: two running
+sums along the channel (the subcooling left and the quality gained) replace
+a loop over cells, and every output is then evaluated once on the
+``(n_lanes, n_cells)`` arrays.  Two goldens in ``tests/reference_lane_march``
+hold it:
+
+* the scalar ``solve_channel``, marched lane by lane, to <= 1e-12 (tier B:
+  vectorized arithmetic may round differently), across orientations,
+  reversed flow, dryout overload and subcooled / vapor-preloaded inlets —
+  the fast path only counts if it is the same physics;
+* the batched cell-by-cell loop the running sums replaced, to ``==`` on
+  quality, fluid temperature, HTC and dryout (tier A): the sums subtract
+  and add in the loop's own order, and with non-negative heat the loop's
+  clamps are absorbing, so no bit may move.  Heat that is negative or not
+  finite is rejected before the march.
 
 One ``cooling_boundaries`` call over servers at distinct operating points
 must reproduce a single-point call for every server bit for bit: the floor
@@ -14,11 +23,15 @@ engine marches all of a hardware group's stale servers in one call.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 import pytest
 
-from reference_lane_march import reference_cooling_boundary
+from reference_lane_march import reference_cooling_boundary, reference_solve_channels
 from repro.exceptions import ValidationError
+from repro.thermal.simulator import ThermalSimulator
 from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN
 from repro.thermosyphon.evaporator import EvaporatorModel
 from repro.thermosyphon.loop import ThermosyphonLoop
@@ -162,6 +175,106 @@ class TestSolveChannelsEquivalence:
             assert batch.dryout_per_lane[lane] == single.dryout_per_lane[0]
 
 
+def _assert_equals_cell_loop(model, heats, flows, t_sats, **march):
+    """``solve_channels`` == the golden cell-by-cell loop on every output."""
+    ours = model.solve_channels(heats, flows, t_sats, **march)
+    golden = reference_solve_channels(model, heats, flows, t_sats, **march)
+    assert np.array_equal(ours.quality, golden.quality)
+    assert np.array_equal(ours.fluid_temperature_c, golden.fluid_temperature_c)
+    assert np.array_equal(ours.base_htc_w_m2k, golden.base_htc_w_m2k)
+    assert np.array_equal(ours.dryout_per_lane, golden.dryout_per_lane)
+    return ours
+
+
+def _march_kwargs(case: str, slope: float) -> dict:
+    subcooling, inlet_quality, _, _ = MARCH_CASES[case]
+    return {
+        "inlet_subcooling_c": subcooling,
+        "inlet_quality": inlet_quality,
+        "cell_base_area_m2": 1e-6,
+        "saturation_slope_c_per_cell": slope,
+    }
+
+
+class TestRunningSumsEqualTheCellLoop:
+    """Tier A: the running sums reproduce the golden cell loop bit for bit."""
+
+    @pytest.mark.parametrize("case", list(MARCH_CASES), ids=list(MARCH_CASES))
+    @pytest.mark.parametrize("slope", [0.0, 0.015], ids=["flat-tsat", "sloped-tsat"])
+    @pytest.mark.parametrize(
+        "shape", [(6, 24), (1, 8), (17, 3)], ids=["6x24", "1x8", "17x3"]
+    )
+    def test_every_march_case(self, model, case, slope, shape):
+        _, _, mass_flow, heat_scale = MARCH_CASES[case]
+        _assert_equals_cell_loop(
+            model,
+            _lane_heats(*shape, scale=heat_scale),
+            mass_flow,
+            41.0,
+            **_march_kwargs(case, slope),
+        )
+
+    @pytest.mark.parametrize("case", list(MARCH_CASES), ids=list(MARCH_CASES))
+    @pytest.mark.parametrize("slope", [0.0, 0.015], ids=["flat-tsat", "sloped-tsat"])
+    def test_zero_heat_lanes_and_cells(self, model, case, slope):
+        """Cold lanes stay at the inlet state; cold cells add exactly 0.0."""
+        _, _, mass_flow, heat_scale = MARCH_CASES[case]
+        heats = _lane_heats(6, 24, scale=heat_scale)
+        heats[1] = 0.0
+        heats[2, :8] = 0.0
+        heats[3, 12:] = 0.0
+        heats[4, ::3] = 0.0
+        batch = _assert_equals_cell_loop(
+            model, heats, mass_flow, 41.0, **_march_kwargs(case, slope)
+        )
+        assert not batch.dryout_per_lane[1]
+
+    @pytest.mark.parametrize("case", list(MARCH_CASES), ids=list(MARCH_CASES))
+    @pytest.mark.parametrize("slope", [0.0, 0.015], ids=["flat-tsat", "sloped-tsat"])
+    def test_lanes_at_distinct_operating_points(self, model, case, slope):
+        _, _, mass_flow, heat_scale = MARCH_CASES[case]
+        flows = mass_flow * np.array([1.0, 1.0, 0.5, 0.5, 1.0, 1.7])
+        t_sats = np.array([41.0, 41.0, 38.5, 38.5, 44.0, 41.0])
+        _assert_equals_cell_loop(
+            model,
+            _lane_heats(6, 12, scale=heat_scale),
+            flows,
+            t_sats,
+            **_march_kwargs(case, slope),
+        )
+
+    def test_the_subcooled_region_ends_mid_channel(self, model):
+        """Guard: some lanes of the subcooled cases change region mid-channel."""
+        for case in ("subcooled-inlet", "deep-subcooling"):
+            _, _, mass_flow, heat_scale = MARCH_CASES[case]
+            batch = model.solve_channels(
+                _lane_heats(6, 24, scale=heat_scale),
+                mass_flow,
+                41.0,
+                **_march_kwargs(case, 0.0),
+            )
+            boiling = batch.quality > 0.0
+            assert (boiling[:, -1] & ~boiling[:, 0]).any()
+
+    @pytest.mark.parametrize(
+        "bad", [-1e-3, np.nan, np.inf, -np.inf], ids=["negative", "nan", "inf", "-inf"]
+    )
+    def test_rejects_negative_or_non_finite_heat(self, model, bad):
+        heats = _lane_heats(4, 10)
+        heats[2, 5] = bad
+        with pytest.raises(ValidationError, match="heat_per_cell_w"):
+            model.solve_channels(heats, 6e-5, 41.0, cell_base_area_m2=1e-6)
+
+    def test_reduced_pressure_range_is_still_checked(self):
+        """A row whose reduced pressure leaves the correlation's range raises."""
+        refrigerant = replace(get_refrigerant("R236fa"), critical_pressure_kpa=500.0)
+        model = EvaporatorModel(refrigerant)
+        with pytest.raises(ValidationError, match="reduced pressure"):
+            model.solve_channels(
+                _lane_heats(2, 5), 6e-5, 75.0, cell_base_area_m2=1e-6
+            )
+
+
 def _power_map(shape: tuple[int, int], *, scale: float = 1.2) -> np.ndarray:
     """Deterministic non-uniform power map with a cold (zero-power) margin."""
     rng = np.random.default_rng(shape[0] * 13 + shape[1])
@@ -295,3 +408,54 @@ class TestMultiPointCoolingBoundaries:
         maps, points = self._servers(loop)
         with pytest.raises(ValidationError, match="one operating point per server"):
             loop.cooling_boundaries(maps, self.PITCH, points[:-1])
+
+
+class TestCoolingBoundariesEqualTheCellLoop:
+    """Tier A on whole stacks: the Xeon grid at the paper's cell sizes.
+
+    Three servers at distinct operating points (one overloaded) march in
+    one ``cooling_boundaries`` call, once with the running sums and once
+    with the golden cell loop patched in; every field must agree bit for
+    bit.
+    """
+
+    #: Power scale per server (the last one overloaded) and its water
+    #: inlet offset in degC.
+    SERVERS = ((0.6, 0.0), (1.0, 2.0), (5.0, -1.0))
+
+    @pytest.mark.parametrize("orientation", list(Orientation), ids=[o.value for o in Orientation])
+    @pytest.mark.parametrize("cell_size_mm", [2.0, 1.5, 1.0, 0.5])
+    def test_stack_matches_cell_loop(self, floorplan, orientation, cell_size_mm, monkeypatch):
+        simulator = ThermalSimulator(floorplan, cell_size_mm=cell_size_mm)
+        pitch = simulator.grid.cell_pitch_mm()
+        loop = ThermosyphonLoop(PAPER_OPTIMIZED_DESIGN.with_orientation(orientation))
+        nominal = loop.design.water_loop()
+        rng = np.random.default_rng(24)
+        maps, points = [], []
+        for scale, offset in self.SERVERS:
+            component_power = {
+                component.name: scale * (2.0 + 6.0 * rng.random())
+                for component in floorplan.components
+            }
+            power = simulator.power_map(component_power)
+            water = nominal.with_inlet_temperature(nominal.inlet_temperature_c + offset)
+            maps.append(power)
+            points.append(loop.operating_point(float(power.sum()), water))
+        maps = np.stack(maps)
+
+        ours = loop.cooling_boundaries(maps, pitch, points)
+        monkeypatch.setattr(
+            loop.evaporator,
+            "solve_channels",
+            partial(reference_solve_channels, loop.evaporator),
+        )
+        golden = loop.cooling_boundaries(maps, pitch, points)
+        for a, b in zip(ours, golden):
+            assert np.array_equal(a.boundary.htc_w_m2k, b.boundary.htc_w_m2k)
+            assert np.array_equal(
+                a.boundary.fluid_temperature_c, b.boundary.fluid_temperature_c
+            )
+            assert np.array_equal(a.outlet_quality_per_lane, b.outlet_quality_per_lane)
+            assert a.max_quality == b.max_quality
+            assert a.dryout == b.dryout
+        assert ours[-1].dryout, "the overloaded server must dry out"

@@ -1,9 +1,12 @@
 """Refrigerant property model tests."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ValidationError
 from repro.thermosyphon.refrigerant import REFRIGERANTS, get_refrigerant
 
 
@@ -62,6 +65,27 @@ class TestSaturationCurve:
         refrigerant = get_refrigerant(name)
         for temperature in (10.0, 40.0, 70.0):
             assert 0.0 < refrigerant.reduced_pressure(temperature) < 1.0
+
+    @pytest.mark.parametrize("name", sorted(REFRIGERANTS))
+    def test_array_reduced_pressures_equal_scalar_calls(self, name):
+        """One table lookup per array, each element the scalar call's bits."""
+        refrigerant = get_refrigerant(name)
+        temperatures = np.linspace(-5.0, 85.0, 2001)
+        reduced = refrigerant.reduced_pressures(temperatures)
+        assert reduced.tolist() == [
+            refrigerant.reduced_pressure(t) for t in temperatures.tolist()
+        ]
+
+    def test_array_reduced_pressures_check_the_range(self):
+        refrigerant = replace(get_refrigerant("R236fa"), critical_pressure_kpa=500.0)
+        with pytest.raises(ValidationError, match="reduced pressure"):
+            refrigerant.reduced_pressure(75.0)
+        with pytest.raises(ValidationError, match="reduced pressure"):
+            refrigerant.reduced_pressures(np.array([30.0, 40.0, 75.0]))
+        assert refrigerant.reduced_pressures(np.array([30.0, 40.0])).tolist() == [
+            refrigerant.reduced_pressure(30.0),
+            refrigerant.reduced_pressure(40.0),
+        ]
 
 
 class TestTwoPhaseMixture:

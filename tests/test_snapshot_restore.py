@@ -117,6 +117,24 @@ def test_rejected_reference_leaves_every_layer_untouched(
     assert session.advance_period(time_s) == twin.advance_period(time_s)
 
 
+def test_fractional_substep_count_leaves_every_layer_untouched(
+    floorplan, power_model
+):
+    """A fractional per-period substep count is refused before the period
+    starts: no held boundary is replaced and no field moves."""
+    model = _model(
+        floorplan, power_model, n_racks=1, servers_per_rack=1, cell_size_mm=4.0
+    )
+    session = _warm_session(model, n_periods=1)
+    twin = _warm_session(model, n_periods=1)
+    before = session.snapshot()
+    time_s = CONTROL_PERIOD_S
+    with pytest.raises(ValidationError, match="n_substeps"):
+        session.advance_period(time_s, n_substeps=2.5)
+    _assert_same_snapshot(session.snapshot(), before)
+    assert session.advance_period(time_s) == twin.advance_period(time_s)
+
+
 def test_failed_period_is_repaired_by_the_last_snapshot(
     floorplan, power_model, monkeypatch
 ):
