@@ -28,9 +28,10 @@ deliberate perf change moves the floor.
 ``--telemetry`` points at a telemetry JSONL artifact (the CI ``--quick``
 step emits ``TELEMETRY_quick.jsonl`` into ``$BENCH_OUT``); when the file
 exists the report appends engine-level columns — factorizations, cache
-hit rate, ROM fallbacks by cause, warm-store traffic — so a perf ratio
-and the engine behaviour behind it land in the same CI log.  A missing
-artifact is skipped silently: timing-only invocations keep working.
+hit rate, ROM fallbacks and basis rebuilds by cause, warm-store traffic —
+so a perf ratio and the engine behaviour behind it land in the same CI
+log.  A missing artifact is skipped silently: timing-only invocations
+keep working.
 """
 
 from __future__ import annotations
@@ -152,9 +153,16 @@ def telemetry_summary(path: Path) -> str | None:
     basis_builds = counters.get("rom.basis_builds", 0)
     basis_rebuilds = counters.get("rom.basis_rebuilds", 0)
     if basis_builds or basis_rebuilds:
-        lines.append(
-            f"  rom bases: {basis_builds} built, {basis_rebuilds} rebuilt"
-        )
+        rebuilds = {
+            name.rsplit(".", 1)[1]: value
+            for name, value in sorted(counters.items())
+            if name.startswith("rom.rebuild.")
+        }
+        line = f"  rom bases: {basis_builds} built, {basis_rebuilds} rebuilt"
+        if rebuilds:
+            causes = ", ".join(f"{cause}={value}" for cause, value in rebuilds.items())
+            line += f" ({causes})"
+        lines.append(line)
     warm = {
         name.split(".", 1)[1]: value
         for name, value in sorted(counters.items())

@@ -257,6 +257,13 @@ def test_year_engine_quick_gate(capsys):
     assert np.array_equal(_peak_grid(warm), _peak_grid(cold))
     assert warm.plant_power_w == cold.plant_power_w
     assert warm.coarse_spans == cold.coarse_spans
+    # The reduced-order lane's decisions, cold and warm alike: a cached
+    # basis that cannot reach a span's steady state is rebuilt, so no row
+    # re-marches its span exactly.
+    for run in (cold, warm):
+        assert run.rom_stats.fallback_rows == 0
+        assert run.rom_stats.rebuild_steady_state == 6
+        assert run.rom_stats.rebuild_projection == 0
 
     speedup = cold_s / warm_s
     target = 1.5 if (os.cpu_count() or 1) >= 2 else 1.1

@@ -427,10 +427,14 @@ class FloorEngine:
         * **ROM lane** (configured by ``rom``): step in the cached Krylov
           subspace at the fine substep size — ``O(k^2)`` per substep —
           lifting only the case-cell readout per substep and the full
-          field once at span end.  The span's error is estimated, not
-          bounded: the rigorous per-step a-posteriori bound (two
-          ``(n, k)`` mat-vecs) is evaluated at the first, middle and last
-          substep, and the largest sample is charged to every substep.
+          field once at span end.  A cached basis is rebuilt first when
+          it is stale for the span: an entry field lies outside it, or it
+          cannot reach the steady state of the span's held power (a held
+          boundary serves up to 15% of power drift).  The span's error is
+          estimated, not bounded: the rigorous per-step a-posteriori bound
+          (two ``(n, k)`` mat-vecs) is evaluated at the first, middle and
+          last substep, and the largest sample is charged to every
+          substep.
         * **Full fallback lane**: rows whose projection/error bound trips
           or whose lifted case temperature enters the ``t_case_max_c``
           guard band rerun the *entire* span through the substep march
@@ -513,18 +517,18 @@ class FloorEngine:
             if obs.enabled:
                 # Publish the span's ROM decisions to the hub on the
                 # calling thread, in group-index order — the live
-                # counters behind the fallback-cause report.
-                for name in (
-                    "basis_builds",
-                    "basis_rebuilds",
-                    "fallback_error",
-                    "fallback_guard",
-                    "fallback_projection",
+                # counters behind the rebuild- and fallback-cause report.
+                for counter, value in (
+                    ("rom.basis_builds", scratch.basis_builds),
+                    ("rom.basis_rebuilds", scratch.basis_rebuilds),
+                    ("rom.rebuild.projection", scratch.rebuild_projection),
+                    ("rom.rebuild.steady_state", scratch.rebuild_steady_state),
+                    ("rom.fallback.error", scratch.fallback_error),
+                    ("rom.fallback.guard", scratch.fallback_guard),
+                    ("rom.fallback.projection", scratch.fallback_projection),
                 ):
-                    value = getattr(scratch, name)
                     if value:
-                        prefix = "rom.fallback." if name.startswith("fallback_") else "rom."
-                        obs.inc(prefix + name.removeprefix("fallback_"), value)
+                        obs.inc(counter, value)
         return FloorAdvance(
             racks=tuple(rack_advances),  # type: ignore[arg-type]
             span=span,
@@ -844,11 +848,18 @@ class FloorEngine:
     ):
         """March one solve group through the reduced space.
 
+        The cached basis of ``(boundary, sub_dt)`` is built on a miss and
+        rebuilt once when it is stale: an entry field lies outside it
+        (``projection``), or the per-step bound at the reduced fixed point
+        of the held power, charged for every substep, exceeds
+        ``step_error_tol_c`` (``steady_state``; see
+        :meth:`~repro.thermal.rom.ReducedOperator.steady_state_bound`).
         Returns ``(ok, end_fields, case_hist, peak_hist, residuals)``;
         entries of rows with ``ok[i]`` False are unspecified — those rows
-        rerun through :meth:`_full_march`.  Fallback causes are counted on
-        ``stats`` (a row can trip both the error and guard tests) — the
-        caller's scratch counters under thread-parallel dispatch.
+        rerun through :meth:`_full_march`.  Build, rebuild and fallback
+        causes are counted on ``stats`` (a row can trip both the error and
+        guard tests) — the caller's scratch counters under thread-parallel
+        dispatch.
         """
         simulator = group.simulator
         cache = simulator.solver_cache
@@ -857,31 +868,45 @@ class FloorEngine:
         power_vecs = network.power_vectors(power_maps_rows)
         obs = get_telemetry()
 
+        total_substeps = span * n_substeps
         op = cache.reduced_operator(boundary, sub_dt, config)
         if op is None:
-            with obs.span("rom.build_basis", group=group.index, rebuild=False):
-                op = build_reduced_operator(
-                    network, cache, boundary, sub_dt, state, power_vecs,
-                    group.case_cell_index, config,
-                )
-            cache.store_reduced_operator(boundary, sub_dt, op, config)
-            stats.basis_builds += 1
-            coords, entry_error = op.project(state)
+            cause = "cold"
         else:
             coords, entry_error = op.project(state)
             if bool(np.any(entry_error > config.projection_tol_c)):
-                # The floor drifted out of the cached basis's span: rebuild
-                # once from the current states (folding the stale basis back
-                # in, so recurring boundaries accrete their whole operating
-                # envelope), then give up per-row.
-                with obs.span("rom.build_basis", group=group.index, rebuild=True):
-                    op = build_reduced_operator(
-                        network, cache, boundary, sub_dt, state, power_vecs,
-                        group.case_cell_index, config, previous_basis=op.basis,
-                    )
-                cache.store_reduced_operator(boundary, sub_dt, op, config)
-                stats.basis_rebuilds += 1
-                coords, entry_error = op.project(state)
+                cause = "projection"
+            elif bool(
+                np.any(
+                    op.steady_state_bound(power_vecs) * total_substeps
+                    > config.step_error_tol_c
+                )
+            ):
+                # A held boundary serves up to 15% of power drift, so the
+                # cached basis can miss the steady state of this span's
+                # power, which the reduced march would then head away from.
+                cause = "steady_state"
+            else:
+                cause = None
+        if cause is not None:
+            # Build, or rebuild a stale basis once, from the current states
+            # and their steady targets; a rebuild folds the stale basis back
+            # in, so recurring boundaries accrete their whole operating
+            # envelope.  Rows still outside the new basis then fall back.
+            with obs.span("rom.build_basis", group=group.index, cause=cause):
+                op = build_reduced_operator(
+                    network, cache, boundary, sub_dt, state, power_vecs,
+                    group.case_cell_index, config,
+                    previous_basis=None if op is None else op.basis,
+                )
+            cache.store_reduced_operator(boundary, sub_dt, op, config)
+            if cause == "cold":
+                stats.basis_builds += 1
+            elif cause == "projection":
+                stats.rebuild_projection += 1
+            else:
+                stats.rebuild_steady_state += 1
+            coords, entry_error = op.project(state)
         ok = entry_error <= config.projection_tol_c
         stats.fallback_projection += int(np.sum(~ok))
 
@@ -890,7 +915,6 @@ class FloorEngine:
         affine = op.affine_term(reduced_rhs)
         step_matrix = op.step_matrix
         case_readout = op.basis[op.case_cell_index]
-        total_substeps = span * n_substeps
         sampled_bound = np.zeros(m, dtype=float)
         case_hist = np.empty((span, m), dtype=float)
         peak_hist = np.empty((span, m), dtype=float)

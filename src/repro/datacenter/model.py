@@ -152,6 +152,8 @@ class CoarseningConfig:
             raise ConfigurationError(
                 f"rom must be a RomConfig, got {self.rom!r}"
             )
+        check_positive_int(self.min_span, "min_span")
+        check_positive_int(self.max_span, "max_span")
         if self.min_span < 2:
             raise ConfigurationError(
                 f"min_span must be >= 2, got {self.min_span}"

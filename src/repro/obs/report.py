@@ -14,7 +14,8 @@ renders, from the events exported by :func:`repro.obs.export.write_jsonl`:
   factorization count and the iterative lane's solves, cap fallbacks and
   mean PCG steps beside them;
 * the ROM fallback cause histogram (error bound / guard band /
-  projection residual);
+  projection residual), and beside it why each cached basis was rebuilt
+  (an entry field outside it / the span's steady state outside it);
 * coarsening efficiency — committed control periods per stacked solve;
 * per-thread utilization — depth-0 busy time over the stream extent.
 
@@ -98,6 +99,10 @@ def build_report(events: list[dict]) -> dict:
         cause: counters.get(f"rom.fallback.{cause}", 0)
         for cause in ("error", "guard", "projection")
     }
+    rebuilds = {
+        cause: counters.get(f"rom.rebuild.{cause}", 0)
+        for cause in ("projection", "steady_state")
+    }
     steps = histograms.get("cache.iterative_steps")
     spans_committed = counters.get("session.spans", 0)
     periods_committed = counters.get("session.periods", 0)
@@ -124,6 +129,7 @@ def build_report(events: list[dict]) -> dict:
             + counters.get("warm_store.system_misses", 0),
         ),
         "rom_fallbacks": fallbacks,
+        "rom_rebuilds": rebuilds,
         "dropbacks": {
             name.split(".", 2)[2]: value
             for name, value in counters.items()
@@ -201,6 +207,12 @@ def render_report(events: list[dict]) -> str:
         lines.append("rom fallback causes")
         for cause, count in fallbacks.items():
             lines.append(f"  {cause:<10} {count}")
+    rebuilds = report["rom_rebuilds"]
+    if any(rebuilds.values()):
+        lines.append("")
+        lines.append("rom basis rebuild causes")
+        for cause, count in rebuilds.items():
+            lines.append(f"  {cause:<12} {count}")
 
     dropbacks = report["dropbacks"]
     if dropbacks:

@@ -202,11 +202,11 @@ class Telemetry:
     def footer(self) -> str:
         """Compact one-line digest for trace summaries.
 
-        Span totals (started, recorded, dropped), the ROM fallback cause
-        counters and the cache hit rate when those counters were
-        published — the ``DatacenterTrace.summary()`` telemetry footer.
-        No wall-clock values: the footer may be embedded in artifacts
-        that must stay deterministic.
+        Span totals (started, recorded, dropped), the ROM fallback and
+        basis-rebuild cause counters and the cache hit rate when those
+        counters were published — the ``DatacenterTrace.summary()``
+        telemetry footer.  No wall-clock values: the footer may be
+        embedded in artifacts that must stay deterministic.
         """
         tracer = self.tracer
         parts = [
@@ -222,6 +222,15 @@ class Telemetry:
             parts.append(
                 "rom fallbacks "
                 + "/".join(f"{cause}={count}" for cause, count in causes.items())
+            )
+        rebuilds = {
+            cause: counters.get(f"rom.rebuild.{cause}", 0)
+            for cause in ("projection", "steady_state")
+        }
+        if any(rebuilds.values()):
+            parts.append(
+                "rom rebuilds "
+                + "/".join(f"{cause}={count}" for cause, count in rebuilds.items())
             )
         hits = counters.get("cache.hits", 0)
         misses = counters.get("cache.misses", 0)

@@ -58,8 +58,19 @@ back to the full factorized solver for the affected rows; the
 Cached beside the Cholesky factors: :class:`~repro.thermal.solver_cache.\
 FactorizationCache` stores one :class:`ReducedOperator` per
 ``(boundary content, dt)`` key, so committed traces and replays rebuild a
-basis only when the floor state has genuinely drifted out of the span of
-the cached one (the projection test catches that).
+basis only when it is stale for the span at hand.  Two tests decide that,
+both before the span marches:
+
+* **projection** — an entry field lies outside the cached basis
+  (:meth:`ReducedOperator.project` against ``projection_tol_c``);
+* **steady state** — the basis cannot reach the steady state of the
+  span's held power (:meth:`ReducedOperator.steady_state_bound`, charged
+  for every substep against ``step_error_tol_c``).  A server keeps its
+  boundary while its total power stays within 15% of the power the
+  boundary was built at, so one cached basis serves power maps other than
+  the one whose steady targets seeded it.  Its reduced march would head
+  for the wrong steady state, trip the span's error charge and send the
+  whole span back to the full solver; rebuilding first keeps it reduced.
 """
 
 from __future__ import annotations
@@ -70,8 +81,11 @@ from typing import ClassVar
 import numpy as np
 from scipy import linalg as dense_linalg
 
-from repro.exceptions import ValidationError
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import (
+    check_non_negative_int,
+    check_positive,
+    check_positive_int,
+)
 
 __all__ = ["ReducedOperator", "RomConfig", "RomStats", "build_reduced_operator"]
 
@@ -86,9 +100,10 @@ class RomConfig:
     entry projection error before a cached basis is rebuilt from the
     current states; ``step_error_tol_c`` bounds the *accumulated*
     a-posteriori lift error over a span before the affected rows fall
-    back to the full solver; ``guard_band_c`` falls back whenever a lifted
-    case temperature comes within this margin of ``T_CASE_MAX`` — the ROM
-    never arbitrates a constraint decision.
+    back to the full solver, and the charge of a cached basis that misses
+    the span's steady state before it is rebuilt; ``guard_band_c`` falls
+    back whenever a lifted case temperature comes within this margin of
+    ``T_CASE_MAX`` — the ROM never arbitrates a constraint decision.
     """
 
     max_basis: int = 32
@@ -99,10 +114,7 @@ class RomConfig:
 
     def __post_init__(self) -> None:
         check_positive_int(self.max_basis, "max_basis")
-        if self.krylov_iterations < 0:
-            raise ValidationError(
-                f"krylov_iterations must be >= 0, got {self.krylov_iterations}"
-            )
+        check_non_negative_int(self.krylov_iterations, "krylov_iterations")
         check_positive(self.projection_tol_c, "projection_tol_c")
         check_positive(self.step_error_tol_c, "step_error_tol_c")
         check_positive(self.guard_band_c, "guard_band_c")
@@ -118,15 +130,19 @@ class RomStats:
     ``fallback_projection`` the rows returned to the full solver because
     the accumulated error bound tripped, a lifted case temperature entered
     the constraint guard band, or the entry states left the span of a
-    (re)built basis.  ``basis_builds`` counts cold builds,
-    ``basis_rebuilds`` the drift-triggered replacements of a cached basis.
+    (re)built basis.  ``basis_builds`` counts cold builds;
+    ``rebuild_projection`` / ``rebuild_steady_state`` the replacements of a
+    stale cached basis, because an entry state left its span or it cannot
+    reach the steady state of the span's held power, and
+    :attr:`basis_rebuilds` their total.
     """
 
     #: The counter names, in declaration order.
     FIELDS: ClassVar[tuple[str, ...]]
 
     basis_builds: int = 0
-    basis_rebuilds: int = 0
+    rebuild_projection: int = 0
+    rebuild_steady_state: int = 0
     spans: int = 0
     rom_periods: int = 0
     rom_rows: int = 0
@@ -163,6 +179,11 @@ class RomStats:
     def fallbacks(self) -> int:
         """Total row-level fallbacks to the full solver."""
         return self.fallback_error + self.fallback_guard + self.fallback_projection
+
+    @property
+    def basis_rebuilds(self) -> int:
+        """Total replacements of a stale cached basis, whatever the cause."""
+        return self.rebuild_projection + self.rebuild_steady_state
 
 
 RomStats.FIELDS = tuple(f.name for f in dataclass_fields(RomStats))
@@ -270,6 +291,23 @@ class ReducedOperator:
             np.abs(residual) * self.inverse_capacitance_dt[:, np.newaxis], axis=0
         )
 
+    def steady_state_bound(self, power_vectors: np.ndarray) -> np.ndarray:
+        """Per-row per-step error bound at the reduced steady state.
+
+        The reduced march of a held power converges to the fixed point
+        ``y*`` of ``y+ = step_matrix @ y + affine``, i.e. the solution of
+        ``(I - step_matrix) y* = affine`` (equivalently
+        ``V^T A V y* = V^T b``): one ``k x k`` solve.  The reduced step
+        stands still there, so :meth:`step_error_bound` at ``(y*, y*)`` is
+        the error every substep of a span that reaches ``y*`` adds: zero
+        when the steady target ``A^{-1} b`` lies in the basis, the
+        per-step bound of the miss otherwise.  Two ``(n, k)`` mat-vecs.
+        """
+        affine = self.affine_term(self.reduce_rhs(power_vectors))
+        fixed_point = dense_linalg.solve(np.eye(self.order) - self.step_matrix, affine)
+        full_rhs = self.boundary_rhs[np.newaxis, :] + power_vectors
+        return self.step_error_bound(fixed_point, fixed_point, full_rhs)
+
 
 def _orthonormal_columns(columns: np.ndarray, max_basis: int) -> np.ndarray:
     """Pivoted-QR orthonormalisation, pruned to the numerically independent
@@ -304,7 +342,7 @@ def build_reduced_operator(
     costs a few cached back-substitutions, never a new factorization
     beyond the ones the full lane needs anyway.
 
-    ``previous_basis`` (a drift-invalidated cached basis) is folded into
+    ``previous_basis`` (a stale cached basis) is folded into
     the seed block on a rebuild, so a boundary the floor keeps returning
     to accumulates a basis that spans its whole operating envelope and
     the rebuild rate decays over a long trace instead of churning.

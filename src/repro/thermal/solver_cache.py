@@ -697,7 +697,7 @@ class FactorizationCache:
 
         With a warm store attached and a config given, the operator is
         also persisted to disk under first-write-wins: the *first* build
-        of a key defines the stored entry and drift-triggered rebuilds
+        of a key defines the stored entry and rebuilds of a stale basis
         never overwrite it, which is what keeps a warm replay bit-identical
         to the cold run (both start every key from the same basis).
         """

@@ -22,9 +22,9 @@ Bit-identity contract
 A warm run must match the cold run bit for bit, which dictates two rules:
 
 * **First write wins.**  The cold run persists each reduced operator when
-  it is *first built*; drift-triggered rebuilds never overwrite the
+  it is *first built*; rebuilds of a stale basis never overwrite the
   stored entry.  The warm run therefore starts from exactly the operator
-  the cold run started from, replays the same projection tests, performs
+  the cold run started from, replays the same staleness tests, performs
   the same rebuilds from the same seeds, and lands on the same trajectory
   — with ``RomStats.basis_builds == 0``.
 * **Arrays round-trip losslessly.**  Entries are ``.npy``-format float64

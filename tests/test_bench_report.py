@@ -87,3 +87,23 @@ class TestUpdateBaseline:
         assert baseline.exists()
         assert bench_report.load_report(baseline) == {"bench_a": 0.75}
         assert _main(report, baseline) == 0
+
+
+class TestTelemetrySummary:
+    def test_rebuild_causes_print_beside_fallback_causes(self, tmp_path):
+        artifact = tmp_path / "telemetry.jsonl"
+        counters = {
+            "rom.fallback.error": 6,
+            "rom.basis_builds": 0,
+            "rom.basis_rebuilds": 14,
+            "rom.rebuild.steady_state": 14,
+        }
+        artifact.write_text(
+            "".join(
+                json.dumps({"type": "counter", "name": name, "value": value}) + "\n"
+                for name, value in counters.items()
+            )
+        )
+        summary = bench_report.telemetry_summary(artifact)
+        assert "rom fallbacks: 6 (error=6)" in summary
+        assert "rom bases: 0 built, 14 rebuilt (steady_state=14)" in summary

@@ -11,6 +11,7 @@ from repro.core.mapping import ThreadMapper
 from repro.core.mapping_policies import ProposedThermalAwareMapping
 from repro.core.rack_session import RackSession, ServerLoad
 from repro.datacenter.floor import FloorEngine
+from repro.datacenter.model import CoarseningConfig
 from repro.datacenter.supervisory import MpcSupervisoryController, SupervisoryController
 from repro.obs.telemetry import Histogram
 from repro.obs.tracing import Tracer
@@ -50,6 +51,19 @@ CALLER_INPUT_SITES = {
         candidates=()
     ),
     "RomConfig krylov_iterations": lambda ctx: RomConfig(krylov_iterations=-1),
+    "RomConfig fractional krylov_iterations": lambda ctx: RomConfig(
+        krylov_iterations=2.5
+    ),
+    "RomConfig boolean krylov_iterations": lambda ctx: RomConfig(
+        krylov_iterations=True
+    ),
+    "CoarseningConfig fractional min_span": lambda ctx: CoarseningConfig(min_span=4.5),
+    "CoarseningConfig nan max_span": lambda ctx: CoarseningConfig(
+        max_span=float("nan")
+    ),
+    "CoarseningConfig infinite max_span": lambda ctx: CoarseningConfig(
+        max_span=float("inf")
+    ),
     "ThermalResult.core_temperature_c reduce": lambda ctx: (
         ctx.result.core_temperature_c(0, reduce="median")
     ),

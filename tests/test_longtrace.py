@@ -12,6 +12,10 @@ the PR 7 fine engine, never a different model:
 * the ROM lane falls back to the full solver near the thermal constraint
   (guard band) and on error-bound growth, observable through the
   :class:`~repro.thermal.rom.RomStats` counters;
+* a cached basis that cannot reach a span's steady state (its boundary
+  held through a power drift) is rebuilt instead of falling back, and on
+  the two-SKU floor every row the ROM lane keeps is within 0.1 C of an
+  exact replay of its span;
 * snapshot()/restore() stays lossless with the new lanes — a hold-only
   MPC run over a coarsened trace is bit-identical to the committed
   reactive trace with a frozen setpoint band, and a restored session
@@ -21,11 +25,15 @@ the PR 7 fine engine, never a different model:
   march instead of the ROM lane reproduce the fine engine bit for bit.
 """
 
+import io
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.core.mapping import ThreadMapper
+from repro.core.mapping_policies import ProposedThermalAwareMapping
+from repro.core.rack_session import RackSession, ServerLoad
 from repro.datacenter.floor import FloorEngine
 from repro.datacenter.model import CoarseningConfig, DatacenterModel
 from repro.datacenter.scenarios import build_scenario
@@ -35,8 +43,14 @@ from repro.datacenter.supervisory import (
 )
 from repro.exceptions import ConfigurationError
 from repro.floorplan.xeon_e5_v4 import build_xeon_e5_v4_floorplan
+from repro.obs.export import read_jsonl, write_jsonl
+from repro.obs.report import build_report, render_report
+from repro.obs.telemetry import Telemetry, set_telemetry
 from repro.thermal.rom import RomConfig
 from repro.thermal.simulator import ThermalSimulator
+from repro.thermal.solver_cache import FactorizationCache
+from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN
+from repro.workloads.configuration import Configuration
 
 CELL_SIZE_MM = 4.0
 CONTROL_PERIOD_S = 2.0
@@ -291,6 +305,26 @@ def _two_sku_model(seed, coarsening):
     )
 
 
+def _run_two_sku(seed, coarsening):
+    return _two_sku_model(seed, coarsening).run_trace(
+        duration_s=TWO_SKU_DURATION_S,
+        supervisory=SupervisoryController(period_s=600.0, setpoint_max_c=40.0),
+    )
+
+
+@pytest.fixture(scope="module")
+def two_sku_fine():
+    """The fine engine's trace of the two-SKU floor at a seed, run once."""
+    traces = {}
+
+    def fine(seed):
+        if seed not in traces:
+            traces[seed] = _run_two_sku(seed, None)
+        return traces[seed]
+
+    return fine
+
+
 class TestExactSpans:
     """Coarsening alone is a tier-A reorganization: the span planner changes
     how periods are grouped, never a result.  The ROM lane is the only
@@ -298,7 +332,7 @@ class TestExactSpans:
     march the coarsened floor equals the fine engine bit for bit."""
 
     @pytest.mark.parametrize("seed", (7, 1234))
-    def test_full_march_spans_equal_fine_engine(self, monkeypatch, seed):
+    def test_full_march_spans_equal_fine_engine(self, monkeypatch, two_sku_fine, seed):
         def exact_span(
             self,
             rack_loads,
@@ -315,16 +349,189 @@ class TestExactSpans:
                 rom=None, t_case_max_c=t_case_max_c,
             )
 
-        def run(coarsening):
-            return _two_sku_model(seed, coarsening).run_trace(
-                duration_s=TWO_SKU_DURATION_S,
-                supervisory=SupervisoryController(period_s=600.0, setpoint_max_c=40.0),
-            )
-
-        fine = run(None)
+        fine = two_sku_fine(seed)
         monkeypatch.setattr(FloorEngine, "advance_span", exact_span)
-        coarse = run(CoarseningConfig())
+        coarse = _run_two_sku(seed, CoarseningConfig())
         assert coarse.coarse_spans > 0
         assert coarse.n_periods == fine.n_periods
         assert np.array_equal(_peak_grid(coarse), _peak_grid(fine))
         assert coarse.plant_energy_j == fine.plant_energy_j
+
+
+class TestStaleBasisRebuild:
+    """A server keeps its cooling boundary while its power stays within 15%
+    of the power the boundary was built at, so a cached reduced basis can
+    serve a span whose steady state it cannot reach.  Such a basis is
+    rebuilt, and the span stays on the ROM lane."""
+
+    def test_power_drift_under_a_held_boundary_rebuilds_the_basis(
+        self, floorplan, power_model, x264
+    ):
+        mapper = ThreadMapper(floorplan, orientation=PAPER_OPTIMIZED_DESIGN.orientation)
+        mapping = mapper.map(
+            x264, Configuration(8, 2, 3.2), ProposedThermalAwareMapping()
+        )
+        rack = RackSession(
+            1,
+            floorplan=floorplan,
+            power_model=power_model,
+            thermal_simulator=ThermalSimulator(floorplan, cell_size_mm=CELL_SIZE_MM),
+        )
+        floor = FloorEngine([rack])
+        built = ServerLoad(benchmark=x264, mapping=mapping)
+        drifted = replace(built, activity_factor=0.9)
+        span, substeps = 16, 4
+
+        floor.advance([[built]], CONTROL_PERIOD_S, n_substeps=substeps)
+        floor.advance_span(
+            [[built]], CONTROL_PERIOD_S, span, rom=RomConfig(), n_substeps=substeps
+        )
+        assert floor.rom_stats.basis_builds == 1
+        held = rack.held_boundaries()[0]
+        snapshot = floor.snapshot()
+        before = floor.rom_stats.copy()
+        rom = floor.advance_span(
+            [[drifted]], CONTROL_PERIOD_S, span, rom=RomConfig(), n_substeps=substeps
+        )
+        stats = floor.rom_stats.delta(before)
+        assert rack.held_boundaries()[0] is held
+        assert stats.fallback_rows == 0
+        assert stats.basis_rebuilds == 1
+        assert stats.rebuild_steady_state == 1
+        assert stats.rom_periods == span
+
+        floor.restore(snapshot)
+        exact = floor._advance([[drifted]], CONTROL_PERIOD_S, span, substeps, None)
+        peaks, exact_peaks = rom.period_peak_case_c[0], exact.period_peak_case_c[0]
+        assert np.max(np.abs(peaks - exact_peaks)) <= GOLDEN_TOL_C
+        # The span is not a flat line the reduced lane could match by luck.
+        assert exact_peaks[0, 0] - exact_peaks[-1, 0] > 0.5
+
+
+#: Basis rebuilds on the two-SKU floor, all for a missed steady state.
+TWO_SKU_REBUILDS = {7: 14, 1234: 16}
+
+
+def _exact_replay(
+    network, caches, boundary, maps_rows, state, sub_dt, span, n_substeps, case_cell
+):
+    """``FloorEngine._full_march``'s substep loop on a private cache.
+
+    The floor's own cache must stay untouched: evicting a transient factor
+    there also evicts the reduced operator of the same key, which would
+    change the run under test.
+    """
+    cache = caches.setdefault(id(network), FactorizationCache(network))
+    case_hist = np.empty((span, state.shape[0]))
+    peak_hist = np.empty((span, state.shape[0]))
+    for j in range(span):
+        peak = np.full(state.shape[0], float("-inf"))
+        for _ in range(n_substeps):
+            state = cache._step_fields(state, maps_rows, boundary, sub_dt)
+            np.maximum(peak, state[:, case_cell], out=peak)
+        case_hist[j] = state[:, case_cell]
+        peak_hist[j] = peak
+    return state, case_hist, peak_hist
+
+
+@pytest.fixture(scope="module", params=sorted(TWO_SKU_REBUILDS))
+def two_sku_shadowed(request):
+    """The coarse two-SKU run with every ROM span replayed exactly beside it.
+
+    Returns ``(seed, trace, kept)``: ``kept`` holds one record per row the
+    ROM lane kept — its largest deviation from the exact replay in
+    per-period peaks, case temperatures and span-end field, and whether
+    its span rebuilt a basis for a missed steady state.
+    """
+    seed = request.param
+    kept = []
+    caches = {}
+    rom_march = FloorEngine._rom_march
+
+    def shadowed(
+        self, group, boundary, maps_rows, state, sub_dt, span, n_substeps,
+        t_case_max_c, config, stats,
+    ):
+        rebuilds_before = stats.rebuild_steady_state
+        result = rom_march(
+            self, group, boundary, maps_rows, state, sub_dt, span, n_substeps,
+            t_case_max_c, config, stats,
+        )
+        ok, end, cases, peaks, _ = result
+        exact_end, exact_cases, exact_peaks = _exact_replay(
+            group.simulator.network, caches, boundary, maps_rows, state, sub_dt,
+            span, n_substeps, group.case_cell_index,
+        )
+        rebuilt = stats.rebuild_steady_state > rebuilds_before
+        for i in np.flatnonzero(ok):
+            kept.append({
+                "peak": float(np.max(np.abs(peaks[:, i] - exact_peaks[:, i]))),
+                "case": float(np.max(np.abs(cases[:, i] - exact_cases[:, i]))),
+                "field": float(np.max(np.abs(end[i] - exact_end[i]))),
+                "steady_state_rebuild": rebuilt,
+            })
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FloorEngine, "_rom_march", shadowed)
+        trace = _run_two_sku(seed, CoarseningConfig())
+    return seed, trace, kept
+
+
+class TestTwoSkuRomLane:
+    """The ROM lane on the two-SKU floor at 4.0 mm: no row falls back, and
+    every kept row is within tier C of an exact replay of its span."""
+
+    def test_no_fallbacks_and_unchanged_rebuilds(self, two_sku_shadowed):
+        seed, trace, _ = two_sku_shadowed
+        stats = trace.rom_stats
+        assert stats.fallback_rows == 0
+        assert stats.rebuild_steady_state == TWO_SKU_REBUILDS[seed]
+        assert stats.rebuild_projection == 0
+
+    def test_peaks_energy_and_violations_match_fine_engine(
+        self, two_sku_shadowed, two_sku_fine
+    ):
+        seed, trace, _ = two_sku_shadowed
+        fine = two_sku_fine(seed)
+        assert trace.coarse_spans > 0
+        assert np.max(np.abs(_peak_grid(trace) - _peak_grid(fine))) <= GOLDEN_TOL_C
+        assert trace.plant_energy_j == fine.plant_energy_j
+        assert trace.thermal_violations == fine.thermal_violations
+
+    def test_every_kept_row_matches_its_exact_replay(self, two_sku_shadowed):
+        _, trace, kept = two_sku_shadowed
+        assert len(kept) == trace.rom_stats.rom_rows
+        for name in ("peak", "case", "field"):
+            assert max(row[name] for row in kept) <= GOLDEN_TOL_C, name
+        assert any(row["steady_state_rebuild"] for row in kept)
+
+
+class TestRebuildTelemetry:
+    def test_rebuild_causes_are_published(self):
+        hub = Telemetry()
+        previous = set_telemetry(hub)
+        try:
+            trace = _run_two_sku(7, CoarseningConfig())
+            footer = hub.footer()
+        finally:
+            set_telemetry(previous)
+        counters = hub.counters.snapshot()
+        assert counters.get("rom.rebuild.steady_state", 0) == TWO_SKU_REBUILDS[7]
+        assert counters.get("rom.rebuild.projection", 0) == 0
+        assert counters["rom.basis_rebuilds"] == trace.rom_stats.basis_rebuilds == 14
+        assert "rom rebuilds projection=0/steady_state=14" in footer
+        buffer = io.StringIO()
+        write_jsonl(hub, buffer)
+        buffer.seek(0)
+        events = read_jsonl(buffer)
+        report = build_report(events)
+        assert report["rom_rebuilds"] == {"projection": 0, "steady_state": 14}
+        assert "rom basis rebuild causes" in render_report(events)
+        builds = [
+            record.attrs["cause"]
+            for record in hub.tracer.records()
+            if record.name == "rom.build_basis"
+        ]
+        assert builds.count("steady_state") == 14
+        assert set(builds) <= {"cold", "steady_state"}

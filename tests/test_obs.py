@@ -161,6 +161,11 @@ class TestHub:
         assert "guard=2" in footer
         assert "75.0%" in footer
 
+    def test_footer_mentions_rebuild_causes(self, hub):
+        assert "rom rebuilds" not in hub.footer()
+        hub.inc("rom.rebuild.steady_state", 3)
+        assert "rom rebuilds projection=0/steady_state=3" in hub.footer()
+
 
 class TestRingBounding:
     def test_overflow_evicts_oldest_and_counts_drops(self):
@@ -278,6 +283,7 @@ class TestExporters:
         assert report["counters"]["cache.hits"] == 7
         assert set(report["layers"]) == {"floor", "rom"}
         assert report["rom_fallbacks"] == {"error": 0, "guard": 1, "projection": 0}
+        assert report["rom_rebuilds"] == {"projection": 0, "steady_state": 0}
         text = render_report(read_jsonl(io.StringIO(buffer.getvalue())))
         assert "floor" in text and "rom" in text
 

@@ -56,6 +56,8 @@ _DECISION_FIELDS = (
 
 _ROM_FIELDS = (
     "basis_builds",
+    "rebuild_projection",
+    "rebuild_steady_state",
     "basis_rebuilds",
     "spans",
     "rom_periods",

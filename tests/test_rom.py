@@ -154,6 +154,43 @@ class TestStepping:
         assert np.all(bound > 0.0)
 
 
+class TestSteadyStateBound:
+    def test_vanishes_when_the_basis_holds_the_steady_target(self, setup):
+        _, _, network, _, _, power_maps, _ = setup
+        op = _build(setup)
+        assert np.all(op.steady_state_bound(network.power_vectors(power_maps)) < 1e-9)
+
+    def test_charges_a_steady_target_outside_the_basis(self, setup):
+        _, mapper, network, *_ = setup
+        op = _build(setup)
+        drifted = network.power_vectors(
+            np.stack([mapper.power_map({"core5": 9.0, "llc": 1.0})])
+        )
+        assert op.steady_state_bound(drifted)[0] > 1e-3
+
+    def test_is_the_step_bound_where_the_reduced_march_settles(self, setup):
+        _, mapper, network, *_, seed_fields = setup
+        op = _build(setup)
+        power_vectors = network.power_vectors(
+            np.stack([mapper.power_map({"core5": 9.0, "llc": 1.0})] * 2)
+        )
+        full_rhs = op.boundary_rhs[np.newaxis, :] + power_vectors
+        affine = op.affine_term(op.reduce_rhs(power_vectors))
+        coords, _ = op.project(seed_fields)
+        for _ in range(4000):
+            previous, coords = coords, op.step_matrix @ coords + affine
+        np.testing.assert_allclose(
+            op.step_error_bound(coords, previous, full_rhs),
+            op.steady_state_bound(power_vectors),
+            rtol=1e-6,
+        )
+        # The same fixed point from the Galerkin form V^T A V y* = V^T b.
+        fixed_point = np.linalg.solve(
+            op.basis.T @ op.conductance_basis, op.reduce_rhs(power_vectors)
+        )
+        np.testing.assert_allclose(coords, fixed_point, rtol=1e-8)
+
+
 class TestCacheIntegration:
     def test_store_and_retrieve(self, setup):
         _, _, network, _, boundary, *_ = setup
@@ -207,3 +244,8 @@ class TestConfigAndStats:
         assert delta.fallback_error == 0
         assert stats.fallbacks == 1 + 2 + 4
         assert snap.fallbacks == 3
+
+    def test_basis_rebuilds_total_both_causes(self):
+        stats = RomStats(rebuild_projection=2, rebuild_steady_state=3)
+        assert stats.basis_rebuilds == 5
+        assert "basis_rebuilds" not in RomStats.FIELDS
