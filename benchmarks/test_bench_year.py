@@ -7,9 +7,11 @@ stacks three more levers on top of it:
   hardware groups on worker threads (the banded Cholesky factor and
   solve calls hold the GIL, so only the groups' other NumPy work
   overlaps), bit-identical to the serial engine;
-* **persistent warm store** — run N+1 of the same floor loads its reduced
-  Krylov bases from disk, paying zero Arnoldi builds (factorizations are
-  rebuilt from the network's bulk band, never loaded);
+* **persistent warm store** — run N+1 of the same floor loads the first
+  reduced Krylov basis of every boundary from disk, paying no first
+  Arnoldi build; it still computes the rebuilds of stale bases its own
+  states call for (factorizations are rebuilt from the network's bulk
+  band, never loaded);
 * **floor-wide span lattice** — one searchsorted against a merged event
   lattice per span plan, and span-boundary (not per-period) accounting in
   the run loop.
@@ -17,8 +19,8 @@ stacks three more levers on top of it:
 ``test_year_engine_quick_gate`` is the hard CI gate (runs under
 ``--quick``): on a 4-group floor at fine grid resolution, the year engine
 warm (threads + loaded store) must beat the PR 8 engine (serial, cold,
-no store) by >= 1.5x while matching it bit for bit with zero Arnoldi
-builds.  The 1.5x is gated on multi-core runners (every CI runner): the
+no store) by >= 1.5x while matching it bit for bit with zero first
+Arnoldi builds.  The 1.5x is gated on multi-core runners (every CI runner): the
 warm store alone contributes ~1.5-1.8x at this scale (the Arnoldi builds
 dominate a 1.5 mm cold start, especially under
 the deep-Krylov config annual-accuracy studies run) and the
@@ -245,7 +247,8 @@ def test_year_engine_quick_gate(capsys):
 
     assert cold.rom_stats is not None and cold.rom_stats.basis_builds > 0
     assert warm is not None and warm.rom_stats is not None
-    # Zero Arnoldi builds, everything served from the store ...
+    # No first Arnoldi build: every boundary's first basis is served from
+    # the store ...
     assert warm.rom_stats.basis_builds == 0
     assert warm_store.stats.reduced_hits > 0
     # The factorization cache writes and reads no assembled systems.
@@ -292,7 +295,7 @@ def test_bench_year_1m_periods(capsys, tmp_path):
     constant once the cold start has amortized — two orders of magnitude
     before the slice ends).  The slice also leaves a populated warm store
     behind, exactly how a year-scale study would run: seed the store at
-    small scale, then pay zero Arnoldi builds on the annual sweep.  The
+    small scale, then pay zero first Arnoldi builds on the annual sweep.  The
     >= 3x target needs one core per hardware group; with fewer cores the
     thread-parallel term vanishes and the test gates parity instead,
     printing the measured ratio either way.

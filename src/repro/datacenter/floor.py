@@ -854,12 +854,13 @@ class FloorEngine:
         of the held power, charged for every substep, exceeds
         ``step_error_tol_c`` (``steady_state``; see
         :meth:`~repro.thermal.rom.ReducedOperator.steady_state_bound`).
-        Returns ``(ok, end_fields, case_hist, peak_hist, residuals)``;
-        entries of rows with ``ok[i]`` False are unspecified — those rows
-        rerun through :meth:`_full_march`.  Build, rebuild and fallback
-        causes are counted on ``stats`` (a row can trip both the error and
-        guard tests) — the caller's scratch counters under thread-parallel
-        dispatch.
+        Returns ``(ok, end_fields, case_hist, peak_hist, residuals)``,
+        ``residuals`` being each row's largest lifted change over the final
+        substep; entries of rows with ``ok[i]`` False are unspecified —
+        those rows rerun through :meth:`_full_march`.  Build, rebuild and
+        fallback causes are counted on ``stats`` (a row can trip both the
+        error and guard tests) — the caller's scratch counters under
+        thread-parallel dispatch.
         """
         simulator = group.simulator
         cache = simulator.solver_cache
@@ -918,11 +919,9 @@ class FloorEngine:
         sampled_bound = np.zeros(m, dtype=float)
         case_hist = np.empty((span, m), dtype=float)
         peak_hist = np.empty((span, m), dtype=float)
-        previous_end = coords
+        previous = coords
         step_index = 0
         for j in range(span):
-            if j == span - 1:
-                previous_end = coords.copy()
             peak = np.full(m, float("-inf"))
             for _ in range(n_substeps):
                 new_coords = step_matrix @ coords + affine
@@ -936,7 +935,7 @@ class FloorEngine:
                         op.step_error_bound(new_coords, coords, full_rhs),
                         out=sampled_bound,
                     )
-                coords = new_coords
+                previous, coords = coords, new_coords
                 step_index += 1
                 case = case_readout @ coords
                 np.maximum(peak, case, out=peak)
@@ -960,7 +959,9 @@ class FloorEngine:
         stats.rom_periods += n_ok * span
 
         end_fields = op.lift(coords)
-        residuals = np.max(np.abs(op.lift(coords - previous_end)), axis=1)
+        # The settle residual is the final substep's change, as in
+        # :meth:`_full_march`.
+        residuals = np.max(np.abs(op.lift(coords - previous)), axis=1)
         return ok, end_fields, case_hist, peak_hist, residuals
 
     def _full_march(

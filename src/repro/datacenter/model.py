@@ -457,7 +457,7 @@ class DatacenterModel:
         A :class:`~repro.thermal.warm_store.WarmStore` (or a directory
         path for one) attached to every hardware group's factorization
         cache, so reduced-order bases persist across runs — run ``N+1``
-        of the same floor skips every Arnoldi build while staying
+        of the same floor skips every first Arnoldi build while staying
         bit-identical to the cold run.  ``None`` (default) runs fully
         cold.
     """

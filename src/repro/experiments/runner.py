@@ -217,7 +217,7 @@ def main(argv: list[str] | None = None) -> None:
         default=None,
         metavar="DIR",
         help="persist reduced-order bases to DIR so "
-        "repeat runs skip every Arnoldi build",
+        "repeat runs skip every first Arnoldi build",
     )
     parser.add_argument(
         "--telemetry",

@@ -663,10 +663,11 @@ class FactorizationCache:
         :meth:`store_reduced_operator`.  With a warm store attached and a
         :class:`~repro.thermal.rom.RomConfig` given, an in-memory miss
         falls through to the persisted entry for (network, boundary, dt,
-        config) — the cross-run path that makes run N+1 skip every Arnoldi
-        build.  Lookups deliberately do not touch the :class:`CacheStats`
-        hit/miss counters — those count factorizations, which trace
-        engines report as physical work.
+        config) — the cross-run path that makes run N+1 skip every first
+        Arnoldi build (it still computes its rebuilds).  Lookups
+        deliberately do not touch the :class:`CacheStats` hit/miss
+        counters — those count factorizations, which trace engines report
+        as physical work.
         """
         key = (cooling.cache_token(), float(dt_s))
         with self._lock:

@@ -9,7 +9,9 @@ fields.  :class:`WarmStore` persists them to disk keyed by exactly those
 content keys — the network's :meth:`~repro.thermal.network.\
 ThermalNetwork.content_key`, the boundary's :meth:`~repro.thermal.\
 boundary.CoolingBoundary.cache_token` and the ROM config — so run ``N+1``
-of the same floor skips every Arnoldi basis build.
+of the same floor skips every first basis build.  Rebuilds of a stale
+basis are not stored: each depends on its run's own entry fields and
+power, so only a bit-for-bit replay of the filling run could load one.
 
 The store can also hold assembled backward-Euler / steady systems
 (:meth:`WarmStore.store_system` / :meth:`WarmStore.load_system`), but the

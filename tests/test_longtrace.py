@@ -15,7 +15,8 @@ the PR 7 fine engine, never a different model:
 * a cached basis that cannot reach a span's steady state (its boundary
   held through a power drift) is rebuilt instead of falling back, and on
   the two-SKU floor every row the ROM lane keeps is within 0.1 C of an
-  exact replay of its span;
+  exact replay of its span and reports its last substep's change as its
+  settle residual;
 * snapshot()/restore() stays lossless with the new lanes — a hold-only
   MPC run over a coarsened trace is bit-identical to the committed
   reactive trace with a frozen setpoint band, and a restored session
@@ -427,11 +428,23 @@ def _exact_replay(
     for j in range(span):
         peak = np.full(state.shape[0], float("-inf"))
         for _ in range(n_substeps):
+            previous = state
             state = cache._step_fields(state, maps_rows, boundary, sub_dt)
             np.maximum(peak, state[:, case_cell], out=peak)
         case_hist[j] = state[:, case_cell]
         peak_hist[j] = peak
-    return state, case_hist, peak_hist
+    residual = np.max(np.abs(state - previous), axis=1)
+    return state, case_hist, peak_hist, residual
+
+
+def _reduced_last_change(op, power_vectors, state, n_steps):
+    """The lifted change of the last of ``n_steps`` reduced steps from
+    ``state``: the settle residual a ROM span reports."""
+    coords, _ = op.project(state)
+    affine = op.affine_term(op.reduce_rhs(power_vectors))
+    for _ in range(n_steps):
+        previous, coords = coords, op.step_matrix @ coords + affine
+    return np.max(np.abs(op.lift(coords - previous)), axis=1)
 
 
 @pytest.fixture(scope="module", params=sorted(TWO_SKU_REBUILDS))
@@ -440,8 +453,10 @@ def two_sku_shadowed(request):
 
     Returns ``(seed, trace, kept)``: ``kept`` holds one record per row the
     ROM lane kept — its largest deviation from the exact replay in
-    per-period peaks, case temperatures and span-end field, and whether
-    its span rebuilt a basis for a missed steady state.
+    per-period peaks, case temperatures and span-end field, whether its
+    span rebuilt a basis for a missed steady state, and its settle
+    residual beside the last substep's change in a reduced and in the
+    exact replay.
     """
     seed = request.param
     kept = []
@@ -457,10 +472,15 @@ def two_sku_shadowed(request):
             self, group, boundary, maps_rows, state, sub_dt, span, n_substeps,
             t_case_max_c, config, stats,
         )
-        ok, end, cases, peaks, _ = result
-        exact_end, exact_cases, exact_peaks = _exact_replay(
-            group.simulator.network, caches, boundary, maps_rows, state, sub_dt,
+        ok, end, cases, peaks, residuals = result
+        network = group.simulator.network
+        exact_end, exact_cases, exact_peaks, exact_residuals = _exact_replay(
+            network, caches, boundary, maps_rows, state, sub_dt,
             span, n_substeps, group.case_cell_index,
+        )
+        reduced_residuals = _reduced_last_change(
+            group.simulator.solver_cache.reduced_operator(boundary, sub_dt),
+            network.power_vectors(maps_rows), state, span * n_substeps,
         )
         rebuilt = stats.rebuild_steady_state > rebuilds_before
         for i in np.flatnonzero(ok):
@@ -469,6 +489,10 @@ def two_sku_shadowed(request):
                 "case": float(np.max(np.abs(cases[:, i] - exact_cases[:, i]))),
                 "field": float(np.max(np.abs(end[i] - exact_end[i]))),
                 "steady_state_rebuild": rebuilt,
+                "n_substeps": n_substeps,
+                "residual": float(residuals[i]),
+                "reduced_residual": float(reduced_residuals[i]),
+                "exact_residual": float(exact_residuals[i]),
             })
         return result
 
@@ -505,6 +529,16 @@ class TestTwoSkuRomLane:
         for name in ("peak", "case", "field"):
             assert max(row[name] for row in kept) <= GOLDEN_TOL_C, name
         assert any(row["steady_state_rebuild"] for row in kept)
+
+    def test_kept_row_residual_is_the_last_substep_change(self, two_sku_shadowed):
+        """A kept row's settle residual is the lifted change over the span's
+        final substep, as the fine lane defines it, not over its last
+        period, and it is within tier C of the exact replay's."""
+        _, _, kept = two_sku_shadowed
+        assert any(row["n_substeps"] > 1 for row in kept)
+        for row in kept:
+            assert row["residual"] == pytest.approx(row["reduced_residual"], rel=1e-9)
+            assert abs(row["residual"] - row["exact_residual"]) <= GOLDEN_TOL_C
 
 
 class TestRebuildTelemetry:

@@ -5,6 +5,8 @@ The :class:`~repro.thermal.warm_store.WarmStore` contract:
 * a cold coarsened run populates the store with reduced operators and a
   second run of the same floor reads them back — ``RomStats.basis_builds
   == 0`` — while reproducing the cold trace bit for bit;
+* only first builds are stored: each run computes its own rebuilds of a
+  stale basis;
 * the factorization cache neither writes nor reads assembled-system
   entries: it factors from the network's bulk band and assembles nothing
   a stored system could save (the store's system methods stay,
@@ -101,6 +103,17 @@ class TestColdWarmRoundTrip:
         assert trace.rom_stats is not None
         assert trace.rom_stats.basis_builds == 0
         assert store.stats.reduced_hits > 0
+
+    def test_store_keeps_first_builds_only(self, cold, warm):
+        """A rebuild depends on its run's own states, so the store holds
+        one entry per first build and the warm run computes the same
+        rebuilds as the cold run."""
+        cold_stats = cold[0].rom_stats
+        store = cold[1]
+        assert cold_stats.basis_rebuilds > 0
+        entries = list(store.path.glob("reduced-*.npz"))
+        assert len(entries) == store.stats.stores == cold_stats.basis_builds
+        assert warm[0].rom_stats.basis_rebuilds == cold_stats.basis_rebuilds
 
     def test_warm_run_reads_no_assembled_systems(self, warm):
         _, store = warm
