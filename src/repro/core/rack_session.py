@@ -16,8 +16,11 @@ refresh planning (:meth:`RackSession.plan_refresh`), holding a refreshed
 boundary (:meth:`RackSession.store_boundary`) and adopting the advanced
 fields as per-server results (:meth:`RackSession.finish_advance`).  The
 physics — loop convergence, lane marches, stacked solves — runs in the
-floor engine, the library's one transient loop; a standalone rack is a
-one-rack floor (see :meth:`ThermosyphonController.run_rack_trace`).
+floor engine, the library's one transient loop, and the datacenter
+session's loop drives it.  A standalone rack is a one-rack floor: see
+:meth:`ThermosyphonController.run_rack_trace`, which seeds that floor from
+a supplied session with :meth:`RackSession.snapshot` and hands the rack's
+state back through :meth:`RackSession.restore`.
 """
 
 from __future__ import annotations

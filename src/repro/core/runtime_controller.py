@@ -19,14 +19,17 @@ Two execution modes are offered by :meth:`ThermosyphonController.run_trace`:
 ``mode="transient"``
     The time-domain study, closer to the paper's runtime claim: the trace
     runs as a one-server :meth:`ThermosyphonController.run_rack_trace`,
-    i.e. on a one-server :class:`~repro.datacenter.floor.FloorEngine` —
-    the library's one transient loop.  The temperature field is carried
-    across periods and advanced with backward-Euler steps; the cooling
-    boundary is held between actuator events (and refreshed on large power
-    drift), so a whole trace runs on a handful of factorizations — each
-    period is a few cached back-substitutions.  Decisions gain transient
-    diagnostics: the settle residual (how far from equilibrium the period
-    ended) and the peak case temperature observed *within* the period.
+    i.e. as one :class:`~repro.datacenter.model.DatacenterSession` run of
+    a one-server floor — the library's one driver loop around its one
+    transient engine (:class:`~repro.datacenter.floor.FloorEngine`), with
+    the controller as the floor's decision policy.  The temperature field
+    is carried across periods and advanced with backward-Euler steps; the
+    cooling boundary is held between actuator events (and refreshed on
+    large power drift), so a whole trace runs on a handful of
+    factorizations — each period is a few cached back-substitutions.
+    Decisions gain transient diagnostics: the settle residual (how far
+    from equilibrium the period ended) and the peak case temperature
+    observed *within* the period.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.mapping import ThreadMapper, WorkloadMapping
 from repro.core.pipeline import CooledServerSimulation, EvaluationResult, T_CASE_MAX_C
-from repro.core.rack_session import RackSession, ServerLoad
+from repro.core.rack_session import RackSession
 from repro.exceptions import ConfigurationError, ThermalEmergencyError
 from repro.power.dvfs import CORE_FREQUENCIES_GHZ
 from repro.thermal.solver_cache import CacheStats
@@ -320,9 +323,12 @@ class RackTrace:
     the whole rack trace cost, and ``cache_stats`` carries this trace's
     hit/miss activity together with the cache's entry counts *at trace end*
     (entries may include operators from earlier studies on a shared
-    simulator; a datacenter run counts floor-wide and leaves both None) — on
-    a homogeneous rack the batched engine pays one factorization where
-    independent per-server traces would pay ``n_servers``.
+    simulator) — on a homogeneous rack the batched engine pays one
+    factorization where independent per-server traces would pay
+    ``n_servers``.  A datacenter run's per-rack records
+    (``DatacenterTrace.racks``) leave both None, since it counts
+    floor-wide; :meth:`ThermosyphonController.run_rack_trace` returns its
+    one-rack run's record with those floor-wide counts attached.
     """
 
     periods: list[tuple[ControllerDecision, ...]] = field(default_factory=list)
@@ -419,55 +425,6 @@ class RackTrace:
         return "\n".join(lines)
 
 
-def build_rack_loads(
-    servers: Sequence[RackServer],
-    traces: Sequence[PhasedTrace],
-    current_mappings: list[WorkloadMapping],
-    frequencies: list[float],
-    water_loops: Sequence[WaterLoop],
-    time_s: float,
-    *,
-    mapping_memo: dict | None = None,
-) -> list[ServerLoad]:
-    """Resolve one rack's :class:`ServerLoad` list for a control period.
-
-    The load-building half of a transient period, shared by
-    :meth:`ThermosyphonController.run_rack_trace` and
-    :class:`repro.datacenter.model.DatacenterSession`: every rack's loads
-    are assembled first, then the floor engine batches the physics of the
-    whole floor in one pass.  ``current_mappings``
-    is updated **in place** when a DVFS decision moved a server's frequency
-    away from its mapping's.  ``mapping_memo`` optionally memoizes
-    re-pinned mappings across servers and periods (keyed by the source
-    mapping's identity and the target frequency) — identical servers then
-    share one rebuilt mapping instead of recomputing it per server.
-    """
-    loads = []
-    for index, server in enumerate(servers):
-        if current_mappings[index].configuration.frequency_ghz != frequencies[index]:
-            if mapping_memo is None:
-                current_mappings[index] = mapping_at_frequency(
-                    server.mapping, frequencies[index]
-                )
-            else:
-                key = (id(server.mapping), frequencies[index])
-                mapped = mapping_memo.get(key)
-                if mapped is None:
-                    mapped = mapping_at_frequency(server.mapping, frequencies[index])
-                    mapping_memo[key] = mapped
-                current_mappings[index] = mapped
-        phase = traces[index].phase_at(time_s)
-        loads.append(
-            ServerLoad(
-                benchmark=server.benchmark,
-                mapping=current_mappings[index],
-                activity_factor=phase.activity_factor,
-                water_loop=water_loops[index],
-            )
-        )
-    return loads
-
-
 def apply_rack_decisions(
     advance,
     servers: Sequence[RackServer],
@@ -480,13 +437,13 @@ def apply_rack_decisions(
 ) -> tuple[tuple[ControllerDecision, ...], float]:
     """Apply the fast per-server rule to one rack's advanced physics.
 
-    The decision half of a transient period, shared like
-    :func:`build_rack_loads`: walks a
+    The decision stage of :class:`repro.datacenter.model.DatacenterSession`,
+    run once per rack every period: walks a
     :class:`~repro.core.rack_session.RackAdvance`, charges the rack's
     chiller power and lets ``policy`` pick each server's next actuator
     settings.  ``policy`` is anything with the
-    :meth:`DecisionPolicy.decide` signature (the controller passes itself,
-    so subclass overrides of ``decide`` keep working).  ``frequencies``,
+    :meth:`DecisionPolicy.decide` signature (a controller passed as the
+    floor's policy steers it with its own ``decide``).  ``frequencies``,
     ``water_loops`` and ``force_refresh`` are updated **in place**; returns
     the period's decisions and the rack chiller electrical power, both
     evaluated at the settings the period actually ran with.
@@ -692,98 +649,71 @@ class ThermosyphonController:
     ) -> RackTrace:
         """Run the controller over a whole rack of servers at once.
 
-        Every server follows the decision rule of :meth:`run_trace` in
-        transient mode — flow first, DVFS second, per-server valve and
-        frequency state — while the thermal work of each control period is
-        one :meth:`~repro.datacenter.floor.FloorEngine.advance` of a
-        one-rack floor: servers holding the same cooling boundary advance
-        through a single cached operator per substep, so a homogeneous rack
-        trace costs roughly ``n_servers`` times fewer factorizations than
-        independent per-server traces.
+        The trace is one :meth:`~repro.datacenter.model.DatacenterSession.run`
+        of a one-rack, fixed-setpoint
+        :class:`~repro.datacenter.model.DatacenterModel`, with this
+        controller as the floor's policy (so a subclass overriding
+        :meth:`decide` steers it) and ``chiller`` as its fixed-efficiency
+        plant.  Every server follows the decision rule
+        of :meth:`run_trace` in transient mode — flow first, DVFS second,
+        per-server valve and frequency state — while the floor engine
+        advances servers holding the same cooling boundary through a single
+        cached operator per substep, so a homogeneous rack trace costs
+        roughly ``n_servers`` times fewer factorizations than independent
+        per-server traces.
 
         ``trace`` is the shared activity trace; servers carrying their own
         :attr:`RackServer.trace` follow it instead (the rack runs until the
         longest trace ends, shorter traces idling on their final phase).
-        ``rack_session`` may be supplied to continue from accumulated state
-        (its temperature fields and held boundaries are kept — call
+        Every server starts at ``initial_water_loop`` (default: the
+        design's).  ``rack_session`` may be supplied to continue from
+        accumulated state (its temperature fields and held boundaries seed
+        the run and receive the rack's state at its end — call
         :meth:`RackSession.reset` first for a cold start) or to use a
-        custom substrate; by default a fresh session is built on the
+        custom substrate; by default the floor is built on the
         simulation's floorplan, power model and thermal simulator, so the
         factorization cache is shared with any single-server studies on the
-        same simulation.
+        same simulation.  The returned record carries the run's
+        factorization count and cache statistics.
         """
         # Imported here: repro.datacenter imports this module (through
         # its model), so a module-level import would be circular.
-        from repro.datacenter.floor import FloorEngine
+        from repro.datacenter.model import DatacenterModel, RackSpec
 
-        servers = list(servers)
-        if not servers:
-            raise ConfigurationError("a rack trace needs at least one server")
-        traces = [server.trace if server.trace is not None else trace for server in servers]
-        if any(t is None for t in traces):
-            raise ConfigurationError(
-                "every server needs a trace: pass a shared trace or give each "
-                "RackServer its own"
-            )
-        if rack_session is None:
-            rack_session = RackSession(
-                len(servers),
-                floorplan=self.simulation.floorplan,
-                design=self.simulation.design,
-                power_model=self.simulation.power_model,
-                thermal_simulator=self.simulation.thermal_simulator,
-            )
-        elif rack_session.n_servers != len(servers):
+        servers = tuple(servers)
+        if rack_session is not None and rack_session.n_servers != len(servers):
             raise ConfigurationError(
                 f"rack session is sized for {rack_session.n_servers} servers, "
                 f"got {len(servers)}"
             )
-        chiller = chiller if chiller is not None else ChillerModel()
-
-        default_loop = (
+        substrate = rack_session if rack_session is not None else self.simulation
+        session = DatacenterModel(
+            [RackSpec("rack", servers, trace)],
+            plant=chiller if chiller is not None else ChillerModel(),
+            floorplan=substrate.floorplan,
+            design=substrate.design,
+            power_model=substrate.power_model,
+            thermal_simulator=substrate.thermal_simulator,
+            control_period_s=self.control_period_s,
+            transient_substeps=transient_substeps,
+            policy=self,
+        ).session()
+        start = session.snapshot()
+        water_loop = (
             initial_water_loop
             if initial_water_loop is not None
             else self.simulation.design.water_loop()
         )
-        water_loops = [default_loop] * len(servers)
-        frequencies = [server.mapping.configuration.frequency_ghz for server in servers]
-        current_mappings = [server.mapping for server in servers]
-        force_refresh = [False] * len(servers)
-
-        # A supplied session keeps its state: the floor stacks the
-        # session's carried fields on every advance.
-        floor = FloorEngine([rack_session])
-        record = RackTrace(control_period_s=self.control_period_s)
-        cache = rack_session.thermal_simulator.solver_cache
-        stats_before = cache.stats
-
-        duration_s = max(t.duration_s for t in traces)
-        time_s = 0.0
-        while time_s < duration_s:
-            loads = build_rack_loads(
-                servers, traces, current_mappings, frequencies, water_loops, time_s
-            )
-            advance = floor.advance(
-                [loads],
-                self.control_period_s,
-                n_substeps=transient_substeps,
-                force_boundary_refresh=[force_refresh],
-            ).racks[0]
-            # The controller itself is the policy argument, so a subclass
-            # overriding decide() steers rack traces exactly like run_trace.
-            decisions, period_chiller_w = apply_rack_decisions(
-                advance,
-                servers,
-                frequencies,
-                water_loops,
-                force_refresh,
-                time_s,
-                self,
-                chiller,
-            )
-            record.periods.append(decisions)
-            record.chiller_power_w.append(period_chiller_w)
-            time_s += self.control_period_s
-        record.cache_stats = cache.stats.delta(stats_before)
-        record.factorizations = record.cache_stats.misses
+        floor = start.floor
+        if rack_session is not None:
+            floor = replace(floor, rack_snapshots=(rack_session.snapshot(),))
+        session.restore(
+            replace(start, water_loops=((water_loop,) * len(servers),), floor=floor)
+        )
+        run = session.run()
+        if rack_session is not None:
+            rack_session.restore(session.rack_sessions[0].snapshot())
+        record = run.racks[0]
+        record.factorizations = run.factorizations
+        record.cache_stats = run.cache_stats
         return record

@@ -1,11 +1,11 @@
 """Floor engine: every server on the floor stacked through shared operators.
 
-:class:`FloorEngine` is the library's one transient physics loop.  The
-datacenter session (:class:`repro.datacenter.model.DatacenterSession`)
-drives a whole floor through it, and
-:meth:`ThermosyphonController.run_rack_trace` (and therefore
-``run_trace(mode="transient")``) drives a one-rack floor.  Advancing racks
-one at a time would make a homogeneous 20-rack floor pay 20 multi-RHS
+:class:`FloorEngine` is the library's one transient physics loop, and the
+datacenter session (:class:`repro.datacenter.model.DatacenterSession`) is
+the one loop that drives it: over a whole floor, or over the one-rack floor
+that :meth:`ThermosyphonController.run_rack_trace` (and therefore
+``run_trace(mode="transient")``) builds.  Advancing racks one at a time
+would make a homogeneous 20-rack floor pay 20 multi-RHS
 back-substitutions per substep where the physics permits one, so every
 period the engine stacks the fields of each **hardware group** (racks
 sharing one thermal network, i.e. one
@@ -435,12 +435,13 @@ class FloorEngine:
           (two ``(n, k)`` mat-vecs) is evaluated at the first, middle and
           last substep, and the largest sample is charged to every
           substep.
-        * **Full fallback lane**: rows whose projection/error bound trips
-          or whose lifted case temperature enters the ``t_case_max_c``
-          guard band rerun the *entire* span through the substep march
-          every :meth:`advance` runs (identical physics to ``span`` calls
-          of it); the :class:`~repro.thermal.rom.RomStats` counters
-          record why.
+        * **Full fallback lane**: rows whose projection error or span
+          error charge (the largest sampled per-step bound times the
+          substep count) exceeds its tolerance, or whose lifted case
+          temperature enters the ``t_case_max_c`` guard band, rerun the
+          *entire* span through the substep march every :meth:`advance`
+          runs (identical physics to ``span`` calls of it); the
+          :class:`~repro.thermal.rom.RomStats` counters record why.
 
         Only the lanes differ from :meth:`advance`: stages 1, 2 and 4 and
         the result type are shared, and a span of one still runs the ROM

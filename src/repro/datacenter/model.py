@@ -18,10 +18,9 @@ condenser water.  :class:`DatacenterSession` executes the floor over time:
   :class:`~repro.core.rack_session.RackSession` owns its servers' fields
   and held boundaries; the engine stacks them per period;
 * each server then runs the paper's fast flow-first/DVFS-second rule
-  (:class:`~repro.core.runtime_controller.DecisionPolicy` — the exact rule
-  :meth:`ThermosyphonController.run_rack_trace` applies on the same floor
-  engine, so at a fixed setpoint every server reproduces the per-server
-  golden loop of ``tests/reference_session.py`` bit for bit);
+  (:class:`~repro.core.runtime_controller.DecisionPolicy`, or any policy
+  with its ``decide``), so at a fixed setpoint every server reproduces the
+  per-server golden loop of ``tests/reference_session.py`` bit for bit;
 * a :class:`~repro.datacenter.supervisory.SupervisoryController`, when
   given, closes the slow outer loop on the chiller water supply setpoint,
   reading the floor-level within-period peak straight off the stacked
@@ -31,6 +30,11 @@ The result is a :class:`DatacenterTrace`: per-rack
 :class:`~repro.core.runtime_controller.RackTrace` series, the setpoint
 schedule, per-period plant power/energy, the supervisory decision log and
 the merged solver-cache statistics of the whole floor.
+
+:meth:`DatacenterSession.run` is the library's one driver loop.  A rack
+trace (:meth:`ThermosyphonController.run_rack_trace`, and through it
+``run_trace(mode="transient")``) is a one-rack, fixed-setpoint run of it,
+with the controller as the policy and its chiller as the plant.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import os
 from dataclasses import dataclass, field, replace
 
 from repro.core.mapping import WorkloadMapping
-from repro.core.rack_session import RackSession
+from repro.core.rack_session import RackSession, ServerLoad
 from repro.core.runtime_controller import (
     ControllerAction,
     ControllerDecision,
@@ -47,7 +51,6 @@ from repro.core.runtime_controller import (
     RackServer,
     RackTrace,
     apply_rack_decisions,
-    build_rack_loads,
     mapping_at_frequency,
 )
 from repro.core.session import T_CASE_MAX_C
@@ -67,7 +70,12 @@ from repro.floorplan.xeon_e5_v4 import build_xeon_e5_v4_floorplan
 from repro.power.power_model import ServerPowerModel
 from repro.thermal.simulator import ThermalSimulator
 from repro.thermal.solver_cache import CacheStats
-from repro.thermosyphon.chiller import ChillerBank, ChillerPlant, StagingDecision
+from repro.thermosyphon.chiller import (
+    ChillerBank,
+    ChillerModel,
+    ChillerPlant,
+    StagingDecision,
+)
 from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN, ThermosyphonDesign
 from repro.thermosyphon.water_loop import WaterLoop
 from repro.workloads.trace import PhasedTrace
@@ -137,7 +145,9 @@ class CoarseningConfig:
     Spans are quantized to powers of two between ``min_span`` and
     ``max_span``.  ``rom`` configures the reduced-order lane every span
     steps through (:class:`~repro.thermal.rom.RomConfig`), whose error
-    bound sends rows back to the full solver when it trips.
+    charge sends rows back to the full solver when it exceeds tolerance.
+    The charge is the largest of three sampled rigorous per-step bounds
+    times the substep count: an estimate, not a bound.
     """
 
     min_span: int = 4
@@ -419,7 +429,10 @@ class DatacenterModel:
         :class:`~repro.thermosyphon.chiller.ChillerBank` adds unit
         staging: per-server loads are accounted thermally (Eq. 1 at unit
         COP) and the bank commits the cheapest feasible unit subset to
-        the floor total every period.
+        the floor total every period.  A
+        :class:`~repro.thermosyphon.chiller.ChillerModel` is a
+        fixed-efficiency plant: the same COP and free-cooling fraction at
+        every setpoint.
     floorplan, design, power_model, thermal_simulator, cell_size_mm:
         The *default* hardware substrate — racks whose :class:`RackSpec`
         does not override it share this floorplan, design, power model and
@@ -427,10 +440,15 @@ class DatacenterModel:
         carrying their own floorplan get one simulator per distinct
         floorplan, built at the default simulator's cell size.
     control_period_s, transient_substeps:
-        The fast loop's period and backward-Euler substeps, as in
-        :meth:`ThermosyphonController.run_rack_trace`.
+        The fast loop's period and backward-Euler substeps per period.
     policy:
-        The per-server fast decision rule (valve first, DVFS second).
+        The per-server fast decision rule (default: the paper's
+        :class:`~repro.core.runtime_controller.DecisionPolicy`, valve
+        first, DVFS second).  Anything with that class's ``decide``
+        signature and ``t_case_max_c`` / ``relax_margin_c`` attributes
+        will do: a :class:`~repro.core.runtime_controller.\
+ThermosyphonController` passed here steers the floor with its own
+        ``decide`` and QoS overrides.
     supply_setpoint_c:
         Initial chiller water supply temperature (default: the design's
         nominal water inlet).
@@ -466,7 +484,7 @@ class DatacenterModel:
         self,
         racks,
         *,
-        plant: ChillerPlant | ChillerBank | None = None,
+        plant: ChillerPlant | ChillerBank | ChillerModel | None = None,
         floorplan: Floorplan | None = None,
         design: ThermosyphonDesign = PAPER_OPTIMIZED_DESIGN,
         power_model: ServerPowerModel | None = None,
@@ -605,10 +623,10 @@ class DatacenterSession:
     on its rack's resolved hardware, and the only owner of its servers'
     fields), the :class:`FloorEngine` stacking those sessions per hardware
     group every period, the per-server actuator settings (water valve and
-    DVFS level) and the current chiller supply setpoint.  :meth:`ThermosyphonController.run_rack_trace` runs
-    the same stages on a one-rack floor engine, so a fixed-setpoint
-    datacenter run reproduces standalone rack traces exactly; the
-    supervisory loop only ever acts *between* periods by
+    DVFS level) and the current chiller supply setpoint.
+    :meth:`ThermosyphonController.run_rack_trace` is a one-rack session
+    seeded through :meth:`snapshot` / :meth:`restore` and driven by
+    :meth:`run`.  The supervisory loop only ever acts *between* periods by
     re-issuing every server's water loop at a new inlet temperature (the
     rack sessions then refresh their cooling boundaries because the water
     condition changed — the same path a valve action takes).
@@ -635,7 +653,7 @@ class DatacenterSession:
         # Eligibility signals of the last committed period, feeding the
         # coarsening planner: (all decisions NONE, worst settle residual,
         # floor worst peak, the decisions themselves).  None = not
-        # quasi-steady (cold start, or the setpoint just moved).
+        # quasi-steady (a run's first period, or the setpoint just moved).
         self._coarse_state: tuple | None = None
         self._traces = [
             [rack.server_trace(index) for index in range(rack.n_servers)]
@@ -687,6 +705,29 @@ class DatacenterSession:
             resolved = mapping_at_frequency(mapping, frequency_ghz)
             self._mapping_memo[key] = resolved
         return resolved
+
+    def _rack_loads(self, r: int, time_s: float) -> list[ServerLoad]:
+        """Rack ``r``'s server loads for the period starting at ``time_s``.
+
+        A server whose DVFS level moved since its mapping was resolved
+        takes the memoized mapping at its new frequency.
+        """
+        mappings = self._mappings[r]
+        frequencies = self._frequencies[r]
+        loads = []
+        for s, server in enumerate(self.model.racks[r].servers):
+            if mappings[s].configuration.frequency_ghz != frequencies[s]:
+                mappings[s] = self._memoized_mapping(server.mapping, frequencies[s])
+            phase = self._traces[r][s].phase_at(time_s)
+            loads.append(
+                ServerLoad(
+                    benchmark=server.benchmark,
+                    mapping=mappings[s],
+                    activity_factor=phase.activity_factor,
+                    water_loop=self._water_loops[r][s],
+                )
+            )
+        return loads
 
     def reset(self) -> None:
         """Cold-start the floor (every rack's fields and held boundaries)."""
@@ -788,13 +829,11 @@ class DatacenterSession:
     ) -> DatacenterPeriod:
         """One floor-wide control period: floor physics + fast decisions.
 
-        Loads are resolved per server through :func:`build_rack_loads` and
-        decisions applied through :func:`apply_rack_decisions` — the exact
-        stages :meth:`ThermosyphonController.run_rack_trace` composes around
-        the same :meth:`FloorEngine.advance` — so fixed-setpoint parity with
-        standalone rack traces holds by construction, not by mirrored code.
-        Between them, the floor engine advances every server through one
-        stacked solve per (hardware group, cooling boundary) per substep.
+        Each rack's loads are resolved per server, the floor engine
+        advances every server through one stacked solve per (hardware
+        group, cooling boundary) per substep, and
+        :func:`~repro.core.runtime_controller.apply_rack_decisions` runs
+        the policy on each rack's results.
         A fine period is a span of one: :meth:`advance_span` shares this
         step body and differs only in the floor lanes it runs.
 
@@ -868,18 +907,7 @@ class DatacenterSession:
             if bank is not None
             else model.plant.chiller_at(self.setpoint_c)
         )
-        rack_loads = [
-            build_rack_loads(
-                rack.servers,
-                self._traces[r],
-                self._mappings[r],
-                self._frequencies[r],
-                self._water_loops[r],
-                time_s,
-                mapping_memo=self._mapping_memo,
-            )
-            for r, rack in enumerate(model.racks)
-        ]
+        rack_loads = [self._rack_loads(r, time_s) for r in range(model.n_racks)]
         if rom is None:
             floor_advance = self.floor_engine.advance(
                 rack_loads,
@@ -1023,7 +1051,8 @@ class DatacenterSession:
             return 1, "disabled"
         state = self._coarse_state
         if state is None:
-            # Cold start, or an actuator/setpoint move cleared the signals.
+            # No signals: a run's first period, or a reset or setpoint
+            # move cleared them.
             return 1, "cold_start"
         all_none, max_residual, worst_peak, rack_decisions = state
         if not all_none:
@@ -1063,7 +1092,14 @@ class DatacenterSession:
         duration_s: float | None = None,
         supervisory: SupervisoryController | None = None,
     ) -> DatacenterTrace:
-        """Run the floor from a cold start and assemble the trace.
+        """Run the floor from the session's state and assemble the trace.
+
+        A fresh session starts cold.  A session that already ran, or was
+        given a :meth:`restore`, continues from its fields, held
+        boundaries, valves, frequencies and setpoint; :meth:`reset`
+        cold-starts its floor again.  Only the coarsening signals are
+        cleared, so the first period steps fine.  The trace's time axis
+        starts at 0.
 
         With ``supervisory`` the slow loop decides every
         ``supervisory.period_s`` (which must be an integer multiple of the
@@ -1076,9 +1112,8 @@ MpcSupervisoryController`) is handed the live session for receding-horizon
         worst peak is still ``-inf``) holds the setpoint and logs the
         previous window's peak — it must never reach the raise predicate,
         where ``-inf`` would authorize an unconditional raise.  Without
-        ``supervisory`` the setpoint stays fixed and the run is the
-        per-rack equivalent of
-        :meth:`ThermosyphonController.run_rack_trace`.
+        ``supervisory`` the setpoint stays fixed; a one-rack fixed-setpoint
+        run is :meth:`ThermosyphonController.run_rack_trace`.
         """
         model = self.model
         duration = duration_s if duration_s is not None else model.duration_s
@@ -1093,7 +1128,7 @@ MpcSupervisoryController`) is handed the live session for receding-horizon
                     f"integer multiple of the control period "
                     f"{model.control_period_s} s"
                 )
-        self.reset()
+        self._coarse_state = None
         obs = get_telemetry()
         caches = self._distinct_caches()
         stats_before = [cache.stats for cache in caches]
@@ -1170,9 +1205,9 @@ MpcSupervisoryController`) is handed the live session for receding-horizon
             )
             period_index += len(periods)
             for _ in periods:
-                # Accumulate exactly like run_rack_trace so the per-period
-                # phase lookups see bit-identical times on a fixed-setpoint
-                # run.
+                # One addition per period, on the fine and coarse lanes
+                # alike, so the per-period phase lookups see bit-identical
+                # times.
                 time_s += model.control_period_s
             # Note the final period's eligibility signals *before* the
             # window block: a setpoint move below must leave the next

@@ -50,10 +50,11 @@ between the samples could exceed the sampled maximum.  Sampling keeps
 the whole ROM span free of per-step ``O(n)`` work, and the golden-model
 tests pin the end-to-end error empirically.
 
-Whenever that accumulated bound — or the lifted case temperature's
-proximity to the thermal constraint — exceeds tolerance, the caller falls
-back to the full factorized solver for the affected rows; the
-:class:`RomStats` counters make every such decision observable.
+Whenever that charge — the largest of the three sampled per-step bounds
+times the substep count — or the lifted case temperature's proximity to
+the thermal constraint exceeds tolerance, the caller falls back to the
+full factorized solver for the affected rows; the :class:`RomStats`
+counters make every such decision observable.
 
 Cached beside the Cholesky factors: :class:`~repro.thermal.solver_cache.\
 FactorizationCache` stores one :class:`ReducedOperator` per
@@ -103,10 +104,12 @@ class RomConfig:
     stale-basis rebuilds at this depth, so depths 5 and 6 spent more on
     bases than the last fallback row costs.  ``projection_tol_c`` bounds the
     entry projection error before a cached basis is rebuilt from the
-    current states; ``step_error_tol_c`` bounds the *accumulated*
-    a-posteriori lift error over a span before the affected rows fall
-    back to the full solver, and the charge of a cached basis that misses
-    the span's steady state before it is rebuilt; ``guard_band_c`` falls
+    current states; ``step_error_tol_c`` caps a span's error charge (the
+    largest of the rigorous per-step a-posteriori bounds sampled at three
+    substeps, times the substep count: an estimate of the accumulated lift
+    error, not a bound) before the affected rows fall back to the full
+    solver, and the charge of a cached basis that misses the span's steady
+    state before it is rebuilt; ``guard_band_c`` falls
     back whenever a lifted case temperature comes within this margin of
     ``T_CASE_MAX`` — the ROM never arbitrates a constraint decision.
     """
@@ -133,7 +136,8 @@ class RomStats:
     ``rom_periods`` the control periods actually integrated in reduced
     space (summed over rows); ``fallback_error`` / ``fallback_guard`` /
     ``fallback_projection`` the rows returned to the full solver because
-    the accumulated error bound tripped, a lifted case temperature entered
+    the span's error charge (largest sampled per-step bound times the
+    substep count) exceeded its tolerance, a lifted case temperature entered
     the constraint guard band, or the entry states left the span of a
     (re)built basis.  ``basis_builds`` counts cold builds;
     ``rebuild_projection`` / ``rebuild_steady_state`` the replacements of a

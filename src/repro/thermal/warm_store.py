@@ -36,9 +36,12 @@ A warm run must match the cold run bit for bit, which dictates two rules:
 Robustness
 ----------
 The file format is versioned (`FORMAT_VERSION`).  Corrupt, truncated,
-wrong-version or wrong-shape entries are treated as misses and counted on
-:attr:`WarmStoreStats.stale` — a stale store degrades to a cold start,
-never to an exception or a wrong answer.  Writes go through a temp file +
+wrong-version or wrong-shape entries are treated as misses, counted on
+:attr:`WarmStoreStats.stale` and removed (best effort), so the run that
+found one stale rewrites it with its own cold build — a stale store
+degrades to one cold start, never to an exception, a wrong answer or a
+store that stays damaged.  Two format versions sharing one directory
+therefore evict each other's entries.  Writes go through a temp file +
 :func:`os.replace` so a crashed run cannot leave a torn entry behind.
 
 The store directory is safe to share between processes (the cross-worker
@@ -76,8 +79,8 @@ class WarmStoreStats:
     ``system_hits`` / ``system_misses`` assembled-system lookups;
     ``stores`` counts entries actually written (first write wins, so a
     re-store of an existing key does not count); ``stale`` counts entries
-    that existed on disk but were ignored (corrupt, truncated or written
-    by an incompatible format version).
+    that existed on disk but were ignored and removed (corrupt, truncated
+    or written by an incompatible format version).
     """
 
     reduced_hits: int = 0
@@ -210,9 +213,18 @@ class WarmStore:
             except Exception:
                 # Corrupt, truncated, unreadable or incompatible: a stale
                 # entry degrades to a cold build, never to a failed run.
-                self._count(stale=1)
+                self._evict(path)
                 span.set(stale=True)
                 return None
+
+    def _evict(self, path: Path) -> None:
+        """Count a stale entry and remove it, so this run's build replaces
+        it (first write wins only over entries that exist)."""
+        self._count(stale=1)
+        try:
+            path.unlink()
+        except OSError:
+            pass
 
     # ------------------------------------------------------------------ #
     # Reduced operators
@@ -265,7 +277,8 @@ class WarmStore:
                 step_matrix=payload["step_matrix"],
             )
         except KeyError:
-            self._count(stale=1, reduced_misses=1)
+            self._evict(self._entry_path("reduced", key))
+            self._count(reduced_misses=1)
             return None
         self._count(reduced_hits=1)
         return operator
@@ -319,7 +332,8 @@ class WarmStore:
             if boundary_rhs.shape != (shape[0],):
                 raise ValueError("boundary RHS shape mismatch")
         except Exception:
-            self._count(stale=1, system_misses=1)
+            self._evict(self._entry_path("system", key))
+            self._count(system_misses=1)
             return None
         self._count(system_hits=1)
         return matrix, boundary_rhs

@@ -82,6 +82,14 @@ class ChillerModel:
         check_positive(self.coefficient_of_performance, "coefficient_of_performance")
         check_fraction(self.free_cooling_fraction, "free_cooling_fraction")
 
+    def chiller_at(self, supply_temperature_c: float) -> "ChillerModel":
+        """This chiller, whatever the setpoint: a fixed-efficiency plant.
+
+        The :meth:`ChillerPlant.chiller_at` interface, so a
+        :class:`ChillerModel` can be a datacenter floor's plant.
+        """
+        return self
+
     def cooling_power_w(self, water_loop: WaterLoop, heat_w: float) -> float:
         """Electrical power to cool the loop's return water back to supply."""
         check_non_negative(heat_w, "heat_w")

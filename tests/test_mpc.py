@@ -383,7 +383,6 @@ class TestIdleWindowRegression:
     def _stub_run(self, floorplan, power_model, peak_of_time):
         model = _floor(floorplan, power_model)
         session = model.session()
-        session.reset = lambda: None  # the stub needs no floor arrays
 
         def fake_advance(time_s, *, n_substeps=None):
             return DatacenterPeriod(

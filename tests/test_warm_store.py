@@ -12,7 +12,8 @@ The :class:`~repro.thermal.warm_store.WarmStore` contract:
   a stored system could save (the store's system methods stay,
   round-tripped below);
 * robustness: corrupt or wrong-version entries are *stale* (counted,
-  ignored, degrade to a cold build), never exceptions or wrong answers;
+  removed, degrade to a cold build that rewrites them), never exceptions
+  or wrong answers;
 * first write wins, so rebuilds and concurrent writers cannot change what
   a warm run replays.
 """
@@ -149,6 +150,28 @@ class TestColdWarmRoundTrip:
         assert np.array_equal(_peak_grid(trace), _peak_grid(cold_trace))
         assert trace.plant_power_w == cold_trace.plant_power_w
 
+    def test_damaged_entries_are_replaced(
+        self, scenario, floorplan, power_model, cold, tmp_path
+    ):
+        """The run that finds every entry truncated rewrites them all, so
+        the next run is warm again, bit for bit the cold run."""
+        cold_trace, cold_store = cold
+        damaged_dir = tmp_path / "damaged"
+        shutil.copytree(cold_store.path, damaged_dir)
+        entries = sorted(damaged_dir.glob("*.npz"))
+        assert entries
+        for entry in entries:
+            entry.write_bytes(entry.read_bytes()[:64])
+        _, repairing = _run(scenario, floorplan, power_model, damaged_dir)
+        assert repairing.stats.stale == len(entries)
+        assert repairing.stats.stores == len(entries)
+        trace, store = _run(scenario, floorplan, power_model, damaged_dir)
+        assert store.stats.stale == 0
+        assert store.stats.reduced_hits == len(entries)
+        assert trace.rom_stats.basis_builds == 0
+        assert np.array_equal(_peak_grid(trace), _peak_grid(cold_trace))
+        assert trace.plant_power_w == cold_trace.plant_power_w
+
 
 class TestStoreUnit:
     def _system(self):
@@ -199,6 +222,7 @@ class TestStoreUnit:
         np.savez(path, **payload)
         assert store.load_system(key) is None
         assert store.stats.stale == 1
+        assert not path.exists()
 
     def test_shape_mismatch_is_stale(self, tmp_path):
         store = WarmStore(tmp_path)
@@ -207,6 +231,20 @@ class TestStoreUnit:
         store.store_system(key, matrix, np.append(rhs, 4.0))
         assert store.load_system(key) is None
         assert store.stats.stale == 1
+        assert not store._entry_path("system", key).exists()
+        # The evicted entry no longer blocks a correct one.
+        assert store.store_system(key, matrix, rhs)
+        assert store.load_system(key) is not None
+
+    def test_incomplete_reduced_entry_is_evicted(self, tmp_path):
+        store = WarmStore(tmp_path)
+        key = ("net", ("token",), 0.5, ())
+        path = store._entry_path("reduced", key)
+        store._write_entry(path, {"format_version": np.array(FORMAT_VERSION)})
+        assert store.load_reduced(key) is None
+        assert store.stats.stale == 1
+        assert store.stats.reduced_misses == 1
+        assert not path.exists()
 
     def test_distinct_keys_distinct_entries(self, tmp_path):
         store = WarmStore(tmp_path)
