@@ -44,6 +44,7 @@ from repro.thermal.simulator import ThermalSimulator, case_cell_row_column
 from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN, ThermosyphonDesign
 from repro.thermosyphon.loop import BoundaryResult, LoopOperatingPoint, ThermosyphonLoop
 from repro.thermosyphon.water_loop import WaterLoop
+from repro.utils.validation import check_positive_int
 from repro.workloads.benchmark import BenchmarkCharacteristics
 
 
@@ -145,9 +146,9 @@ class RackSession:
         thermal_simulator: ThermalSimulator | None = None,
         cell_size_mm: float = 1.0,
     ) -> None:
-        if n_servers < 1:
+        if isinstance(n_servers, int) and n_servers < 1:
             raise ConfigurationError(f"n_servers must be >= 1, got {n_servers}")
-        self.n_servers = int(n_servers)
+        self.n_servers = check_positive_int(n_servers, "n_servers")
         self.floorplan = floorplan if floorplan is not None else build_xeon_e5_v4_floorplan()
         self.design = design
         self.power_model = (

@@ -79,7 +79,11 @@ from repro.thermosyphon.chiller import (
 from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN, ThermosyphonDesign
 from repro.thermosyphon.water_loop import WaterLoop
 from repro.workloads.trace import PhasedTrace
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import (
+    check_non_negative_int,
+    check_positive,
+    check_positive_int,
+)
 
 
 @dataclass(frozen=True)
@@ -467,10 +471,11 @@ ThermosyphonController` passed here steers the floor with its own
         NumPy work overlaps); ``0`` (default) and ``1`` keep the serial
         loop.  Results are bit-identical either way.  On a 2-vCPU host
         threads cost time: the two-SKU perfbench ``coarse_2sku`` floor
-        (seed 7, warm store filled, 9 runs each) took a median 2.96 s
-        serial and 3.44 s with ``parallel_groups=2``, because a serial run
-        already keeps both vCPUs busy (4.95 s of CPU, the bundled
-        OpenBLAS's worker thread spinning on the second).
+        (seed 7, warm store filled) ran in 1.25-1.39 s serially and
+        1.64-1.75 s with ``parallel_groups=2``, because the bundled
+        OpenBLAS's worker thread already keeps the second vCPU busy.  A
+        budget that is not an ``int`` raises :class:`ValidationError`; a
+        negative one raises :class:`ConfigurationError`.
     warm_store:
         A :class:`~repro.thermal.warm_store.WarmStore` (or a directory
         path for one) attached to every hardware group's factorization
@@ -498,6 +503,11 @@ ThermosyphonController` passed here steers the floor with its own
         parallel_groups: int = 0,
         warm_store: WarmStore | str | os.PathLike | None = None,
     ) -> None:
+        if isinstance(parallel_groups, int) and parallel_groups < 0:
+            raise ConfigurationError(
+                f"parallel_groups must be >= 0, got {parallel_groups}"
+            )
+        self.parallel_groups = check_non_negative_int(parallel_groups, "parallel_groups")
         self.racks = tuple(racks)
         if not self.racks:
             raise ConfigurationError("a datacenter needs at least one rack")
@@ -563,11 +573,6 @@ ThermosyphonController` passed here steers the floor with its own
             else design.water_inlet_temperature_c
         )
         self.coarsening = coarsening
-        if parallel_groups < 0:
-            raise ConfigurationError(
-                f"parallel_groups must be >= 0, got {parallel_groups}"
-            )
-        self.parallel_groups = int(parallel_groups)
         if warm_store is not None and not isinstance(warm_store, WarmStore):
             warm_store = WarmStore(warm_store)
         self.warm_store = warm_store

@@ -117,7 +117,7 @@ from repro.obs.telemetry import Counters, get_telemetry
 from repro.thermal.boundary import CoolingBoundary
 from repro.thermal.grid import ThermalGrid
 from repro.thermal.network import ThermalNetwork
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_positive, check_positive_int
 
 _SINGULAR_MESSAGE = (
     "thermal system factorization failed (singular matrix); check that at "
@@ -387,9 +387,8 @@ class FactorizationCache:
     """
 
     def __init__(self, network: ThermalNetwork, *, max_entries: int = 16) -> None:
-        check_positive(max_entries, "max_entries")
+        self.max_entries = check_positive_int(max_entries, "max_entries")
         self.network = network
-        self.max_entries = int(max_entries)
         self._steady: OrderedDict[tuple, ThermalOperator] = OrderedDict()
         self._transient: OrderedDict[tuple, ThermalOperator] = OrderedDict()
         self._reduced: OrderedDict[tuple, object] = OrderedDict()

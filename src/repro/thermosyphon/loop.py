@@ -11,11 +11,11 @@ temperature for the thermal simulator).
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from repro.exceptions import ConvergenceError, ValidationError
 from repro.thermal.boundary import CoolingBoundary
@@ -30,6 +30,61 @@ from repro.utils.validation import check_non_negative, check_positive
 #: Standard deviation (mm) of the Gaussian kernel used to approximate heat
 #: spreading between the die and the evaporator channels.
 HEAT_SPREADING_SIGMA_MM = 1.5
+
+
+@functools.lru_cache(maxsize=8)
+def _gaussian_weights(sigma: float) -> tuple[float, ...]:
+    """Weights ``w_0 ... w_r`` of the normalized Gaussian of ``sigma`` cells.
+
+    Truncated at ``r = int(4 sigma + 0.5)`` cells and normalized over all
+    ``2r + 1`` taps, with ``scipy.ndimage``'s own arithmetic, so every
+    weight carries its bits.
+    """
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    return tuple((phi / phi.sum())[radius:].tolist())
+
+
+def _smooth_axis(stack: np.ndarray, axis: int, sigma: float) -> np.ndarray:
+    """One Gaussian pass along ``axis``, edges replicated."""
+    weights = _gaussian_weights(sigma)
+    radius = len(weights) - 1
+    n = stack.shape[axis]
+    padded = stack.take(np.clip(np.arange(-radius, n + radius), 0, n - 1), axis=axis)
+    lead = (slice(None),) * axis
+
+    def shifted(offset: int) -> np.ndarray:
+        return padded[lead + (slice(radius + offset, radius + offset + n),)]
+
+    smoothed = shifted(0) * weights[0]
+    for j in range(radius, 0, -1):
+        smoothed += (shifted(-j) + shifted(j)) * weights[j]
+    return smoothed
+
+
+def _spread_heat(
+    power_maps_w: np.ndarray, sigma_rows: float, sigma_columns: float
+) -> np.ndarray:
+    """Gaussian heat spreading over a ``(n_servers, n_rows, n_columns)`` stack.
+
+    Bit for bit ``scipy.ndimage.gaussian_filter(power_maps_w, sigma=(0.0,
+    sigma_rows, sigma_columns), mode="nearest")``: each map is filtered
+    along its rows axis, then its columns axis, with a Gaussian truncated
+    at 4 sigma (:func:`_gaussian_weights`) and edge cells replicated past
+    the border.  An axis whose sigma is at most 1e-15 is skipped, as scipy
+    skips it.  Each output cell is summed in the order of scipy's symmetric
+    ``correlate1d`` loop: ``w_0 x_i``, then ``+= (x_{i-j} + x_{i+j}) w_j``
+    for ``j = r ... 1``.  With that order and no fused multiply-add, every
+    rounding is scipy's.  It is not ``scipy.ndimage`` because importing
+    that package (and ``scipy.special`` with it) costs every run about
+    0.12 s of start-up, for this one call per lane march.
+    """
+    smoothed = power_maps_w
+    for axis, sigma in ((1, sigma_rows), (2, sigma_columns)):
+        if sigma > 1e-15:
+            smoothed = _smooth_axis(smoothed, axis, sigma)
+    return smoothed if smoothed is not power_maps_w else power_maps_w.copy()
 
 
 @dataclass(frozen=True)
@@ -276,20 +331,15 @@ class ThermosyphonLoop:
         )
         cell_area_m2 = (pitch_x_mm * 1e-3) * (pitch_y_mm * 1e-3)
 
-        # One smoothing pass over the whole stack: a zero sigma along the
-        # server axis makes the 3D filter identical to filtering each map,
-        # and the per-server renormalization broadcasts.  Lanes are grid
-        # rows for east-west channels and grid columns (transposed) for
-        # north-south channels; reversed-flow orientations march against
-        # the grid index direction.
-        smoothed = gaussian_filter(
+        # One smoothing pass over the whole stack, each map filtered on
+        # its own; the per-server renormalization broadcasts.  Lanes are
+        # grid rows for east-west channels and grid columns (transposed)
+        # for north-south channels; reversed-flow orientations march
+        # against the grid index direction.
+        smoothed = _spread_heat(
             power_maps_w,
-            sigma=(
-                0.0,
-                HEAT_SPREADING_SIGMA_MM / pitch_y_mm,
-                HEAT_SPREADING_SIGMA_MM / pitch_x_mm,
-            ),
-            mode="nearest",
+            HEAT_SPREADING_SIGMA_MM / pitch_y_mm,
+            HEAT_SPREADING_SIGMA_MM / pitch_x_mm,
         )
         totals = power_maps_w.sum(axis=(1, 2))
         sums = smoothed.sum(axis=(1, 2))

@@ -11,14 +11,36 @@ from repro.core.mapping import ThreadMapper
 from repro.core.mapping_policies import ProposedThermalAwareMapping
 from repro.core.rack_session import RackSession, ServerLoad
 from repro.datacenter.floor import FloorEngine
-from repro.datacenter.model import CoarseningConfig
+from repro.datacenter.model import CoarseningConfig, DatacenterModel
+from repro.datacenter.scenarios import build_scenario
 from repro.datacenter.supervisory import MpcSupervisoryController, SupervisoryController
 from repro.obs.telemetry import Histogram
 from repro.obs.tracing import Tracer
 from repro.thermal.rom import RomConfig
+from repro.thermal.solver_cache import FactorizationCache
 from repro.thermosyphon.design import PAPER_OPTIMIZED_DESIGN, SEURET_REFERENCE_DESIGN
 from repro.thermosyphon.loop import ThermosyphonLoop
 from repro.workloads.configuration import Configuration
+
+
+def _datacenter_model(ctx, parallel_groups):
+    return DatacenterModel(
+        ctx.racks,
+        floorplan=ctx.floorplan,
+        power_model=ctx.power_model,
+        thermal_simulator=ctx.simulator,
+        parallel_groups=parallel_groups,
+    )
+
+
+def _rack_session(ctx, n_servers):
+    return RackSession(
+        n_servers,
+        floorplan=ctx.floorplan,
+        power_model=ctx.power_model,
+        thermal_simulator=ctx.simulator,
+    )
+
 
 #: Every caller-input check, each given an input it must reject.
 CALLER_INPUT_SITES = {
@@ -70,6 +92,20 @@ CALLER_INPUT_SITES = {
     "ThermalResult.component_temperature_c reduce": lambda ctx: (
         ctx.result.component_temperature_c("core0", reduce="median")
     ),
+    "DatacenterModel fractional parallel_groups": lambda ctx: _datacenter_model(ctx, 2.5),
+    "DatacenterModel boolean parallel_groups": lambda ctx: _datacenter_model(ctx, True),
+    "DatacenterModel nan parallel_groups": lambda ctx: _datacenter_model(
+        ctx, float("nan")
+    ),
+    "DatacenterModel string parallel_groups": lambda ctx: _datacenter_model(ctx, "2"),
+    "FloorEngine fractional parallel_groups": lambda ctx: FloorEngine(
+        [ctx.rack], parallel_groups=2.5
+    ),
+    "RackSession fractional n_servers": lambda ctx: _rack_session(ctx, 2.5),
+    "RackSession boolean n_servers": lambda ctx: _rack_session(ctx, True),
+    "FactorizationCache fractional max_entries": lambda ctx: FactorizationCache(
+        ctx.simulator.network, max_entries=2.5
+    ),
     "Tracer capacity": lambda ctx: Tracer(capacity=0),
     "Histogram empty bounds": lambda ctx: Histogram(()),
     "Histogram unsorted bounds": lambda ctx: Histogram((2.0, 1.0)),
@@ -84,7 +120,15 @@ def caller_input_context(floorplan, power_model, coarse_thermal_simulator, x264)
     rack = RackSession(
         1, floorplan=floorplan, power_model=power_model, thermal_simulator=simulator
     )
+    scenario = build_scenario(
+        "diurnal", n_racks=1, servers_per_rack=1, duration_s=4.0, seed=1, floorplan=floorplan
+    )
     return SimpleNamespace(
+        floorplan=floorplan,
+        power_model=power_model,
+        simulator=simulator,
+        rack=rack,
+        racks=scenario.racks,
         floor=FloorEngine([rack]),
         load=ServerLoad(benchmark=x264, mapping=mapping),
         result=simulator.result_from_vector(np.full(simulator.grid.n_cells, 40.0)),
